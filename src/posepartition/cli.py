@@ -8,29 +8,25 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import PipelineConfig, config_from_dict, dump_config, load_config
+from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigurationError, ParameterError, PipelineError, SchemaError
 from .evaluate import MatchParams, evaluate_corpus, report_csv
-from .infer import infer_all
 from .iojson import (
     candidates_from_doc,
     candidates_to_doc,
     load_json,
-    partitions_from_doc,
     partitions_to_doc,
     poses_from_doc,
     poses_to_doc,
     report_to_doc,
     save_json,
 )
-from .maps import ForwardParams
 from .partition import cluster_votes, embed
 from .pipeline import decode_maps, synth_maps
 from .pmap import read_confidence, read_regression, write_map_set

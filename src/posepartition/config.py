@@ -1,8 +1,8 @@
 """Pipeline configuration: one document controlling every stage.
 
-The score threshold tau is stated once and shared by the forward model, the
-detector, and the greedy assembly, which keeps the stages consistent by
-construction.  The clustering cutoff may be the string "auto", meaning 10%
+The score threshold tau is stated once and shared by the detector and the
+greedy assembly, which keeps the two consistent by construction; map
+synthesis does not use it.  The clustering cutoff may be the string "auto", meaning 10%
 of the canvas diagonal of whatever maps are being decoded.
 """
 from __future__ import annotations

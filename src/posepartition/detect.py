@@ -1,15 +1,16 @@
 """Joint candidate detection on confidence maps.
 
-A candidate is a strict local maximum: its value must be >= all 8 in-grid
-neighbors and strictly greater than at least one of them, so plateaus (and
-in particular constant maps) produce nothing.  Surviving peaks are
-thresholded at tau and thinned per joint category with a greedy Chebyshev
-non-maximum suppression where higher-scoring peaks win and equal scores fall
-back to row-major order.
+A candidate is a strict local maximum at or above tau: its value must be
+>= all 8 in-grid neighbors and strictly greater than at least one of them,
+so plateaus (and in particular constant maps) produce nothing.  Detection
+thresholds first, keeps the pixels at or above tau that are row maxima,
+and runs the full neighbor test only on those.  Surviving peaks are
+thinned per joint category with a greedy Chebyshev non-maximum
+suppression where higher-scoring peaks win and equal scores fall back to
+row-major order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,27 +45,55 @@ class DetectorParams:
             raise ParameterError("nms_radius must be an integer >= 1, got %r" % (self.nms_radius,))
 
 
-_NEIGHBOR_SHIFTS = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)]
+def _float32_ceil(value: float) -> np.float32:
+    """Smallest float32 >= value, so float32 compares against it select
+    exactly the float32 pixels that a float64 compare against value does."""
+    t = np.float32(value)
+    if float(t) < value:
+        t = np.nextafter(t, np.float32(np.inf))
+    return t
 
 
-def _strict_local_maxima(planes: np.ndarray) -> np.ndarray:
-    """Mask of pixels >= all 8 in-grid neighbors and > at least one of them.
+def _row_maxima(flat: np.ndarray, idx: np.ndarray, w: int) -> np.ndarray:
+    """Mask over flat indices idx of pixels >= their in-grid left and right
+    neighbors, a necessary condition for a strict local maximum.
 
-    Works on a whole (K, H, W) stack.  Out-of-grid neighbors never veto (the
-    -inf pad) and never serve as the strict witness (the +inf pad), so a 1x1
-    plane has no maxima.
+    The two reads sit next to each pixel in memory, and on a smooth bump
+    only a pixel or two per row pass, so the full neighbor test that
+    follows runs on a few percent of the pixels at or above tau.
+    mode="clip" keeps idx - 1 and idx + 1 inside the array; the row-end
+    masks discard what those reads return there.
     """
-    k, h, w = planes.shape
-    lo = np.pad(planes, ((0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
-    hi = np.pad(planes, ((0, 0), (1, 1), (1, 1)), constant_values=np.inf)
-    ge_all = np.ones((k, h, w), dtype=bool)
-    gt_any = np.zeros((k, h, w), dtype=bool)
-    for dy, dx in _NEIGHBOR_SHIFTS:
-        window = (slice(None), slice(1 + dy, 1 + dy + h), slice(1 + dx, 1 + dx + w))
-        ge_all &= planes >= lo[window]
-        gt_any |= planes > hi[window]
-    ge_all &= gt_any
-    return ge_all
+    xs = idx % w
+    v = flat[idx]
+    left_ok = (xs == 0) | (v >= np.take(flat, idx - 1, mode="clip"))
+    right_ok = (xs == w - 1) | (v >= np.take(flat, idx + 1, mode="clip"))
+    return left_ok & right_ok
+
+
+def _strict_peaks(
+    flat: np.ndarray, idx: np.ndarray, ys: np.ndarray, xs: np.ndarray, h: int, w: int
+) -> np.ndarray:
+    """Mask over flat indices idx of strict local maxima in their (h, w) plane.
+
+    An out-of-grid neighbor is replaced by the pixel itself, so it never
+    vetoes (v >= v) and never serves as the strict witness (not v > v); a
+    1x1 plane therefore has no maxima.
+    """
+    v = flat[idx]
+    row_ok = {-1: ys > 0, 0: True, 1: ys < h - 1}
+    col_ok = {-1: xs > 0, 0: True, 1: xs < w - 1}
+    ge_all = np.ones(idx.size, dtype=bool)
+    gt_any = np.zeros(idx.size, dtype=bool)
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            if dy == 0 and dx == 0:
+                continue
+            inside = row_ok[dy] & col_ok[dx]
+            nv = flat[np.where(inside, idx + (dy * w + dx), idx)]
+            ge_all &= v >= nv
+            gt_any |= v > nv
+    return ge_all & gt_any
 
 
 def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = None) -> list[JointCandidate]:
@@ -75,26 +104,25 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
     """
     params = params or DetectorParams()
     radius = params.nms_radius
-    mask = _strict_local_maxima(conf.values)
-    mask &= conf.values >= np.float64(params.tau)
-    js, ys, xs = np.nonzero(mask)
-    scores = conf.values[js, ys, xs]
-    per_joint: dict[int, list[tuple[float, int, int]]] = {}
-    for j, y, x, s in zip(js.tolist(), ys.tolist(), xs.tolist(), scores.tolist()):
-        per_joint.setdefault(j, []).append((-s, y, x))
+    _, h, w = conf.values.shape
+    flat = conf.values.ravel()
+    idx = np.flatnonzero(flat >= _float32_ceil(params.tau))
+    idx = idx[_row_maxima(flat, idx, w)]
+    js, rest = np.divmod(idx, h * w)
+    ys, xs = np.divmod(rest, w)
+    peak = _strict_peaks(flat, idx, ys, xs, h, w)
+    js, ys, xs, scores = js[peak], ys[peak], xs[peak], flat[idx[peak]]
+    order = np.lexsort((xs, ys, -scores, js))
     out: list[JointCandidate] = []
-    for j in sorted(per_joint):
-        peaks = per_joint[j]
-        peaks.sort()
-        kept: list[tuple[float, int, int]] = []
-        for neg_score, y, x in peaks:
-            close = any(
-                max(abs(y - ky), abs(x - kx)) <= radius for _, ky, kx in kept
-            )
-            if not close:
-                kept.append((neg_score, y, x))
-        out.extend(
-            JointCandidate(joint_id=j, position=(x, y), score=-neg_score)
-            for neg_score, y, x in kept
-        )
+    kept: list[tuple[int, int]] = []
+    current = -1
+    ordered = (js[order].tolist(), ys[order].tolist(), xs[order].tolist(), scores[order].tolist())
+    for j, y, x, s in zip(*ordered):
+        if j != current:
+            current = j
+            kept = []
+        if any(abs(y - ky) <= radius and abs(x - kx) <= radius for ky, kx in kept):
+            continue
+        kept.append((y, x))
+        out.append(JointCandidate(joint_id=j, position=(x, y), score=s))
     return out

@@ -188,8 +188,12 @@ def _greedy_one_partition(
             _, chosen, h = scored[0]
             pool.remove(chosen)
             delta = -unary(chosen, conf)
-            for prev in accepted:
-                delta -= pairwise(chosen, prev, reg, tau)
+            # pairwise(chosen, prev) for every accepted prev, from the votes
+            # already at hand: all members reach tau (checked above).
+            for e in embeds:
+                dx = h[0] - e[0]
+                dy = h[1] - e[1]
+                delta -= math.exp(-(dx * dx + dy * dy))
             deltas.append(delta)
             accepted.append(chosen)
             embeds.append(h)

@@ -5,9 +5,11 @@ integer pixel centers:
 
 * confidence maps: one channel per joint category holding, at pixel p,
   max_i exp(-|p - p_j^i|^2 / sigma^2) over persons i.  The squared distance
-  is divided by sigma^2 directly (no factor 2), the kernel has full support
-  (no truncation), and overlapping persons combine by pointwise max, so the
-  value at an annotated integer position is exactly 1.0.
+  is divided by sigma^2 directly (no factor 2), and overlapping persons
+  combine by pointwise max, so the value at an annotated integer position
+  is exactly 1.0.  Each bump is computed only within the reach past which
+  its float32 value is exactly 0, so the output equals the full-canvas
+  kernel byte for byte.
 
 * regression maps: one 2-vector channel per joint category.  Inside the
   disk of radius `radius` around person i's joint j, the vector points from
@@ -18,7 +20,7 @@ integer pixel centers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,11 +116,22 @@ class RegressionMapSet:
         return math.hypot(self.height, self.width)
 
 
+def _bump_reach(sigma: float) -> int:
+    """Pixel distance beyond which a bump's float32 value is exactly 0.
+
+    float32 exp underflows to 0 below about -103.97, so every pixel farther
+    than sigma*sqrt(104) along either axis holds exp(-d^2/sigma^2) == 0; the
+    extra pixel absorbs the rounding of positions and distances.
+    """
+    return math.ceil(sigma * math.sqrt(104.0)) + 1
+
+
 def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> ConfidenceMapSet:
     """Synthesize ground-truth confidence maps for every joint category.
 
-    Each person's joint deposits an untruncated Gaussian bump; persons
-    combine by pointwise max so peak heights never wash out in crowds.
+    Each person's joint deposits a Gaussian bump, computed only inside the
+    window where float32 exp is non-zero (see _bump_reach); persons combine
+    by pointwise max so peak heights never wash out in crowds.
     """
     params = params or ForwardParams()
     scene.validate()
@@ -127,17 +140,20 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
     xs = np.arange(w, dtype=np.float32)
     ys = np.arange(h, dtype=np.float32)
     neg_inv = np.float32(-1.0 / (params.sigma * params.sigma))
-    scratch = np.empty((h, w), dtype=np.float32)
+    reach = _bump_reach(params.sigma)
     for person in scene.persons:
         for j, pos in enumerate(person.joints):
             if pos is None:
                 continue
-            dx2 = np.square(xs - np.float32(pos[0]))
-            dy2 = np.square(ys - np.float32(pos[1]))
-            np.add(dy2[:, None], dx2[None, :], out=scratch)
-            scratch *= neg_inv
-            np.exp(scratch, out=scratch)
-            np.maximum(out[j], scratch, out=out[j])
+            x0, y0 = math.floor(pos[0]), math.floor(pos[1])
+            sx = slice(max(0, x0 - reach), min(w, x0 + reach + 2))
+            sy = slice(max(0, y0 - reach), min(h, y0 + reach + 2))
+            dx2 = np.square(xs[sx] - np.float32(pos[0]))
+            dy2 = np.square(ys[sy] - np.float32(pos[1]))
+            bump = dy2[:, None] + dx2[None, :]
+            bump *= neg_inv
+            np.exp(bump, out=bump)
+            np.maximum(out[j, sy, sx], bump, out=out[j, sy, sx])
     return ConfidenceMapSet(out)
 
 

@@ -103,6 +103,31 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
     return total
 
 
+def _log_vote_density(point: tuple[float, float], votes: Sequence[Vote], params: ClusterParams) -> float:
+    """log(vote_density), finite whenever some vote has a positive weight.
+
+    The direct sum is used wherever it is positive, so those scores equal
+    log(vote_density) bit for bit.  When every term underflows to 0 (votes
+    far from the point), the log-sum-exp form gives the value instead.
+    Only votes that all weigh 0 (or no votes) score -inf.
+    """
+    density = vote_density(point, votes, params)
+    if density > 0.0:
+        return math.log(density)
+    px, py = point
+    terms = []
+    for vote in votes:
+        w = params.weight_of(vote.source.joint_id)
+        if w > 0.0:
+            dx = vote.point[0] - px
+            dy = vote.point[1] - py
+            terms.append(math.log(w) - (dx * dx + dy * dy))
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
 def _canonical_order(votes: Sequence[Vote]) -> list[int]:
     """Vote indices sorted by their source candidate's canonical key."""
     return sorted(range(len(votes)), key=lambda i: votes[i].source.sort_key())
@@ -160,8 +185,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         cluster_pts = pts[canon]
         cx = float(np.mean(cluster_pts[:, 0]))
         cy = float(np.mean(cluster_pts[:, 1]))
-        density = vote_density((cx, cy), all_votes, params)
-        score = math.log(density) if density > 0.0 else -math.inf
+        score = _log_vote_density((cx, cy), all_votes, params)
         cands = tuple(votes[order[i]].source for i in sorted(canon))
         partitions.append(Partition(members=cands, centroid=(cx, cy), score=score))
     return partitions
@@ -171,8 +195,8 @@ def partition_score(partitions: Sequence[Partition]) -> float:
     """Total log vote density over partitions.
 
     This is the assignment-independent part of the decode energy.  A
-    partition whose density underflowed to zero carries a -inf score, which
-    is rejected here because downstream energies would be meaningless.
+    partition whose votes all weigh zero carries a -inf score, which is
+    rejected here because downstream energies would be meaningless.
     """
     total = 0.0
     for i, part in enumerate(partitions):

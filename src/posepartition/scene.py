@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import AnnotationError, ParameterError, SchemaError
 

@@ -1,6 +1,9 @@
 """Peak detection and suppression over confidence maps."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from posepartition.detect import DetectorParams, JointCandidate, detect_candidates
 from posepartition.errors import ParameterError
@@ -102,6 +105,38 @@ def test_below_threshold_peaks_dropped():
     assert detect_candidates(conf_from_planes(plane)) == []
     plane[4, 4] = 0.1
     assert [c.score for c in detect_candidates(conf_from_planes(plane))] == [pytest.approx(0.1)]
+
+
+def test_threshold_compares_float32_values_with_float64_tau():
+    plane = np.zeros((9, 9), dtype=np.float32)
+    plane[4, 4] = np.float32(0.7)  # 0.69999999, just below 0.7
+    assert detect_candidates(conf_from_planes(plane), DetectorParams(tau=0.7)) == []
+    plane[4, 4] = np.float32(0.1)  # 0.10000000149, just above 0.1
+    got = detect_candidates(conf_from_planes(plane), DetectorParams(tau=0.1))
+    assert got == [JointCandidate(joint_id=0, position=(4, 4), score=float(np.float32(0.1)))]
+
+
+@st.composite
+def detector_inputs(draw):
+    """Small maps whose values cluster on a few levels (plateaus), including
+    the float32 values next to tau, with the 1xN and Nx1 shapes in range."""
+    tau = draw(st.sampled_from([0.1, 0.5, 0.7]) | st.floats(0.01, 0.99))
+    t32 = np.float32(tau)
+    near = [float(np.nextafter(t32, np.float32(0))), float(t32), float(np.nextafter(t32, np.float32(1)))]
+    levels = st.sampled_from([0.0, 0.3, 1.0] + near) | st.floats(0.0, 1.0, width=32)
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    values = draw(arrays(np.float32, shape, elements=levels))
+    return values, tau, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(detector_inputs())
+@example((np.array([[[0.3, 0.7, 0.3]]], dtype=np.float32), 0.7, 1))
+@example((np.array([[[0.7], [0.3], [0.1]]], dtype=np.float32), 0.1, 1))
+def test_detection_matches_oracle_on_generated_maps(case):
+    values, tau, radius = case
+    got = detect_candidates(ConfidenceMapSet(values), DetectorParams(tau=tau, nms_radius=radius))
+    assert got == oracle_detect(values, tau=tau, nms_radius=radius)
 
 
 def test_detection_matches_bruteforce_oracle():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posepartition.errors import DimensionError, ParameterError
 from posepartition.maps import (
@@ -119,6 +121,56 @@ def test_confidence_monotone_in_sigma():
     narrow = build_confidence_maps(scene, ForwardParams(sigma=5.0))
     wide = build_confidence_maps(scene, ForwardParams(sigma=9.0))
     assert np.all(wide.values >= narrow.values)
+
+
+def full_canvas_confidence(scene, sigma):
+    """Reference synthesis: every bump evaluated over the whole canvas with
+    the same float32 expression as build_confidence_maps."""
+    k, h, w = scene.num_joints, scene.height, scene.width
+    out = np.zeros((k, h, w), dtype=np.float32)
+    xs = np.arange(w, dtype=np.float32)
+    ys = np.arange(h, dtype=np.float32)
+    neg_inv = np.float32(-1.0 / (sigma * sigma))
+    for person in scene.persons:
+        for j, pos in enumerate(person.joints):
+            if pos is None:
+                continue
+            dx2 = np.square(xs - np.float32(pos[0]))
+            dy2 = np.square(ys - np.float32(pos[1]))
+            bump = dy2[:, None] + dx2[None, :]
+            bump *= neg_inv
+            np.exp(bump, out=bump)
+            np.maximum(out[j], bump, out=out[j])
+    return out
+
+
+def coordinate(extent):
+    """A position in [0, extent), often on or next to an edge."""
+    edges = [0.0, 0.5, extent - 1.0, extent - 0.5, float(np.nextafter(extent, 0.0))]
+    return st.sampled_from([e for e in edges if 0.0 <= e < extent]) | st.floats(
+        0.0, extent, exclude_max=True
+    )
+
+
+@st.composite
+def confidence_scenes(draw):
+    h = draw(st.integers(1, 512))
+    w = draw(st.integers(1, 512))
+    k = draw(st.integers(1, 2))
+    persons = [
+        [(draw(coordinate(w)), draw(coordinate(h))) for _ in range(k)]
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    sigma = draw(st.floats(0.2, 40.0))
+    return make_scene(persons, height=h, width=w, k=k), sigma
+
+
+@settings(max_examples=60, deadline=None)
+@given(confidence_scenes())
+def test_truncated_bumps_match_full_canvas_bytes(case):
+    scene, sigma = case
+    got = build_confidence_maps(scene, ForwardParams(sigma=sigma)).values
+    assert got.tobytes() == full_canvas_confidence(scene, sigma).tobytes()
 
 
 def test_confidence_values_in_unit_interval():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
 from posepartition.errors import ParameterError, PartitionScoreError
 from posepartition.maps import RegressionMapSet, build_confidence_maps, build_regression_maps
@@ -17,6 +18,7 @@ from posepartition.partition import (
     partition_score,
     vote_density,
 )
+from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
 
@@ -407,12 +409,39 @@ def test_partition_score_matches_recomputation_on_scene():
     assert abs(got - expect) <= 1e-9
 
 
-def test_partition_score_rejects_underflowed_density():
-    # Two votes merged into one cluster whose centroid is ~40 px from both:
-    # the density underflows to zero and the score becomes unusable.
+def test_underflowed_density_scores_by_log_sum_exp():
+    # Two votes merged into one cluster whose centroid is 40 px from both:
+    # the direct density underflows to zero, the log-sum-exp form does not.
     votes = votes_at([(0.0, 0.0), (80.0, 0.0)])
-    parts = cluster_votes(votes, ClusterParams(link_threshold=100.0))
+    params = ClusterParams(link_threshold=100.0)
+    parts = cluster_votes(votes, params)
+    assert len(parts) == 1
+    assert vote_density(parts[0].centroid, votes, params) == 0.0
+    assert parts[0].score == -1600.0 + math.log(2.0)
+    assert partition_score(parts) == parts[0].score
+
+
+def test_partition_score_rejects_zero_weight_partitions():
+    # Votes that all weigh zero carry no density at all, in any form.
+    votes = votes_at([(0.0, 0.0), (80.0, 0.0)])
+    parts = cluster_votes(votes, ClusterParams(link_threshold=100.0, weights=(0.0,)))
     assert len(parts) == 1
     assert parts[0].score == -math.inf
     with pytest.raises(PartitionScoreError):
         partition_score(parts)
+
+
+def test_merged_crowds_on_large_canvases_decode():
+    # At 512 px the default cutoff (0.1 * Z, about 72 px) exceeds the 60 px
+    # person separation, so some clusters hold two people whose votes all
+    # lie about 30 px from the cluster center, where exp(-900) underflows.
+    # Scenes 0, 2 and 3 of this corpus hold such a cluster.
+    spec = CorpusSpec(num_scenes=10, height=512, width=512, max_persons=8)
+    scenes = generate_corpus(spec, seed=0)
+    for i in (0, 2, 3):
+        conf, reg = synth_maps(scenes[i])
+        result = decode_maps(conf, reg)
+        assert all(math.isfinite(p.score) for p in result.partitions)
+        assert len(result.poses.poses) == len(scenes[i].persons)
+        trace = result.energy_trace
+        assert all(a > b for a, b in zip(trace, trace[1:]))
