@@ -1,16 +1,17 @@
 """Command-line entry points for every pipeline stage.
 
 Exit codes: 0 on success, 2 for input or format problems, 3 for
-configuration problems.  The PP_THREADS environment variable caps the
-worker count used for per-scene parallel work.
+configuration problems.  Stage flags (--tau on detect and decode, --sigma,
+--radius, --nms-radius, --link-threshold) override the --config file, or
+the defaults, only when given; --link-threshold auto overrides a number.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import os
+import functools
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -39,43 +40,16 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("PP_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError("PP_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise ConfigurationError("PP_THREADS must be at least 1, got %d" % n)
-    return n
-
-
 def _load_cli_config(args) -> PipelineConfig:
-    """Config file (if given) with individual flag overrides on top."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    overrides = {}
-    for attr in ("tau", "sigma", "radius", "nms_radius", "link_threshold"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
-    if overrides:
-        try:
-            cfg = PipelineConfig(
-                tau=overrides.get("tau", cfg.tau),
-                sigma=overrides.get("sigma", cfg.sigma),
-                radius=overrides.get("radius", cfg.radius),
-                nms_radius=overrides.get("nms_radius", cfg.nms_radius),
-                link_threshold=overrides.get("link_threshold", cfg.link_threshold),
-                vote_weights=cfg.vote_weights,
-                loss_alpha=cfg.loss_alpha,
-                seed=cfg.seed,
-                joint_layout=cfg.joint_layout,
-            )
-            cfg.validate()
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from exc
+    """Config file (if given) with the stage flags actually given on top.
+
+    A flag that was not given is absent from args (argparse.SUPPRESS), so
+    every attribute named after a config field is an override.
+    """
+    cfg = load_config(args.config) if args.config else PipelineConfig()
+    given = {f.name: getattr(args, f.name) for f in fields(cfg) if hasattr(args, f.name)}
+    cfg = replace(cfg, **given)
+    cfg.validate()
     return cfg
 
 
@@ -90,14 +64,15 @@ def _parse_link_threshold(raw: str) -> float | None:
 
 def _add_config_flags(sub, *, forward=False, detector=False, cluster=False):
     sub.add_argument("--config", help="pipeline config JSON; flags below override it")
-    sub.add_argument("--tau", type=float, help="score threshold shared by all stages")
+    flag = functools.partial(sub.add_argument, default=argparse.SUPPRESS)
     if forward:
-        sub.add_argument("--sigma", type=float, help="confidence bump width")
-        sub.add_argument("--radius", type=float, help="regression disk radius")
+        flag("--sigma", type=float, help="confidence bump width")
+        flag("--radius", type=float, help="regression disk radius")
     if detector:
-        sub.add_argument("--nms-radius", dest="nms_radius", type=int, help="suppression radius (Chebyshev)")
+        flag("--tau", type=float, help="score threshold shared by detection and assembly")
+        flag("--nms-radius", dest="nms_radius", type=int, help="suppression radius (Chebyshev)")
     if cluster:
-        sub.add_argument(
+        flag(
             "--link-threshold",
             dest="link_threshold",
             type=_parse_link_threshold,
@@ -166,13 +141,7 @@ def _cmd_eval(args) -> int:
             )
         return poses, scene
 
-    workers = _worker_count()
-    if workers > 1 and len(scene_paths) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(load_pair, scene_paths))
-    else:
-        pairs = [load_pair(p) for p in scene_paths]
-
+    pairs = [load_pair(p) for p in scene_paths]
     try:
         params = MatchParams(
             pckh_fraction=args.pckh,
@@ -327,9 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later main() call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigurationError as exc:

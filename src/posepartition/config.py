@@ -2,8 +2,10 @@
 
 The score threshold tau is stated once and shared by the detector and the
 greedy assembly, which keeps the two consistent by construction; map
-synthesis does not use it.  The clustering cutoff may be the string "auto", meaning 10%
-of the canvas diagonal of whatever maps are being decoded.
+synthesis does not use it.  The clustering cutoff may be the string "auto",
+meaning 10% of the canvas diagonal of whatever maps are being decoded.  A
+document lists only what it changes: absent entries take the PipelineConfig
+defaults, and unknown keys are rejected.
 """
 from __future__ import annotations
 
@@ -11,27 +13,25 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .detect import DetectorParams
+from .detect import DEFAULT_TAU, DetectorParams
 from .errors import ConfigurationError, ParameterError, SchemaError
 from .maps import ForwardParams
 from .partition import ClusterParams, default_link_threshold
-from .scene import JointSpec, mpii_joint_layout, scene_from_dict, scene_to_dict
+from .scene import JointSpec, _is_num, layout_from_doc, layout_to_doc, mpii_joint_layout
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    tau: float = 0.1
+    tau: float = DEFAULT_TAU
     sigma: float = 7.0
     radius: float = 7.0
     nms_radius: int = 3
     link_threshold: float | None = None  # None means auto: 0.1 * canvas diagonal
     vote_weights: tuple[float, ...] | None = None
-    loss_alpha: float = 1.0
-    seed: int = 0
     joint_layout: tuple[JointSpec, ...] = field(default_factory=mpii_joint_layout)
 
     def forward_params(self) -> ForwardParams:
-        return ForwardParams(sigma=self.sigma, radius=self.radius, tau=self.tau)
+        return ForwardParams(sigma=self.sigma, radius=self.radius)
 
     def detector_params(self) -> DetectorParams:
         return DetectorParams(tau=self.tau, nms_radius=self.nms_radius)
@@ -48,14 +48,9 @@ class PipelineConfig:
         try:
             self.forward_params()
             self.detector_params()
-            if self.link_threshold is not None:
-                ClusterParams(link_threshold=self.link_threshold, weights=self.vote_weights)
-            elif self.vote_weights is not None:
-                ClusterParams(link_threshold=1.0, weights=self.vote_weights)
+            self.cluster_params(1.0)  # a fixed cutoff and the weights; auto is always valid
         except ParameterError as exc:
             raise ConfigurationError(str(exc)) from exc
-        if not self.loss_alpha >= 0:
-            raise ConfigurationError("loss alpha must be non-negative")
         if self.vote_weights is not None and len(self.vote_weights) != len(self.joint_layout):
             raise ConfigurationError(
                 "vote_weights has %d entries for %d joints"
@@ -64,10 +59,6 @@ class PipelineConfig:
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    # Reuse the scene codec's joint layout representation.
-    layout_doc = scene_to_dict(
-        _LayoutCarrier(joint_layout=cfg.joint_layout)  # type: ignore[arg-type]
-    )["joint_spec"]
     return {
         "tau": cfg.tau,
         "forward": {"sigma": cfg.sigma, "radius": cfg.radius},
@@ -76,29 +67,17 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
             "link_threshold": "auto" if cfg.link_threshold is None else cfg.link_threshold,
             "weights": None if cfg.vote_weights is None else list(cfg.vote_weights),
         },
-        "loss_alpha": cfg.loss_alpha,
-        "seed": cfg.seed,
-        "joint_spec": layout_doc,
+        "joint_spec": layout_to_doc(cfg.joint_layout),
     }
-
-
-class _LayoutCarrier:
-    """Minimal stand-in so scene_to_dict can serialize a bare joint layout."""
-
-    def __init__(self, joint_layout):
-        self.joint_layout = joint_layout
-        self.height = 1
-        self.width = 1
-        self.persons = ()
 
 
 def config_from_dict(doc: Any) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    allowed = {"tau", "forward", "detector", "cluster", "loss_alpha", "seed", "joint_spec"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {"tau", "forward", "detector", "cluster", "joint_spec"}
     if unknown:
         raise ConfigurationError("unknown config keys: %s" % ", ".join(sorted(unknown)))
+    defaults = PipelineConfig()
 
     def section(name: str) -> dict:
         sec = doc.get(name, {})
@@ -106,53 +85,46 @@ def config_from_dict(doc: Any) -> PipelineConfig:
             raise ConfigurationError("config section %r must be an object" % name)
         return sec
 
+    def number(sec: dict, key: str, name: str, integral: bool = False):
+        value = sec.get(key)
+        if value is None:
+            return getattr(defaults, key)
+        if not _is_num(value):
+            raise ConfigurationError("%s must be a number" % name)
+        if integral and not (isinstance(value, int) or value.is_integer()):
+            raise ConfigurationError("%s must be an integer" % name)
+        return value
+
     fwd = section("forward")
     det = section("detector")
     clu = section("cluster")
     link = clu.get("link_threshold", "auto")
     if link == "auto":
         link_threshold = None
-    elif isinstance(link, (int, float)) and not isinstance(link, bool):
+    elif _is_num(link):
         link_threshold = float(link)
     else:
         raise ConfigurationError("cluster.link_threshold must be a number or 'auto'")
     weights = clu.get("weights")
     if weights is not None:
-        if not (
-            isinstance(weights, list)
-            and all(isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights)
-        ):
+        if not (isinstance(weights, list) and all(_is_num(w) for w in weights)):
             raise ConfigurationError("cluster.weights must be a list of numbers or null")
         weights = tuple(float(w) for w in weights)
 
-    layout = mpii_joint_layout()
+    layout = defaults.joint_layout
     if "joint_spec" in doc:
         try:
-            carrier = scene_from_dict(
-                {"height": 1, "width": 1, "joint_spec": doc["joint_spec"], "persons": []}
-            )
+            layout = layout_from_doc(doc["joint_spec"])
         except SchemaError as exc:
-            raise ConfigurationError("invalid joint_spec: %s" % exc) from exc
-        layout = carrier.joint_layout
-
-    def number(value, name, default, integral=False):
-        if value is None:
-            return default
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)):
-            raise ConfigurationError("%s must be a number" % name)
-        if integral and value != int(value):
-            raise ConfigurationError("%s must be an integer" % name)
-        return value
+            raise ConfigurationError(str(exc)) from exc
 
     cfg = PipelineConfig(
-        tau=float(number(doc.get("tau"), "tau", 0.1)),
-        sigma=float(number(fwd.get("sigma"), "forward.sigma", 7.0)),
-        radius=float(number(fwd.get("radius"), "forward.radius", 7.0)),
-        nms_radius=int(number(det.get("nms_radius"), "detector.nms_radius", 3, integral=True)),
+        tau=float(number(doc, "tau", "tau")),
+        sigma=float(number(fwd, "sigma", "forward.sigma")),
+        radius=float(number(fwd, "radius", "forward.radius")),
+        nms_radius=int(number(det, "nms_radius", "detector.nms_radius", integral=True)),
         link_threshold=link_threshold,
         vote_weights=weights,
-        loss_alpha=float(number(doc.get("loss_alpha"), "loss_alpha", 1.0)),
-        seed=int(number(doc.get("seed"), "seed", 0, integral=True)),
         joint_layout=layout,
     )
     cfg.validate()

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import ParameterError
 from .maps import ConfidenceMapSet
 
+DEFAULT_TAU = 0.1  # score threshold shared by detection and greedy assembly
+
 
 @dataclass(frozen=True)
 class JointCandidate:
@@ -35,7 +37,7 @@ class JointCandidate:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    tau: float = 0.1
+    tau: float = DEFAULT_TAU
     nms_radius: int = 3
 
     def __post_init__(self) -> None:

@@ -15,13 +15,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .detect import JointCandidate
+from .detect import DEFAULT_TAU, JointCandidate
 from .errors import ParameterError
 from .maps import ConfidenceMapSet, RegressionMapSet
-from .partition import Partition, partition_score
+from .partition import Partition, embed, partition_score
 from .scene import JointSpec
-
-DEFAULT_TAU = 0.1
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,10 @@ def unary(candidate: JointCandidate, conf: ConfidenceMapSet) -> float:
     return float(conf.values[candidate.joint_id, y, x])
 
 
-def _embed_point(candidate: JointCandidate, reg: RegressionMapSet) -> tuple[float, float]:
-    x, y = candidate.position
-    z = reg.norm_factor
-    tx = float(reg.values[candidate.joint_id, y, x, 0])
-    ty = float(reg.values[candidate.joint_id, y, x, 1])
-    return (x + z * tx, y + z * ty)
+def _sq_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return dx * dx + dy * dy
 
 
 def pairwise(
@@ -81,11 +77,8 @@ def pairwise(
     """
     if a.score < tau or b.score < tau:
         return 0.0
-    ha = _embed_point(a, reg)
-    hb = _embed_point(b, reg)
-    dx = ha[0] - hb[0]
-    dy = ha[1] - hb[1]
-    return math.exp(-(dx * dx + dy * dy))
+    va, vb = embed([a, b], reg)
+    return math.exp(-_sq_dist(va.point, vb.point))
 
 
 @dataclass(frozen=True)
@@ -131,14 +124,9 @@ def proximity_report(
     return ProximityReport(candidates=tuple(cands), unary=un, pairwise=pw)
 
 
-def _rank_ordered(layout: Sequence[JointSpec]) -> list[JointSpec]:
-    return sorted(layout, key=lambda js: js.inference_rank)
-
-
 def _greedy_one_partition(
     partition: Partition,
     conf: ConfidenceMapSet,
-    reg: RegressionMapSet,
     layout: Sequence[JointSpec],
     tau: float,
 ) -> tuple[list[PersonPose], list[float]]:
@@ -149,8 +137,10 @@ def _greedy_one_partition(
                 "partition member at %s scores %g, below tau %g"
                 % (cand.position, cand.score, tau)
             )
-    by_rank = _rank_ordered(layout)
-    pool = list(partition.members)
+    by_rank = sorted(layout, key=lambda js: js.inference_rank)
+    # (candidate, vote) pairs not yet assigned; within one joint category the
+    # candidates' sort keys order them by descending score, then row-major.
+    pool = list(zip(partition.members, partition.votes))
     poses: list[PersonPose] = []
     deltas: list[float] = []
     k = len(layout)
@@ -160,40 +150,32 @@ def _greedy_one_partition(
         root = None
         root_rank = -1
         for js in by_rank:
-            group = [c for c in pool if c.joint_id == js.joint_id]
+            group = [m for m in pool if m[0].joint_id == js.joint_id]
             if group:
-                root = min(group, key=lambda c: (-c.score, c.position[1], c.position[0]))
+                root = min(group, key=lambda m: m[0].sort_key())
                 root_rank = js.inference_rank
                 break
         assert root is not None
         pool.remove(root)
-        accepted = [root]
-        embeds = [_embed_point(root, reg)]
+        accepted = [root[0]]
+        embeds = [root[1]]
         center = embeds[0]
-        deltas.append(-unary(root, conf))
+        deltas.append(-unary(root[0], conf))
 
         for js in by_rank:
             if js.inference_rank <= root_rank:
                 continue
-            group = [c for c in pool if c.joint_id == js.joint_id]
+            group = [m for m in pool if m[0].joint_id == js.joint_id]
             if not group:
                 continue
-            scored = []
-            for c in group:
-                h = _embed_point(c, reg)
-                dx = h[0] - center[0]
-                dy = h[1] - center[1]
-                scored.append(((dx * dx + dy * dy, -c.score, c.position[1], c.position[0]), c, h))
-            scored.sort(key=lambda t: t[0])
-            _, chosen, h = scored[0]
-            pool.remove(chosen)
+            picked = min(group, key=lambda m: (_sq_dist(m[1], center), m[0].sort_key()))
+            pool.remove(picked)
+            chosen, h = picked
             delta = -unary(chosen, conf)
             # pairwise(chosen, prev) for every accepted prev, from the votes
             # already at hand: all members reach tau (checked above).
             for e in embeds:
-                dx = h[0] - e[0]
-                dy = h[1] - e[1]
-                delta -= math.exp(-(dx * dx + dy * dy))
+                delta -= math.exp(-_sq_dist(h, e))
             deltas.append(delta)
             accepted.append(chosen)
             embeds.append(h)
@@ -222,7 +204,7 @@ def greedy_infer(
     distinct copies of some category yields at least n poses.  A pose is
     emitted even when only the root was assigned.
     """
-    poses, _ = _greedy_one_partition(partition, conf, reg, layout, tau)
+    poses, _ = _greedy_one_partition(partition, conf, layout, tau)
     return poses
 
 
@@ -242,7 +224,7 @@ def infer_all(
     trace = [base]
     poses: list[PersonPose] = []
     for part in partitions:
-        part_poses, deltas = _greedy_one_partition(part, conf, reg, layout, tau)
+        part_poses, deltas = _greedy_one_partition(part, conf, layout, tau)
         poses.extend(part_poses)
         for d in deltas:
             trace.append(trace[-1] + d)

@@ -15,7 +15,9 @@ from .detect import JointCandidate
 from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import JointEstimate, PersonPose, PoseSet
-from .partition import Partition
+from .maps import RegressionMapSet
+from .partition import Partition, embed
+from .scene import _is_num, _require
 
 __all__ = [
     "candidates_to_doc",
@@ -42,15 +44,6 @@ def save_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaError(msg)
-
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # --- candidates -------------------------------------------------------------
@@ -115,7 +108,10 @@ def partitions_to_doc(partitions: Sequence[Partition], candidates: Sequence[Join
     return {"partitions": entries}
 
 
-def partitions_from_doc(doc, candidates: Sequence[JointCandidate]) -> list[Partition]:
+def partitions_from_doc(
+    doc, candidates: Sequence[JointCandidate], reg: RegressionMapSet
+) -> list[Partition]:
+    """Rebuild partitions; member votes are recomputed from the regression maps."""
     _require(isinstance(doc, dict) and "partitions" in doc, "partitions document must have 'partitions'")
     _require(isinstance(doc["partitions"], list), "'partitions' must be a list")
     out = []
@@ -134,9 +130,11 @@ def partitions_from_doc(doc, candidates: Sequence[JointCandidate]) -> list[Parti
             "partitions[%d].centroid must be [x, y]" % pi,
         )
         _require(_is_num(entry["score"]), "partitions[%d].score must be a number" % pi)
+        votes = embed([candidates[m] for m in entry["members"]], reg)
         out.append(
             Partition(
-                members=tuple(candidates[m] for m in entry["members"]),
+                members=tuple(v.source for v in votes),
+                votes=tuple(v.point for v in votes),
                 centroid=(float(cent[0]), float(cent[1])),
                 score=float(entry["score"]),
             )

@@ -34,15 +34,12 @@ class ForwardParams:
 
     sigma: float = 7.0
     radius: float = 7.0
-    tau: float = 0.1
 
     def __post_init__(self) -> None:
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ParameterError("sigma must be positive, got %g" % self.sigma)
         if not (self.radius >= 0 and math.isfinite(self.radius)):
             raise ParameterError("radius must be non-negative, got %g" % self.radius)
-        if not 0.0 < self.tau < 1.0:
-            raise ParameterError("tau must lie in (0, 1), got %g" % self.tau)
 
 
 def _freeze(values, shape_tail: tuple[int, ...], what: str) -> np.ndarray:

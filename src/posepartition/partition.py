@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .detect import JointCandidate
-from .errors import ParameterError, PartitionScoreError
+from .errors import DimensionError, ParameterError, PartitionScoreError
 from .maps import RegressionMapSet
 
 
@@ -61,11 +61,19 @@ def default_link_threshold(norm_factor: float) -> float:
 
 @dataclass(frozen=True)
 class Partition:
-    """One person hypothesis: member candidates, vote center, log density."""
+    """One person hypothesis: member candidates with their centroid votes
+    (votes[i] is the point members[i] voted for), vote center, log density."""
 
     members: tuple[JointCandidate, ...]
+    votes: tuple[tuple[float, float], ...]
     centroid: tuple[float, float]
     score: float
+
+    def __post_init__(self) -> None:
+        if len(self.votes) != len(self.members):
+            raise DimensionError(
+                "partition has %d votes for %d members" % (len(self.votes), len(self.members))
+            )
 
 
 def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[Vote]:
@@ -128,11 +136,6 @@ def _log_vote_density(point: tuple[float, float], votes: Sequence[Vote], params:
     return top + math.log(sum(math.exp(t - top) for t in terms))
 
 
-def _canonical_order(votes: Sequence[Vote]) -> list[int]:
-    """Vote indices sorted by their source candidate's canonical key."""
-    return sorted(range(len(votes)), key=lambda i: votes[i].source.sort_key())
-
-
 def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partition]:
     """Group votes into person hypotheses by average-linkage clustering.
 
@@ -145,8 +148,10 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     n = len(votes)
     if n == 0:
         return []
-    order = _canonical_order(votes)
-    pts = np.array([votes[i].point for i in order], dtype=np.float64)
+    # Votes by their source candidate's canonical key (the order detection
+    # emits), so density sums, and hence scores, ignore the input order too.
+    canonical = sorted(votes, key=lambda v: v.source.sort_key())
+    pts = np.array([v.point for v in canonical], dtype=np.float64)
 
     # Cluster state keyed by canonical id (the id of a merged cluster is its
     # smallest member id).  Linkage lives in a symmetric matrix updated with
@@ -179,15 +184,21 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         del members[b]
 
     partitions = []
-    all_votes = list(votes)
     for cid in sorted(members):
         canon = members[cid]
         cluster_pts = pts[canon]
         cx = float(np.mean(cluster_pts[:, 0]))
         cy = float(np.mean(cluster_pts[:, 1]))
-        score = _log_vote_density((cx, cy), all_votes, params)
-        cands = tuple(votes[order[i]].source for i in sorted(canon))
-        partitions.append(Partition(members=cands, centroid=(cx, cy), score=score))
+        score = _log_vote_density((cx, cy), canonical, params)
+        own = [canonical[i] for i in sorted(canon)]
+        partitions.append(
+            Partition(
+                members=tuple(v.source for v in own),
+                votes=tuple(v.point for v in own),
+                centroid=(cx, cy),
+                score=score,
+            )
+        )
     return partitions
 
 

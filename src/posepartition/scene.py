@@ -389,8 +389,18 @@ def _num(value: float) -> float | int:
     return int(f) if f.is_integer() else f
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    layout = [
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise SchemaError(msg)
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def layout_to_doc(layout: Sequence[JointSpec]) -> list:
+    """The "joint_spec" list shared by scene and config documents."""
+    return [
         {
             "id": js.joint_id,
             "name": js.name,
@@ -398,8 +408,42 @@ def scene_to_dict(scene: Scene) -> dict:
             "rank": js.inference_rank,
             "mirror_id": js.mirror_id,
         }
-        for js in scene.joint_layout
+        for js in layout
     ]
+
+
+def layout_from_doc(doc) -> tuple[JointSpec, ...]:
+    """Parse and validate a "joint_spec" list, raising SchemaError on misuse."""
+    _require(isinstance(doc, list), "joint_spec must be a list")
+    layout = []
+    for i, entry in enumerate(doc):
+        _require(isinstance(entry, dict), "joint_spec[%d] must be an object" % i)
+        for key in ("id", "name", "group", "rank", "mirror_id"):
+            _require(key in entry, "joint_spec[%d] is missing %r" % (i, key))
+        for key in ("id", "rank", "mirror_id"):  # JSON integers; bools are not
+            _require(type(entry[key]) is int, "joint_spec[%d].%s must be an integer" % (i, key))
+        _require(isinstance(entry["name"], str), "joint_spec[%d].name must be a string" % i)
+        _require(
+            isinstance(entry["group"], str) and entry["group"] in _GROUP_NAMES,
+            "joint_spec[%d].group must be one of %s, got %r" % (i, ", ".join(_GROUP_NAMES), entry["group"]),
+        )
+        layout.append(
+            JointSpec(
+                joint_id=entry["id"],
+                name=entry["name"],
+                group=_GROUP_NAMES[entry["group"]],
+                inference_rank=entry["rank"],
+                mirror_id=entry["mirror_id"],
+            )
+        )
+    try:
+        validate_joint_layout(layout)
+    except AnnotationError as exc:
+        raise SchemaError("invalid joint_spec: %s" % exc) from exc
+    return tuple(layout)
+
+
+def scene_to_dict(scene: Scene) -> dict:
     persons = []
     for person in scene.persons:
         entry: dict = {
@@ -416,20 +460,14 @@ def scene_to_dict(scene: Scene) -> dict:
     return {
         "height": scene.height,
         "width": scene.width,
-        "joint_spec": layout,
+        "joint_spec": layout_to_doc(scene.joint_layout),
         "persons": persons,
     }
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaError(msg)
-
-
 def _parse_position(obj, what: str) -> Position:
     _require(
-        isinstance(obj, (list, tuple)) and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj),
+        isinstance(obj, (list, tuple)) and len(obj) == 2 and all(_is_num(v) for v in obj),
         "%s must be a [x, y] number pair" % what,
     )
     return (float(obj[0]), float(obj[1]))
@@ -444,22 +482,7 @@ def scene_from_dict(doc: dict) -> Scene:
         isinstance(doc["height"], int) and isinstance(doc["width"], int),
         "height and width must be integers",
     )
-    _require(isinstance(doc["joint_spec"], list), "joint_spec must be a list")
-    layout = []
-    for i, entry in enumerate(doc["joint_spec"]):
-        _require(isinstance(entry, dict), "joint_spec[%d] must be an object" % i)
-        for key in ("id", "name", "group", "rank", "mirror_id"):
-            _require(key in entry, "joint_spec[%d] is missing %r" % (i, key))
-        _require(entry["group"] in _GROUP_NAMES, "joint_spec[%d] has unknown group %r" % (i, entry["group"]))
-        layout.append(
-            JointSpec(
-                joint_id=int(entry["id"]),
-                name=str(entry["name"]),
-                group=_GROUP_NAMES[entry["group"]],
-                inference_rank=int(entry["rank"]),
-                mirror_id=int(entry["mirror_id"]),
-            )
-        )
+    layout = layout_from_doc(doc["joint_spec"])
     _require(isinstance(doc["persons"], list), "persons must be a list")
     persons = []
     for i, entry in enumerate(doc["persons"]):
@@ -475,8 +498,7 @@ def scene_from_dict(doc: dict) -> Scene:
         if entry.get("head_box") is not None:
             hb = entry["head_box"]
             _require(
-                isinstance(hb, list) and len(hb) == 4
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in hb),
+                isinstance(hb, list) and len(hb) == 4 and all(_is_num(v) for v in hb),
                 "persons[%d].head_box must be [x0, y0, x1, y1]" % i,
             )
             head_box = tuple(float(v) for v in hb)
@@ -484,7 +506,7 @@ def scene_from_dict(doc: dict) -> Scene:
     scene = Scene(
         height=doc["height"],
         width=doc["width"],
-        joint_layout=tuple(layout),
+        joint_layout=layout,
         persons=tuple(persons),
     )
     try:

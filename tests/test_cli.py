@@ -98,25 +98,6 @@ def test_corpus_generation_is_deterministic(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
-def test_eval_is_thread_count_invariant(tmp_path, monkeypatch):
-    scenes = make_corpus(tmp_path)
-    poses_dir = tmp_path / "poses"
-    poses_dir.mkdir()
-    for f in sorted(scenes.glob("*.json")):
-        conf = tmp_path / (f.stem + ".conf.pmap")
-        reg = tmp_path / (f.stem + ".reg.pmap")
-        run("synth", "--scene", f, "--out-conf", conf, "--out-reg", reg)
-        run("decode", "--conf", conf, "--reg", reg, "--out", poses_dir / f.name)
-
-    outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PP_THREADS", threads)
-        out = tmp_path / ("report_%s.json" % threads)
-        assert run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", out) == EXIT_OK
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_missing_input_exits_two(tmp_path):
     code = run(
         "synth", "--scene", tmp_path / "nope.json",
@@ -150,13 +131,6 @@ def test_out_of_range_tau_exits_three(tmp_path):
     reg = tmp_path / "m.reg.pmap"
     run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg)
     code = run("detect", "--conf", conf, "--out", tmp_path / "c.json", "--tau", "1.5")
-    assert code == EXIT_CONFIG
-
-
-def test_bad_thread_count_exits_three(tmp_path, monkeypatch):
-    scenes = make_corpus(tmp_path, n=1)
-    monkeypatch.setenv("PP_THREADS", "many")
-    code = run("eval", "--poses", tmp_path, "--scenes", scenes, "--out", tmp_path / "r.json")
     assert code == EXIT_CONFIG
 
 
@@ -209,3 +183,59 @@ def test_config_subcommand(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert run("config", "--check", bad) == EXIT_CONFIG
+
+
+def test_malformed_joint_spec_exits_two_or_three(tmp_path):
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(iter(scenes.glob("*.json")))
+    doc = load_json(scene)
+    doc["joint_spec"][0]["id"] = "x"
+    bad_scene = tmp_path / "bad_scene.json"
+    bad_scene.write_text(json.dumps(doc))
+    code = run(
+        "synth", "--scene", bad_scene,
+        "--out-conf", tmp_path / "c.pmap", "--out-reg", tmp_path / "r.pmap",
+    )
+    assert code == EXIT_INPUT
+
+    bad_cfg = tmp_path / "bad_cfg.json"
+    bad_cfg.write_text(json.dumps({"joint_spec": doc["joint_spec"]}))
+    assert run("config", "--check", bad_cfg) == EXIT_CONFIG
+
+
+def test_stage_flags_override_the_config_file_only_when_given(tmp_path):
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(iter(scenes.glob("*.json")))
+    conf = tmp_path / "m.conf.pmap"
+    reg = tmp_path / "m.reg.pmap"
+    assert run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg) == EXIT_OK
+    cands = tmp_path / "cands.json"
+    assert run("detect", "--conf", conf, "--out", cands) == EXIT_OK
+    # A cutoff far below the spread of one person's votes splits every vote.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cluster": {"link_threshold": 1e-9}}))
+
+    def partition_count(*flags):
+        out = tmp_path / "parts.json"
+        code = run("partition", "--candidates", cands, "--reg", reg, "--out", out, *flags)
+        assert code == EXIT_OK
+        return len(load_json(out)["partitions"])
+
+    persons = len(load_json(scene)["persons"])
+    assert partition_count() == persons
+    assert partition_count("--config", cfg) == len(load_json(cands))
+    assert partition_count("--config", cfg, "--link-threshold", "auto") == persons
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--scene", "s.json", "--out-conf", "c.pmap", "--out-reg", "r.pmap"],
+        ["partition", "--candidates", "c.json", "--reg", "r.pmap", "--out", "p.json"],
+    ],
+)
+def test_tau_is_offered_only_where_it_is_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--tau", "0.2")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tau" in capsys.readouterr().err

@@ -34,8 +34,6 @@ def test_non_default_round_trip():
         nms_radius=2,
         link_threshold=12.5,
         vote_weights=tuple(0.5 for _ in range(16)),
-        loss_alpha=0.5,
-        seed=42,
     )
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -68,12 +66,10 @@ def test_bad_values_are_rejected():
         config_from_dict({"cluster": {"link_threshold": True}})
     with pytest.raises(ConfigurationError):
         config_from_dict({"cluster": {"weights": "all"}})
-    with pytest.raises(ConfigurationError):
-        config_from_dict({"loss_alpha": -0.5})
     with pytest.raises(ConfigurationError, match="integer"):
         config_from_dict({"detector": {"nms_radius": 3.5}})
     with pytest.raises(ConfigurationError, match="integer"):
-        config_from_dict({"seed": 1.5})
+        config_from_dict({"detector": {"nms_radius": float("inf")}})
     with pytest.raises(ConfigurationError):
         config_from_dict([])
 
@@ -90,10 +86,16 @@ def test_cluster_params_resolve_auto_threshold():
     assert fixed.cluster_params(100.0).link_threshold == 4.0
 
 
+def test_removed_keys_are_rejected_as_unknown():
+    for key, value in (("loss_alpha", 1.0), ("seed", 0)):
+        with pytest.raises(ConfigurationError, match="unknown config keys: %s" % key):
+            config_from_dict({key: value})
+
+
 def test_stage_param_accessors_share_tau():
     cfg = PipelineConfig(tau=0.2)
-    assert cfg.forward_params().tau == 0.2
     assert cfg.detector_params().tau == 0.2
+    assert not hasattr(cfg.forward_params(), "tau")
 
 
 def test_custom_joint_spec_round_trip():
@@ -107,6 +109,17 @@ def test_custom_joint_spec_round_trip():
     assert cfg.joint_layout[1].name == "torso"
     with pytest.raises(ConfigurationError, match="joint_spec"):
         config_from_dict({"joint_spec": [{"id": 0}]})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("id", "x"), ("id", 0.5), ("id", True), ("rank", "0"), ("mirror_id", None), ("name", 3)],
+)
+def test_malformed_joint_spec_entries_are_configuration_errors(key, value):
+    doc = config_to_dict(PipelineConfig())
+    doc["joint_spec"][0][key] = value
+    with pytest.raises(ConfigurationError, match=r"joint_spec\[0\]\.%s" % key):
+        config_from_dict(doc)
 
 
 def test_load_config_error_paths(tmp_path):

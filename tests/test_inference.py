@@ -76,6 +76,16 @@ def cand(joint_id, position, score):
     return JointCandidate(joint_id=joint_id, position=position, score=score)
 
 
+def partition_of(members, reg, centroid):
+    """A hand-built partition carrying the members' votes from the maps."""
+    return Partition(
+        members=tuple(members),
+        votes=tuple(v.point for v in embed(members, reg)),
+        centroid=centroid,
+        score=0.0,
+    )
+
+
 def pose_positions(pose):
     return {j: est.position for j, est in enumerate(pose.joints) if est is not None}
 
@@ -125,6 +135,16 @@ def test_pairwise_decays_with_vote_distance():
     assert abs(got - math.exp(-1.0)) <= 1e-15
 
 
+def test_pairwise_rejects_out_of_grid_candidates():
+    _, reg = flat_maps(k=2, h=8, w=8)
+    inside = cand(0, (3, 3), 0.9)
+    for outside in (cand(1, (-1, 3), 0.9), cand(1, (3, 8), 0.9), cand(2, (3, 3), 0.9)):
+        with pytest.raises(ParameterError):
+            pairwise(inside, outside, reg)
+        with pytest.raises(ParameterError):
+            pairwise(outside, inside, reg)
+
+
 # --- greedy assembly --------------------------------------------------------
 
 
@@ -158,17 +178,13 @@ def test_two_merged_persons_are_split_into_two_poses():
 
 def test_root_falls_back_to_the_earliest_present_category():
     conf, reg = flat_maps(conf_cells=[(1, (5, 5), 0.8), (2, (9, 9), 0.7)])
-    part = Partition(
-        members=(cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)),
-        centroid=(7.0, 7.0),
-        score=0.0,
-    )
+    part = partition_of((cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)), reg, (7.0, 7.0))
     poses = greedy_infer(part, conf, reg, four_joint_layout())
     assert len(poses) == 1
     assert pose_positions(poses[0]) == {1: (5, 5), 2: (9, 9)}
 
-    solo = Partition(members=(cand(3, (2, 2), 0.5),), centroid=(2.0, 2.0), score=0.0)
     conf2, reg2 = flat_maps(conf_cells=[(3, (2, 2), 0.5)])
+    solo = partition_of((cand(3, (2, 2), 0.5),), reg2, (2.0, 2.0))
     poses2 = greedy_infer(solo, conf2, reg2, four_joint_layout())
     assert len(poses2) == 1
     assert pose_positions(poses2[0]) == {3: (2, 2)}
@@ -179,11 +195,7 @@ def test_one_candidate_per_category_yields_one_pose():
     # greedy sweep still assembles everything into one pose.
     cells = [(0, (1, 1), 0.9), (1, (30, 1), 0.8), (2, (1, 30), 0.7), (3, (30, 30), 0.6)]
     conf, reg = flat_maps(conf_cells=cells)
-    part = Partition(
-        members=tuple(cand(j, p, s) for j, p, s in cells),
-        centroid=(15.0, 15.0),
-        score=0.0,
-    )
+    part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (15.0, 15.0))
     poses = greedy_infer(part, conf, reg, four_joint_layout())
     assert len(poses) == 1
     assert poses[0].present_count() == 4
@@ -191,7 +203,7 @@ def test_one_candidate_per_category_yields_one_pose():
 
 def test_greedy_rejects_below_threshold_members():
     conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.05)])
-    part = Partition(members=(cand(0, (5, 5), 0.05),), centroid=(5.0, 5.0), score=0.0)
+    part = partition_of((cand(0, (5, 5), 0.05),), reg, (5.0, 5.0))
     with pytest.raises(ParameterError):
         greedy_infer(part, conf, reg, four_joint_layout())
 
@@ -206,11 +218,7 @@ def test_every_member_is_assigned_exactly_once():
         (2, (8, 8), 0.6),
     ]
     conf, reg = flat_maps(conf_cells=cells)
-    part = Partition(
-        members=tuple(cand(j, p, s) for j, p, s in cells),
-        centroid=(10.0, 10.0),
-        score=0.0,
-    )
+    part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (10.0, 10.0))
     poses, trace = infer_all([part], conf, reg, four_joint_layout())
     assigned = sorted(
         (j, est.position)
@@ -230,16 +238,33 @@ def test_ties_resolve_to_the_row_major_candidate():
     conf, reg = flat_maps(
         conf_cells=[(0, (5, 5), 0.9), (1, (4, 5), 0.6), (1, (6, 5), 0.6)]
     )
-    part = Partition(
-        members=(cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)),
-        centroid=(5.0, 5.0),
-        score=0.0,
+    part = partition_of(
+        (cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)), reg, (5.0, 5.0)
     )
     poses = greedy_infer(part, conf, reg, four_joint_layout())
     # Both torso candidates lie one pixel from the root's vote with equal
     # scores; the smaller x wins, the loser roots a second pose.
     assert pose_positions(poses[0]) == {0: (5, 5), 1: (4, 5)}
     assert pose_positions(poses[1]) == {1: (6, 5)}
+
+
+def test_assembly_follows_the_votes_the_partition_carries():
+    # The maps are flat, so map votes would pick the torso at (4, 5); the
+    # carried votes put the torso at (6, 5) on the root's vote instead.
+    conf, reg = flat_maps(
+        conf_cells=[(0, (5, 5), 0.9), (1, (4, 5), 0.6), (1, (6, 5), 0.6)]
+    )
+    part = Partition(
+        members=(cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)),
+        votes=((5.0, 5.0), (9.0, 5.0), (5.0, 5.0)),
+        centroid=(5.0, 5.0),
+        score=0.0,
+    )
+    poses, trace = infer_all([part], conf, reg, four_joint_layout())
+    assert pose_positions(poses.poses[0]) == {0: (5, 5), 1: (6, 5)}
+    assert pose_positions(poses.poses[1]) == {1: (4, 5)}
+    # Accepting the torso adds exp(0) = 1 of carried-vote agreement.
+    assert abs((trace[2] - trace[1]) + float(np.float32(0.6)) + 1.0) <= 1e-12
 
 
 def test_decoding_no_partitions_is_empty():

@@ -19,7 +19,14 @@ from posepartition.iojson import (
     report_to_doc,
     save_json,
 )
+from posepartition.maps import RegressionMapSet
 from posepartition.partition import Partition
+
+
+def sample_reg():
+    values = np.zeros((2, 48, 48, 2), dtype=np.float32)
+    values[1, 9, 14] = (0.01, -0.02)
+    return RegressionMapSet(values)
 
 
 def sample_candidates():
@@ -31,9 +38,15 @@ def sample_candidates():
 
 
 def sample_partitions(cands):
+    z = sample_reg().norm_factor
     return [
-        Partition(members=(cands[0], cands[1]), centroid=(13.0, 8.5), score=0.42),
-        Partition(members=(cands[2],), centroid=(40.5, 41.0), score=0.0),
+        Partition(
+            members=(cands[0], cands[1]),
+            votes=((12.0, 7.0), (14 + z * float(np.float32(0.01)), 9 + z * float(np.float32(-0.02)))),
+            centroid=(13.0, 8.5),
+            score=0.42,
+        ),
+        Partition(members=(cands[2],), votes=((40.0, 41.0),), centroid=(40.5, 41.0), score=0.0),
     ]
 
 
@@ -81,32 +94,34 @@ def test_partitions_round_trip():
     doc = partitions_to_doc(parts, cands)
     json.dumps(doc)
     assert doc["partitions"][0]["members"] == [0, 1]
-    back = partitions_from_doc(doc, cands)
+    back = partitions_from_doc(doc, cands, sample_reg())
     assert back == parts
+    assert "votes" not in doc["partitions"][0]
 
 
 def test_partitions_require_known_members():
     cands = sample_candidates()
     stranger = JointCandidate(joint_id=5, position=(0, 0), score=0.5)
-    part = Partition(members=(stranger,), centroid=(0.0, 0.0), score=0.0)
+    part = Partition(members=(stranger,), votes=((0.0, 0.0),), centroid=(0.0, 0.0), score=0.0)
     with pytest.raises(SchemaError, match="candidate list"):
         partitions_to_doc([part], cands)
 
 
 def test_partitions_schema_errors():
     cands = sample_candidates()
+    reg = sample_reg()
     with pytest.raises(SchemaError):
-        partitions_from_doc([], cands)
+        partitions_from_doc([], cands, reg)
     with pytest.raises(SchemaError, match="indices"):
         partitions_from_doc(
-            {"partitions": [{"members": [99], "centroid": [0, 0], "score": 0.0}]}, cands
+            {"partitions": [{"members": [99], "centroid": [0, 0], "score": 0.0}]}, cands, reg
         )
     with pytest.raises(SchemaError, match="centroid"):
         partitions_from_doc(
-            {"partitions": [{"members": [0], "centroid": [0], "score": 0.0}]}, cands
+            {"partitions": [{"members": [0], "centroid": [0], "score": 0.0}]}, cands, reg
         )
     with pytest.raises(SchemaError, match="missing"):
-        partitions_from_doc({"partitions": [{"members": [0]}]}, cands)
+        partitions_from_doc({"partitions": [{"members": [0]}]}, cands, reg)
 
 
 def test_poses_round_trip():

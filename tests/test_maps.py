@@ -316,10 +316,6 @@ def test_forward_params_validation():
         ForwardParams(sigma=0.0)
     with pytest.raises(ParameterError):
         ForwardParams(radius=-1.0)
-    with pytest.raises(ParameterError):
-        ForwardParams(tau=0.0)
-    with pytest.raises(ParameterError):
-        ForwardParams(tau=1.0)
 
 
 def test_map_sets_are_read_only_and_shape_checked():

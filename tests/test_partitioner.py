@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
-from posepartition.errors import ParameterError, PartitionScoreError
+from posepartition.errors import DimensionError, ParameterError, PartitionScoreError
 from posepartition.maps import RegressionMapSet, build_confidence_maps, build_regression_maps
 from posepartition.partition import (
     ClusterParams,
@@ -262,19 +264,25 @@ def test_cluster_disjoint_and_covering():
         assert sorted(seen) == list(range(n))
 
 
-def test_cluster_invariant_to_vote_order():
-    rng = np.random.default_rng(79)
-    for _ in range(30):
-        n = int(rng.integers(2, 9))
-        pts = [tuple(float(v) for v in rng.uniform(0, 8, size=2)) for _ in range(n)]
-        votes = votes_at(pts)
-        parts = cluster_votes(votes, ClusterParams(link_threshold=2.0))
-        shuffled = list(votes)
-        rng.shuffle(shuffled)
-        parts2 = cluster_votes(shuffled, ClusterParams(link_threshold=2.0))
-        key = lambda p: [c.sort_key() for c in p.members]
-        assert [key(p) for p in parts] == [key(p) for p in parts2]
-        assert [p.centroid for p in parts] == [p.centroid for p in parts2]
+@st.composite
+def shuffled_vote_sets(draw):
+    """Points on a half-pixel grid (so equal distances and coincident votes
+    occur), a permutation of them and a merge cutoff."""
+    cells = draw(st.lists(st.tuples(st.integers(0, 16), st.integers(0, 16)), min_size=1, max_size=9))
+    perm = draw(st.permutations(range(len(cells))))
+    threshold = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]) | st.floats(0.1, 10.0))
+    return [(x / 2, y / 2) for x, y in cells], perm, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_vote_sets())
+def test_cluster_invariant_to_vote_order(case):
+    pts, perm, threshold = case
+    votes = votes_at(pts)
+    params = ClusterParams(link_threshold=threshold)
+    parts = cluster_votes(votes, params)
+    # Partition equality covers members, votes, centroid and score, bit for bit.
+    assert cluster_votes([votes[i] for i in perm], params) == parts
 
 
 def test_cluster_members_in_canonical_candidate_order():
@@ -374,10 +382,33 @@ def test_partition_score_of_self_voting_singleton_is_zero():
     assert partition_score(parts) == 0.0
 
 
+def test_partition_votes_are_the_members_embed_points():
+    scene = generate_corpus(CorpusSpec(num_scenes=1, min_persons=3, max_persons=3), seed=2)[0]
+    conf, reg = synth_maps(scene)
+    votes = embed(detect_candidates(conf), reg)
+    params = ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
+    for order in (votes, votes[::-1]):
+        parts = cluster_votes(order, params)
+        assert sum(len(p.members) for p in parts) == len(votes)
+        for part in parts:
+            assert len(part.votes) == len(part.members)
+            for cand, point in zip(part.members, part.votes):
+                assert point == embed([cand], reg)[0].point
+
+
+def test_partition_votes_must_match_members():
+    src = vote_at((0, 0)).source
+    with pytest.raises(DimensionError):
+        Partition(members=(src,), votes=(), centroid=(0.0, 0.0), score=0.0)
+    with pytest.raises(DimensionError):
+        Partition(members=(src,), votes=((0.0, 0.0), (1.0, 1.0)), centroid=(0.0, 0.0), score=0.0)
+
+
 def test_partition_score_sums_log_densities():
+    a, b = vote_at((0, 0)), vote_at((9, 9))
     parts = [
-        Partition(members=(vote_at((0, 0)).source,), centroid=(0.0, 0.0), score=math.log(2.0)),
-        Partition(members=(vote_at((9, 9)).source,), centroid=(9.0, 9.0), score=math.log(0.5)),
+        Partition(members=(a.source,), votes=(a.point,), centroid=(0.0, 0.0), score=math.log(2.0)),
+        Partition(members=(b.source,), votes=(b.point,), centroid=(9.0, 9.0), score=math.log(0.5)),
     ]
     assert abs(partition_score(parts) - (math.log(2.0) + math.log(0.5))) <= 1e-12
 

@@ -15,6 +15,8 @@ from posepartition.scene import (
     augment,
     derive_centroid,
     dump_scene,
+    layout_from_doc,
+    layout_to_doc,
     load_scene,
     mpii_joint_layout,
     person_centroid,
@@ -454,6 +456,44 @@ def test_scene_json_schema_errors():
     bad_scene["persons"][0]["joints"][0] = [1000.0, 1000.0]
     with pytest.raises(SchemaError):
         scene_from_dict(bad_scene)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("id", "x"),
+        ("id", 0.5),
+        ("id", 0.0),
+        ("id", False),
+        ("rank", "0"),
+        ("rank", True),
+        ("mirror_id", 1.5),
+        ("mirror_id", None),
+        ("name", 7),
+        ("name", None),
+        ("group", "spine"),
+        ("group", ["neck"]),
+    ],
+)
+def test_joint_spec_fields_must_have_their_json_types(key, value):
+    good = scene_to_dict(one_person_scene([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]))
+    good["joint_spec"][0][key] = value
+    with pytest.raises(SchemaError, match=r"joint_spec\[0\]\.%s" % key):
+        scene_from_dict(good)
+    with pytest.raises(SchemaError, match=r"joint_spec\[0\]\.%s" % key):
+        layout_from_doc(good["joint_spec"])
+
+
+def test_layout_codec_round_trips_and_validates():
+    layout = mpii_joint_layout()
+    assert layout_from_doc(layout_to_doc(layout)) == layout
+    assert layout_from_doc(json.loads(json.dumps(layout_to_doc(tiny_layout())))) == tiny_layout()
+    with pytest.raises(SchemaError, match="list"):
+        layout_from_doc({"id": 0})
+    swapped = layout_to_doc(tiny_layout())
+    swapped[0]["group"] = "limb"  # no neck left
+    with pytest.raises(SchemaError, match="neck"):
+        layout_from_doc(swapped)
 
 
 def test_load_scene_rejects_invalid_json(tmp_path):
