@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_corpus)
 
     p = subs.add_parser("config", help="print default configuration or check a config file")
-    p.add_argument("--print-defaults", action="store_true", help="write defaults (the default action)")
     p.add_argument("--out", help="write defaults to a file instead of stdout")
     p.add_argument("--check", help="validate a config file and exit")
     p.set_defaults(func=_cmd_config)

@@ -85,15 +85,24 @@ def config_from_dict(doc: Any) -> PipelineConfig:
             raise ConfigurationError("config section %r must be an object" % name)
         return sec
 
+    def real(value, name: str) -> float:
+        # JSON integers are unbounded; past float's range they cannot be read.
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigurationError("%s is too large" % name) from None
+
     def number(sec: dict, key: str, name: str, integral: bool = False):
         value = sec.get(key)
         if value is None:
             return getattr(defaults, key)
         if not _is_num(value):
             raise ConfigurationError("%s must be a number" % name)
-        if integral and not (isinstance(value, int) or value.is_integer()):
-            raise ConfigurationError("%s must be an integer" % name)
-        return value
+        if integral:
+            if not (isinstance(value, int) or value.is_integer()):
+                raise ConfigurationError("%s must be an integer" % name)
+            return int(value)
+        return real(value, name)
 
     fwd = section("forward")
     det = section("detector")
@@ -102,14 +111,14 @@ def config_from_dict(doc: Any) -> PipelineConfig:
     if link == "auto":
         link_threshold = None
     elif _is_num(link):
-        link_threshold = float(link)
+        link_threshold = real(link, "cluster.link_threshold")
     else:
         raise ConfigurationError("cluster.link_threshold must be a number or 'auto'")
     weights = clu.get("weights")
     if weights is not None:
         if not (isinstance(weights, list) and all(_is_num(w) for w in weights)):
             raise ConfigurationError("cluster.weights must be a list of numbers or null")
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(real(w, "cluster.weights") for w in weights)
 
     layout = defaults.joint_layout
     if "joint_spec" in doc:
@@ -119,10 +128,10 @@ def config_from_dict(doc: Any) -> PipelineConfig:
             raise ConfigurationError(str(exc)) from exc
 
     cfg = PipelineConfig(
-        tau=float(number(doc, "tau", "tau")),
-        sigma=float(number(fwd, "sigma", "forward.sigma")),
-        radius=float(number(fwd, "radius", "forward.radius")),
-        nms_radius=int(number(det, "nms_radius", "detector.nms_radius", integral=True)),
+        tau=number(doc, "tau", "tau"),
+        sigma=number(fwd, "sigma", "forward.sigma"),
+        radius=number(fwd, "radius", "forward.radius"),
+        nms_radius=number(det, "nms_radius", "detector.nms_radius", integral=True),
         link_threshold=link_threshold,
         vote_weights=weights,
         joint_layout=layout,

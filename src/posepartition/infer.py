@@ -194,7 +194,6 @@ def _greedy_one_partition(
 def greedy_infer(
     partition: Partition,
     conf: ConfidenceMapSet,
-    reg: RegressionMapSet,
     layout: Sequence[JointSpec],
     tau: float = DEFAULT_TAU,
 ) -> list[PersonPose]:
@@ -211,7 +210,6 @@ def greedy_infer(
 def infer_all(
     partitions: Sequence[Partition],
     conf: ConfidenceMapSet,
-    reg: RegressionMapSet,
     layout: Sequence[JointSpec],
     tau: float = DEFAULT_TAU,
 ) -> tuple[PoseSet, list[float]]:

@@ -17,7 +17,7 @@ from .evaluate import EvalReport
 from .infer import JointEstimate, PersonPose, PoseSet
 from .maps import RegressionMapSet
 from .partition import Partition, embed
-from .scene import _is_num, _require
+from .scene import _is_int, _is_num, _require
 
 __all__ = [
     "candidates_to_doc",
@@ -69,9 +69,7 @@ def candidates_from_doc(doc) -> list[JointCandidate]:
         for key in ("joint", "x", "y", "score"):
             _require(key in entry, "candidates[%d] is missing %r" % (i, key))
         _require(
-            isinstance(entry["joint"], int)
-            and isinstance(entry["x"], int)
-            and isinstance(entry["y"], int),
+            _is_int(entry["joint"]) and _is_int(entry["x"]) and _is_int(entry["y"]),
             "candidates[%d] joint and position must be integers" % i,
         )
         _require(_is_num(entry["score"]), "candidates[%d].score must be a number" % i)
@@ -121,7 +119,7 @@ def partitions_from_doc(
             _require(key in entry, "partitions[%d] is missing %r" % (pi, key))
         _require(
             isinstance(entry["members"], list)
-            and all(isinstance(m, int) and 0 <= m < len(candidates) for m in entry["members"]),
+            and all(_is_int(m) and 0 <= m < len(candidates) for m in entry["members"]),
             "partitions[%d].members must be valid candidate indices" % pi,
         )
         cent = entry["centroid"]
@@ -166,7 +164,7 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
     for key in ("height", "width", "poses"):
         _require(key in doc, "poses document is missing %r" % key)
     _require(
-        isinstance(doc["height"], int) and isinstance(doc["width"], int),
+        _is_int(doc["height"]) and _is_int(doc["width"]),
         "height and width must be integers",
     )
     _require(isinstance(doc["poses"], list), "'poses' must be a list")
@@ -189,7 +187,7 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
                 continue
             _require(
                 isinstance(pos, list) and len(pos) == 2
-                and all(isinstance(v, int) for v in pos) and _is_num(sc),
+                and all(_is_int(v) for v in pos) and _is_num(sc),
                 "poses[%d].joints[%d] must be [x, y] integers with a numeric score" % (pi, j),
             )
             slots.append(JointEstimate(position=(pos[0], pos[1]), score=float(sc)))

@@ -9,13 +9,18 @@ integer pixel centers:
   combine by pointwise max, so the value at an annotated integer position
   is exactly 1.0.  Each bump is computed only within the reach past which
   its float32 value is exactly 0, so the output equals the full-canvas
-  kernel byte for byte.
+  kernel byte for byte.  Joints at integer positions slice their bump from
+  one template per call, evaluated with the same float32 expression.
 
 * regression maps: one 2-vector channel per joint category.  Inside the
   disk of radius `radius` around person i's joint j, the vector points from
   the pixel to that person's centroid, scaled by 1/Z where Z is the canvas
   diagonal.  Pixels covered by several persons store the mean of the
-  non-zero contributions; pixels covered by none store (0, 0).
+  non-zero contributions; pixels covered by none store (0, 0).  Channels
+  are accumulated one at a time in a reused float64 (H, W, 2) scratch, and
+  only the windows around the channel's joints are touched, with persons
+  added in scene order: the float64 sums are those of a full-canvas
+  accumulator, so the output is too.
 """
 from __future__ import annotations
 
@@ -128,7 +133,11 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
 
     Each person's joint deposits a Gaussian bump, computed only inside the
     window where float32 exp is non-zero (see _bump_reach); persons combine
-    by pointwise max so peak heights never wash out in crowds.
+    by pointwise max so peak heights never wash out in crowds.  A joint at
+    an integer position takes its bump from a template evaluated once per
+    call over the offsets [-reach, reach + 1] (clipped to the canvas) with
+    the same float32 expression: its pixel offsets are exact in float32, so
+    the template holds the very values a per-bump evaluation would.
     """
     params = params or ForwardParams()
     scene.validate()
@@ -138,6 +147,20 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
     ys = np.arange(h, dtype=np.float32)
     neg_inv = np.float32(-1.0 / (params.sigma * params.sigma))
     reach = _bump_reach(params.sigma)
+
+    def bump(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        dx2 = np.square(dx)
+        dy2 = np.square(dy)
+        b = dy2[:, None] + dx2[None, :]
+        b *= neg_inv
+        np.exp(b, out=b)
+        return b
+
+    # Offsets past the canvas are never sliced, so a wide sigma on a small
+    # canvas does not grow the template past the canvas.
+    span = min(reach, max(h, w) - 1)
+    offsets = np.arange(-span, span + 2, dtype=np.float32)
+    template = bump(offsets, offsets)
     for person in scene.persons:
         for j, pos in enumerate(person.joints):
             if pos is None:
@@ -145,12 +168,13 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
             x0, y0 = math.floor(pos[0]), math.floor(pos[1])
             sx = slice(max(0, x0 - reach), min(w, x0 + reach + 2))
             sy = slice(max(0, y0 - reach), min(h, y0 + reach + 2))
-            dx2 = np.square(xs[sx] - np.float32(pos[0]))
-            dy2 = np.square(ys[sy] - np.float32(pos[1]))
-            bump = dy2[:, None] + dx2[None, :]
-            bump *= neg_inv
-            np.exp(bump, out=bump)
-            np.maximum(out[j, sy, sx], bump, out=out[j, sy, sx])
+            if pos[0] == x0 and pos[1] == y0:
+                tx = slice(sx.start - x0 + span, sx.stop - x0 + span)
+                ty = slice(sy.start - y0 + span, sy.stop - y0 + span)
+                b = template[ty, tx]
+            else:
+                b = bump(xs[sx] - np.float32(pos[0]), ys[sy] - np.float32(pos[1]))
+            np.maximum(out[j, sy, sx], b, out=out[j, sy, sx])
     return ConfidenceMapSet(out)
 
 
@@ -161,13 +185,21 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     vector.  Where disks of several persons overlap, the map stores the mean
     of the non-zero contributions (a person whose centroid coincides with
     the pixel contributes a zero vector and is not counted).
+
+    Channels are built one at a time in a reused float64 (H, W, 2) sum and
+    int32 (H, W) count, adding persons in scene order, so every pixel sums
+    its contributions in the same order as a full-canvas accumulator would.
+    Only the windows around the channel's joints are touched: the mean is
+    taken on their overlap pixels, they are cast into the float32 output,
+    and then they are zeroed for the next channel.
     """
     params = params or ForwardParams()
     scene.validate()
     k, h, w = scene.num_joints, scene.height, scene.width
     z = scene.norm_factor
-    sums = np.zeros((k, h, w, 2), dtype=np.float64)
-    counts = np.zeros((k, h, w), dtype=np.int32)
+    out = np.zeros((k, h, w, 2), dtype=np.float32)
+    sums = np.zeros((h, w, 2), dtype=np.float64)
+    counts = np.zeros((h, w), dtype=np.int32)
     r = params.radius
     r2 = r * r
     ri = math.floor(r)
@@ -176,9 +208,11 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     rel = np.arange(-ri, ri + 1, dtype=np.float64)
     rel_d2 = rel[:, None] ** 2 + rel[None, :] ** 2
     int_mask = rel_d2 <= r2
-    for person in scene.persons:
-        cx, cy = person_centroid(person)
-        for j, pos in enumerate(person.joints):
+    centroids = [person_centroid(person) for person in scene.persons]
+    for j in range(k):
+        windows = []
+        for person, (cx, cy) in zip(scene.persons, centroids):
+            pos = person.joints[j]
             if pos is None:
                 continue
             x0, y0 = pos
@@ -203,19 +237,29 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
                 inside = int_mask[sy, sx]
             else:
                 inside = (ys[:, None] - y0) ** 2 + (xs[None, :] - x0) ** 2 <= r2
-            offx = np.broadcast_to((cx - xs)[None, :] / z, inside.shape)
-            offy = np.broadcast_to((cy - ys)[:, None] / z, inside.shape)
+            offx = ((cx - xs) / z)[None, :]
+            offy = ((cy - ys) / z)[:, None]
             nonzero = inside & ((offx != 0.0) | (offy != 0.0))
-            window = sums[j, ylo : yhi + 1, xlo : xhi + 1]
-            window[..., 0] += np.where(nonzero, offx, 0.0)
-            window[..., 1] += np.where(nonzero, offy, 0.0)
-            counts[j, ylo : yhi + 1, xlo : xhi + 1] += nonzero
-    # Pixels covered once (the usual case) already hold their value; only
-    # overlap pixels need the mean.
-    overlap = counts > 1
-    if overlap.any():
-        sums[overlap] /= counts[overlap, None]
-    return RegressionMapSet(sums.astype(np.float32))
+            win = (slice(ylo, yhi + 1), slice(xlo, xhi + 1))
+            window = sums[win]
+            np.add(window[..., 0], offx, out=window[..., 0], where=nonzero)
+            np.add(window[..., 1], offy, out=window[..., 1], where=nonzero)
+            counts[win] += nonzero
+            windows.append(win)
+        # Pixels covered once (the usual case) already hold their value; only
+        # overlap pixels need the mean.  Their count drops to 1 once divided,
+        # so a pixel shared by two windows is divided once.
+        for win in windows:
+            c = counts[win]
+            overlap = c > 1
+            if overlap.any():
+                sums[win][overlap] /= c[overlap, None]
+                c[overlap] = 1
+            out[j][win] = sums[win]
+        for win in windows:
+            sums[win] = 0.0
+            counts[win] = 0
+    return RegressionMapSet(out)
 
 
 def map_loss(pred, target) -> float:

@@ -12,9 +12,17 @@ Layout, all little-endian:
                          regression, components ordered (x, y)
 
 Encoding a decoded file reproduces it byte for byte.
+
+Files are read through a read-only memory map rather than copied into
+memory: decoding scans the whole confidence payload but samples the
+regression payload only under joint candidates, and each read would
+otherwise fault in a fresh multi-megabyte buffer.  The maps view the file,
+so it must not be rewritten while maps read from it are in use.  Files
+that cannot be mapped (empty files, pipes) are read instead.
 """
 from __future__ import annotations
 
+import mmap
 import struct
 
 import numpy as np
@@ -78,7 +86,10 @@ def write_map_set(maps: ConfidenceMapSet | RegressionMapSet, path) -> None:
 
 def read_map_set(path) -> ConfidenceMapSet | RegressionMapSet:
     with open(path, "rb") as fh:
-        data = fh.read()
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # empty files and pipes cannot be mapped
+            data = fh.read()
     try:
         return decode_map_set(data)
     except MapFormatError as exc:

@@ -398,6 +398,11 @@ def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: Python parses true/false as bools, which are ints."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def layout_to_doc(layout: Sequence[JointSpec]) -> list:
     """The "joint_spec" list shared by scene and config documents."""
     return [
@@ -420,8 +425,8 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
         _require(isinstance(entry, dict), "joint_spec[%d] must be an object" % i)
         for key in ("id", "name", "group", "rank", "mirror_id"):
             _require(key in entry, "joint_spec[%d] is missing %r" % (i, key))
-        for key in ("id", "rank", "mirror_id"):  # JSON integers; bools are not
-            _require(type(entry[key]) is int, "joint_spec[%d].%s must be an integer" % (i, key))
+        for key in ("id", "rank", "mirror_id"):
+            _require(_is_int(entry[key]), "joint_spec[%d].%s must be an integer" % (i, key))
         _require(isinstance(entry["name"], str), "joint_spec[%d].name must be a string" % i)
         _require(
             isinstance(entry["group"], str) and entry["group"] in _GROUP_NAMES,
@@ -479,7 +484,7 @@ def scene_from_dict(doc: dict) -> Scene:
     for key in ("height", "width", "joint_spec", "persons"):
         _require(key in doc, "scene document is missing %r" % key)
     _require(
-        isinstance(doc["height"], int) and isinstance(doc["width"], int),
+        _is_int(doc["height"]) and _is_int(doc["width"]),
         "height and width must be integers",
     )
     layout = layout_from_doc(doc["joint_spec"])

@@ -185,6 +185,13 @@ def test_config_subcommand(tmp_path, capsys):
     assert run("config", "--check", bad) == EXIT_CONFIG
 
 
+def test_config_number_beyond_float_range_exits_three(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"forward": {"sigma": 10**400}}))
+    assert run("config", "--check", cfg) == EXIT_CONFIG
+    assert "forward.sigma is too large" in capsys.readouterr().err
+
+
 def test_malformed_joint_spec_exits_two_or_three(tmp_path):
     scenes = make_corpus(tmp_path, n=1)
     scene = next(iter(scenes.glob("*.json")))

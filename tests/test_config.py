@@ -74,6 +74,21 @@ def test_bad_values_are_rejected():
         config_from_dict([])
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"tau": 10**400},
+        {"forward": {"sigma": 10**400}},
+        {"forward": {"radius": -(10**400)}},
+        {"cluster": {"link_threshold": 10**400}},
+        {"cluster": {"weights": [1.0] * 15 + [10**400]}},
+    ],
+)
+def test_integers_beyond_float_range_are_configuration_errors(doc):
+    with pytest.raises(ConfigurationError, match="too large"):
+        config_from_dict(doc)
+
+
 def test_weight_count_must_match_the_layout():
     with pytest.raises(ConfigurationError, match="weights"):
         config_from_dict({"cluster": {"weights": [1.0, 2.0]}})

@@ -57,7 +57,7 @@ def decode_scene(scene):
     votes = embed(detect_candidates(conf), reg)
     params = ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
     parts = cluster_votes(votes, params)
-    poses, trace = infer_all(parts, conf, reg, scene.joint_layout)
+    poses, trace = infer_all(parts, conf, scene.joint_layout)
     return conf, reg, parts, poses, trace
 
 
@@ -179,13 +179,13 @@ def test_two_merged_persons_are_split_into_two_poses():
 def test_root_falls_back_to_the_earliest_present_category():
     conf, reg = flat_maps(conf_cells=[(1, (5, 5), 0.8), (2, (9, 9), 0.7)])
     part = partition_of((cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)), reg, (7.0, 7.0))
-    poses = greedy_infer(part, conf, reg, four_joint_layout())
+    poses = greedy_infer(part, conf, four_joint_layout())
     assert len(poses) == 1
     assert pose_positions(poses[0]) == {1: (5, 5), 2: (9, 9)}
 
     conf2, reg2 = flat_maps(conf_cells=[(3, (2, 2), 0.5)])
     solo = partition_of((cand(3, (2, 2), 0.5),), reg2, (2.0, 2.0))
-    poses2 = greedy_infer(solo, conf2, reg2, four_joint_layout())
+    poses2 = greedy_infer(solo, conf2, four_joint_layout())
     assert len(poses2) == 1
     assert pose_positions(poses2[0]) == {3: (2, 2)}
 
@@ -196,7 +196,7 @@ def test_one_candidate_per_category_yields_one_pose():
     cells = [(0, (1, 1), 0.9), (1, (30, 1), 0.8), (2, (1, 30), 0.7), (3, (30, 30), 0.6)]
     conf, reg = flat_maps(conf_cells=cells)
     part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (15.0, 15.0))
-    poses = greedy_infer(part, conf, reg, four_joint_layout())
+    poses = greedy_infer(part, conf, four_joint_layout())
     assert len(poses) == 1
     assert poses[0].present_count() == 4
 
@@ -205,7 +205,7 @@ def test_greedy_rejects_below_threshold_members():
     conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.05)])
     part = partition_of((cand(0, (5, 5), 0.05),), reg, (5.0, 5.0))
     with pytest.raises(ParameterError):
-        greedy_infer(part, conf, reg, four_joint_layout())
+        greedy_infer(part, conf, four_joint_layout())
 
 
 def test_every_member_is_assigned_exactly_once():
@@ -219,7 +219,7 @@ def test_every_member_is_assigned_exactly_once():
     ]
     conf, reg = flat_maps(conf_cells=cells)
     part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (10.0, 10.0))
-    poses, trace = infer_all([part], conf, reg, four_joint_layout())
+    poses, trace = infer_all([part], conf, four_joint_layout())
     assigned = sorted(
         (j, est.position)
         for pose in poses.poses
@@ -241,7 +241,7 @@ def test_ties_resolve_to_the_row_major_candidate():
     part = partition_of(
         (cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)), reg, (5.0, 5.0)
     )
-    poses = greedy_infer(part, conf, reg, four_joint_layout())
+    poses = greedy_infer(part, conf, four_joint_layout())
     # Both torso candidates lie one pixel from the root's vote with equal
     # scores; the smaller x wins, the loser roots a second pose.
     assert pose_positions(poses[0]) == {0: (5, 5), 1: (4, 5)}
@@ -260,7 +260,7 @@ def test_assembly_follows_the_votes_the_partition_carries():
         centroid=(5.0, 5.0),
         score=0.0,
     )
-    poses, trace = infer_all([part], conf, reg, four_joint_layout())
+    poses, trace = infer_all([part], conf, four_joint_layout())
     assert pose_positions(poses.poses[0]) == {0: (5, 5), 1: (6, 5)}
     assert pose_positions(poses.poses[1]) == {1: (4, 5)}
     # Accepting the torso adds exp(0) = 1 of carried-vote agreement.
@@ -269,7 +269,7 @@ def test_assembly_follows_the_votes_the_partition_carries():
 
 def test_decoding_no_partitions_is_empty():
     conf, reg = flat_maps()
-    poses, trace = infer_all([], conf, reg, four_joint_layout())
+    poses, trace = infer_all([], conf, four_joint_layout())
     assert poses == PoseSet(poses=())
     assert trace == [0.0]
 
@@ -306,7 +306,7 @@ def test_energy_of_a_single_joint_is_its_negated_confidence():
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)
     parts = cluster_votes(votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor)))
-    poses, trace = infer_all(parts, conf, reg, layout)
+    poses, trace = infer_all(parts, conf, layout)
     # The lone vote lands on its own centroid, so the partition score is 0.
     assert partition_score(parts) == 0.0
     assert energy(poses, parts, conf, reg) == -1.0

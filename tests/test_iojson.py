@@ -88,6 +88,14 @@ def test_candidates_schema_errors():
         candidates_from_doc([{"joint": 0, "x": 1, "y": 2, "score": "high"}])
 
 
+@pytest.mark.parametrize("key", ["joint", "x", "y"])
+def test_candidates_reject_json_booleans(key):
+    entry = {"joint": 0, "x": 1, "y": 2, "score": 0.5}
+    entry[key] = True
+    with pytest.raises(SchemaError, match="integers"):
+        candidates_from_doc(json.loads(json.dumps([entry])))
+
+
 def test_partitions_round_trip():
     cands = sample_candidates()
     parts = sample_partitions(cands)
@@ -124,6 +132,12 @@ def test_partitions_schema_errors():
         partitions_from_doc({"partitions": [{"members": [0]}]}, cands, reg)
 
 
+def test_partition_members_reject_json_booleans():
+    doc = json.loads('{"partitions": [{"members": [true], "centroid": [0, 0], "score": 0.0}]}')
+    with pytest.raises(SchemaError, match="indices"):
+        partitions_from_doc(doc, sample_candidates(), sample_reg())
+
+
 def test_poses_round_trip():
     poses = sample_poses()
     doc = poses_to_doc(poses, height=64, width=48)
@@ -146,6 +160,9 @@ def test_poses_schema_errors():
 
     corrupt(lambda d: d.pop("height"))
     corrupt(lambda d: d.__setitem__("height", 64.0))
+    corrupt(lambda d: d.__setitem__("height", True))
+    corrupt(lambda d: d.__setitem__("width", False))
+    corrupt(lambda d: d["poses"][0]["joints"].__setitem__(0, [True, 2]))
     corrupt(lambda d: d["poses"][0].pop("centroid"))
     corrupt(lambda d: d["poses"][0]["joints"].append([1, 2]))
     corrupt(lambda d: d["poses"][0].__setitem__("scores", [None, 0.5, 0.5]))

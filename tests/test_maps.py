@@ -16,7 +16,7 @@ from posepartition.maps import (
     combined_loss,
     map_loss,
 )
-from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
+from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene, person_centroid
 
 
 def layout_k(k):
@@ -145,10 +145,12 @@ def full_canvas_confidence(scene, sigma):
 
 
 def coordinate(extent):
-    """A position in [0, extent), often on or next to an edge."""
+    """A position in [0, extent): on or next to an edge, on any pixel, or anywhere."""
     edges = [0.0, 0.5, extent - 1.0, extent - 0.5, float(np.nextafter(extent, 0.0))]
-    return st.sampled_from([e for e in edges if 0.0 <= e < extent]) | st.floats(
-        0.0, extent, exclude_max=True
+    return (
+        st.sampled_from([e for e in edges if 0.0 <= e < extent])
+        | st.integers(0, extent - 1).map(float)
+        | st.floats(0.0, extent, exclude_max=True)
     )
 
 
@@ -171,6 +173,13 @@ def test_truncated_bumps_match_full_canvas_bytes(case):
     scene, sigma = case
     got = build_confidence_maps(scene, ForwardParams(sigma=sigma)).values
     assert got.tobytes() == full_canvas_confidence(scene, sigma).tobytes()
+
+
+def test_template_stays_within_the_canvas_for_wide_bumps():
+    # The reach at sigma 1e4 is about 102k px; the template must not span it.
+    scene = make_scene([[(0.0, 7.0)], [(5.0, 2.0)], [(2.5, 3.0)]], height=8, width=6)
+    got = build_confidence_maps(scene, ForwardParams(sigma=1e4)).values
+    assert got.tobytes() == full_canvas_confidence(scene, 1e4).tobytes()
 
 
 def test_confidence_values_in_unit_interval():
@@ -298,6 +307,105 @@ def test_regression_single_person_votes_recover_centroid():
                     assert math.dist((hx, hy), (cx, cy)) <= 1e-6 * z
                     checked += 1
         assert checked > 0
+
+
+def full_canvas_regression(scene, radius):
+    """Reference synthesis: float64 sums and counts over the whole canvas for
+    every channel at once, persons in scene order, each disk clipped to its
+    window, then the mean on pixels with several contributors."""
+    k, h, w = scene.num_joints, scene.height, scene.width
+    z = scene.norm_factor
+    sums = np.zeros((k, h, w, 2), dtype=np.float64)
+    counts = np.zeros((k, h, w), dtype=np.int32)
+    r2 = radius * radius
+    ri = math.floor(radius)
+    for person in scene.persons:
+        cx, cy = person_centroid(person)
+        for j, pos in enumerate(person.joints):
+            if pos is None:
+                continue
+            x0, y0 = pos
+            if x0 == int(x0) and y0 == int(y0):
+                xlo, xhi = max(0, int(x0) - ri), min(w - 1, int(x0) + ri)
+                ylo, yhi = max(0, int(y0) - ri), min(h - 1, int(y0) + ri)
+            else:
+                xlo, xhi = max(0, math.ceil(x0 - radius)), min(w - 1, math.floor(x0 + radius))
+                ylo, yhi = max(0, math.ceil(y0 - radius)), min(h - 1, math.floor(y0 + radius))
+            if xlo > xhi or ylo > yhi:
+                continue
+            xs = np.arange(xlo, xhi + 1, dtype=np.float64)
+            ys = np.arange(ylo, yhi + 1, dtype=np.float64)
+            inside = (ys[:, None] - y0) ** 2 + (xs[None, :] - x0) ** 2 <= r2
+            offx = np.broadcast_to((cx - xs)[None, :] / z, inside.shape)
+            offy = np.broadcast_to((cy - ys)[:, None] / z, inside.shape)
+            nonzero = inside & ((offx != 0.0) | (offy != 0.0))
+            sums[j, ylo : yhi + 1, xlo : xhi + 1, 0] += np.where(nonzero, offx, 0.0)
+            sums[j, ylo : yhi + 1, xlo : xhi + 1, 1] += np.where(nonzero, offy, 0.0)
+            counts[j, ylo : yhi + 1, xlo : xhi + 1] += nonzero
+    overlap = counts > 1
+    sums[overlap] /= counts[overlap, None]
+    return sums.astype(np.float32)
+
+
+@st.composite
+def regression_scenes(draw):
+    h = draw(st.integers(1, 64))
+    w = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 3))
+    radius = draw(st.integers(0, 20).map(float) | st.floats(0.0, 20.0))
+    # Each category's joints crowd around an anchor, so that the disks of
+    # several persons overlap, often three or more on one pixel.
+    anchors = [(draw(coordinate(w)), draw(coordinate(h))) for _ in range(k)]
+
+    def near(j):
+        ax, ay = anchors[j]
+        return st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+            lambda d: (min(max(ax + d[0], 0.0), w - 1.0), min(max(ay + d[1], 0.0), h - 1.0))
+        )
+
+    persons = []
+    for _ in range(draw(st.integers(2, 5))):
+        joints = [
+            draw(st.none() | near(j) | st.tuples(coordinate(w), coordinate(h)))
+            for j in range(k)
+        ]
+        if all(p is None for p in joints):
+            joints[0] = anchors[0]
+        # A centroid on a pixel inside some disk gives that pixel a zero
+        # vector, which is not counted.
+        ax, ay = math.floor(anchors[0][0]), math.floor(anchors[0][1])
+        centroid = draw(
+            st.none()
+            | st.tuples(st.integers(ax - 2, ax + 2), st.integers(ay - 2, ay + 2)).map(
+                lambda c: (float(c[0]), float(c[1]))
+            )
+            | st.tuples(st.floats(-w, 2.0 * w), st.floats(-h, 2.0 * h))
+        )
+        persons.append(PersonAnnotation(joints=tuple(joints), centroid=centroid))
+    scene = Scene(height=h, width=w, joint_layout=layout_k(k), persons=tuple(persons))
+    scene.validate()
+    return scene, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(regression_scenes())
+def test_window_local_regression_matches_full_canvas_bytes(case):
+    scene, radius = case
+    got = build_regression_maps(scene, ForwardParams(radius=radius)).values
+    assert got.tobytes() == full_canvas_regression(scene, radius).tobytes()
+
+
+def test_regression_sums_overlaps_in_scene_order():
+    # Three persons share a joint; at (32, 32) the first two offsets nearly
+    # cancel and the third is tiny, so float64 addition order shows in the
+    # float32 output: the last contribution must be added last.
+    centroids = [(62.3, 61.7), (1.7, 2.3), (32.0 + 1e-9, 32.0 + 1e-9)]
+    scene = make_scene([[(32.0, 32.0)]] * 3, height=64, width=64, centroids=centroids)
+    reordered = make_scene([[(32.0, 32.0)]] * 3, height=64, width=64, centroids=centroids[::-1])
+    params = ForwardParams(radius=3.0)
+    assert full_canvas_regression(scene, 3.0).tobytes() != full_canvas_regression(reordered, 3.0).tobytes()
+    for s in (scene, reordered):
+        assert build_regression_maps(s, params).values.tobytes() == full_canvas_regression(s, 3.0).tobytes()
 
 
 def test_regression_vector_magnitudes_bounded_by_one():

@@ -1,5 +1,7 @@
 """Binary map-set codec: header layout, round trips, error offsets."""
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -93,6 +95,21 @@ def test_file_round_trip(tmp_path):
     assert np.array_equal(read_regression(rpath).values, reg.values)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_maps_are_read_from_a_pipe(tmp_path):
+    conf = sample_confidence(np.random.default_rng(59))
+    path = tmp_path / "maps.fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=write_map_set, args=(conf, path))
+    writer.start()
+    try:
+        back = read_map_set(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back.values, conf.values)
+
+
 def test_bad_magic_names_offset_zero():
     rng = np.random.default_rng(41)
     data = bytearray(encode_map_set(sample_confidence(rng)))
@@ -150,4 +167,7 @@ def test_read_errors_name_the_file(tmp_path):
     path = tmp_path / "broken.pmap"
     path.write_bytes(b"NOPE!" + b"\x00" * 20)
     with pytest.raises(MapFormatError, match="broken.pmap"):
+        read_map_set(path)
+    path.write_bytes(b"")
+    with pytest.raises(MapFormatError, match="broken.pmap.*header"):
         read_map_set(path)

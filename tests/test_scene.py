@@ -446,10 +446,11 @@ def test_scene_json_schema_errors():
     with pytest.raises(SchemaError):
         scene_from_dict(bad_pair)
 
-    bad_size = json.loads(json.dumps(good))
-    bad_size["height"] = 12.5
-    with pytest.raises(SchemaError):
-        scene_from_dict(bad_size)
+    for key, value in (("height", 12.5), ("height", True), ("width", True)):
+        bad_size = json.loads(json.dumps(good))
+        bad_size[key] = value
+        with pytest.raises(SchemaError, match="integers"):
+            scene_from_dict(bad_size)
 
     # Structural annotation problems surface as schema errors with context.
     bad_scene = json.loads(json.dumps(good))
