@@ -56,9 +56,9 @@ def _float32_ceil(value: float) -> np.float32:
     return t
 
 
-def _row_maxima(flat: np.ndarray, idx: np.ndarray, w: int) -> np.ndarray:
-    """Mask over flat indices idx of pixels >= their in-grid left and right
-    neighbors, a necessary condition for a strict local maximum.
+def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
+    """Mask over flat indices idx (values v) of pixels >= their in-grid left
+    and right neighbors, a necessary condition for a strict local maximum.
 
     The two reads sit next to each pixel in memory, and on a smooth bump
     only a pixel or two per row pass, so the full neighbor test that
@@ -67,7 +67,6 @@ def _row_maxima(flat: np.ndarray, idx: np.ndarray, w: int) -> np.ndarray:
     masks discard what those reads return there.
     """
     xs = idx % w
-    v = flat[idx]
     left_ok = (xs == 0) | (v >= np.take(flat, idx - 1, mode="clip"))
     right_ok = (xs == w - 1) | (v >= np.take(flat, idx + 1, mode="clip"))
     return left_ok & right_ok
@@ -102,14 +101,23 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
     """Extract thresholded, suppression-thinned peaks from every joint map.
 
     The output is sorted by (joint_id, descending score, row-major position)
-    and does not depend on how the maps are traversed internally.
+    and does not depend on how the maps are traversed internally.  A pixel
+    at or above tau that is +inf raises ParameterError.
     """
     params = params or DetectorParams()
     radius = params.nms_radius
     _, h, w = conf.values.shape
     flat = conf.values.ravel()
     idx = np.flatnonzero(flat >= _float32_ceil(params.tau))
-    idx = idx[_row_maxima(flat, idx, w)]
+    v = flat[idx]
+    # NaN never reaches tau, so the max over these pixels is +inf exactly
+    # when one of them is; it would make a candidate of infinite score.
+    if v.size and v.max() == np.inf:
+        j, rest = divmod(int(idx[v.argmax()]), h * w)
+        raise ParameterError(
+            "confidence map of joint %d is +inf at (%d, %d)" % (j, rest % w, rest // w)
+        )
+    idx = idx[_row_maxima(flat, idx, v, w)]
     js, rest = np.divmod(idx, h * w)
     ys, xs = np.divmod(rest, w)
     peak = _strict_peaks(flat, idx, ys, xs, h, w)

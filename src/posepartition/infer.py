@@ -127,68 +127,94 @@ def proximity_report(
 def _greedy_one_partition(
     partition: Partition,
     conf: ConfidenceMapSet,
-    layout: Sequence[JointSpec],
+    by_rank: Sequence[JointSpec],
     tau: float,
 ) -> tuple[list[PersonPose], list[float]]:
-    """Consume a partition into poses, returning per-acceptance energy deltas."""
+    """Consume a partition into poses, returning per-acceptance energy deltas.
+
+    by_rank is the joint layout sorted by inference rank.
+    """
     for cand in partition.members:
-        if cand.score < tau:
+        # "not >=" also rejects a NaN score, which would leave the pools
+        # below without an order.
+        if not cand.score >= tau:
             raise ParameterError(
                 "partition member at %s scores %g, below tau %g"
                 % (cand.position, cand.score, tau)
             )
-    by_rank = sorted(layout, key=lambda js: js.inference_rank)
-    # (candidate, vote) pairs not yet assigned; within one joint category the
-    # candidates' sort keys order them by descending score, then row-major.
-    pool = list(zip(partition.members, partition.votes))
+    # Per joint category, the (candidate, vote) pairs not yet assigned,
+    # ordered by the candidates' sort keys (descending score, then
+    # row-major): a pool's first pair is its best root, and among pairs at
+    # equal vote distance the first is the one with the smallest sort key.
+    pools: dict[int, list[tuple[JointCandidate, tuple[float, float]]]] = {
+        js.joint_id: [] for js in by_rank
+    }
+    for pair in sorted(zip(partition.members, partition.votes), key=lambda m: m[0].sort_key()):
+        pool = pools.get(pair[0].joint_id)
+        if pool is None:
+            raise ParameterError(
+                "partition member joint id %d is not in the layout" % pair[0].joint_id
+            )
+        pool.append(pair)
     poses: list[PersonPose] = []
     deltas: list[float] = []
-    k = len(layout)
+    k = len(by_rank)
 
-    while pool:
+    while True:
         # Root: best candidate of the earliest category that still has one.
-        root = None
-        root_rank = -1
-        for js in by_rank:
-            group = [m for m in pool if m[0].joint_id == js.joint_id]
-            if group:
-                root = min(group, key=lambda m: m[0].sort_key())
-                root_rank = js.inference_rank
-                break
-        assert root is not None
-        pool.remove(root)
-        accepted = [root[0]]
-        embeds = [root[1]]
-        center = embeds[0]
-        deltas.append(-unary(root[0], conf))
+        root_js = next((js for js in by_rank if pools[js.joint_id]), None)
+        if root_js is None:
+            break
+        root, center = pools[root_js.joint_id].pop(0)
+        accepted = [root]
+        embeds = [center]
+        # Running vote sums start at int 0, as sum() does (so -0.0 sums to 0.0).
+        sx = sy = 0
+        sx += center[0]
+        sy += center[1]
+        deltas.append(-unary(root, conf))
 
         for js in by_rank:
-            if js.inference_rank <= root_rank:
+            if js.inference_rank <= root_js.inference_rank:
                 continue
-            group = [m for m in pool if m[0].joint_id == js.joint_id]
-            if not group:
+            pool = pools[js.joint_id]
+            if not pool:
                 continue
-            picked = min(group, key=lambda m: (_sq_dist(m[1], center), m[0].sort_key()))
-            pool.remove(picked)
-            chosen, h = picked
+            # The closest vote to the center; the pool order breaks ties.
+            cx, cy = center
+            best = 0
+            best_d = math.inf
+            for i, (_, (vx, vy)) in enumerate(pool):
+                dx = vx - cx
+                dy = vy - cy
+                d = dx * dx + dy * dy
+                if d < best_d:
+                    best, best_d = i, d
+            chosen, h = pool.pop(best)
+            hx, hy = h
             delta = -unary(chosen, conf)
             # pairwise(chosen, prev) for every accepted prev, from the votes
             # already at hand: all members reach tau (checked above).
-            for e in embeds:
-                delta -= math.exp(-_sq_dist(h, e))
+            for ex, ey in embeds:
+                dx = hx - ex
+                dy = hy - ey
+                delta -= math.exp(-(dx * dx + dy * dy))
             deltas.append(delta)
             accepted.append(chosen)
             embeds.append(h)
-            center = (
-                sum(e[0] for e in embeds) / len(embeds),
-                sum(e[1] for e in embeds) / len(embeds),
-            )
+            sx += hx
+            sy += hy
+            center = (sx / len(embeds), sy / len(embeds))
 
         slots: list[JointEstimate | None] = [None] * k
         for cand in accepted:
             slots[cand.joint_id] = JointEstimate(position=cand.position, score=cand.score)
         poses.append(PersonPose(joints=tuple(slots), final_centroid=center))
     return poses, deltas
+
+
+def _by_rank(layout: Sequence[JointSpec]) -> list[JointSpec]:
+    return sorted(layout, key=lambda js: js.inference_rank)
 
 
 def greedy_infer(
@@ -203,7 +229,7 @@ def greedy_infer(
     distinct copies of some category yields at least n poses.  A pose is
     emitted even when only the root was assigned.
     """
-    poses, _ = _greedy_one_partition(partition, conf, layout, tau)
+    poses, _ = _greedy_one_partition(partition, conf, _by_rank(layout), tau)
     return poses
 
 
@@ -221,8 +247,9 @@ def infer_all(
     base = -partition_score(partitions)
     trace = [base]
     poses: list[PersonPose] = []
+    by_rank = _by_rank(layout)
     for part in partitions:
-        part_poses, deltas = _greedy_one_partition(part, conf, layout, tau)
+        part_poses, deltas = _greedy_one_partition(part, conf, by_rank, tau)
         poses.extend(part_poses)
         for d in deltas:
             trace.append(trace[-1] + d)

@@ -77,7 +77,10 @@ class Partition:
 
 
 def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[Vote]:
-    """Map candidates to centroid votes via the regression maps."""
+    """Map candidates to centroid votes via the regression maps.
+
+    A candidate whose regression offset is not finite raises ParameterError.
+    """
     z = reg.norm_factor
     votes = []
     for cand in candidates:
@@ -88,6 +91,10 @@ def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[V
             raise ParameterError("candidate position (%d, %d) outside the grid" % (x, y))
         tx = float(reg.values[cand.joint_id, y, x, 0])
         ty = float(reg.values[cand.joint_id, y, x, 1])
+        if not (math.isfinite(tx) and math.isfinite(ty)):
+            raise ParameterError(
+                "regression offset of joint %d at (%d, %d) is not finite" % (cand.joint_id, x, y)
+            )
         votes.append(Vote(source=cand, point=(x + z * tx, y + z * ty)))
     return votes
 
@@ -111,25 +118,37 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
     return total
 
 
-def _log_vote_density(point: tuple[float, float], votes: Sequence[Vote], params: ClusterParams) -> float:
-    """log(vote_density), finite whenever some vote has a positive weight.
+# math.exp(-x) is exactly 0.0 for every x >= 745.14 (the result rounds below
+# half the smallest subnormal), so a vote this far from a point adds exactly
+# 0.0 to its non-negative density sum and can be left out of it.
+_EXP_UNDERFLOW_SQ_DIST = 746.0
 
-    The direct sum is used wherever it is positive, so those scores equal
-    log(vote_density) bit for bit.  When every term underflows to 0 (votes
-    far from the point), the log-sum-exp form gives the value instead.
-    Only votes that all weigh 0 (or no votes) score -inf.
+
+def _log_vote_density(point: tuple[float, float], pts: np.ndarray, weights: Sequence[float]) -> float:
+    """log(vote_density) at point for votes at pts (canonical order) with
+    per-vote weights, finite whenever some vote has a positive weight.
+
+    The direct sum runs over the votes that are not 746 or more squared
+    pixels from the point, in canonical order, with vote_density's
+    arithmetic, so wherever it is positive it equals log(vote_density) bit
+    for bit.  When it is 0 (every term underflows), the log-sum-exp form
+    over every vote gives the value instead.  Only votes that all weigh 0
+    (or no votes) score -inf.
     """
-    density = vote_density(point, votes, params)
+    px, py = point
+    dx = pts[:, 0] - px
+    dy = pts[:, 1] - py
+    sq = dx * dx + dy * dy
+    # "not >=" keeps NaN distances in the sum, as vote_density does.
+    near = np.flatnonzero(~(sq >= _EXP_UNDERFLOW_SQ_DIST))
+    density = 0.0
+    for i, d2 in zip(near.tolist(), sq[near].tolist()):
+        w = weights[i]
+        if w != 0.0:
+            density += w * math.exp(-d2)
     if density > 0.0:
         return math.log(density)
-    px, py = point
-    terms = []
-    for vote in votes:
-        w = params.weight_of(vote.source.joint_id)
-        if w > 0.0:
-            dx = vote.point[0] - px
-            dy = vote.point[1] - py
-            terms.append(math.log(w) - (dx * dx + dy * dy))
+    terms = [math.log(w) - d2 for w, d2 in zip(weights, sq.tolist()) if w > 0.0]
     if not terms:
         return -math.inf
     top = max(terms)
@@ -152,6 +171,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     # emits), so density sums, and hence scores, ignore the input order too.
     canonical = sorted(votes, key=lambda v: v.source.sort_key())
     pts = np.array([v.point for v in canonical], dtype=np.float64)
+    weights = [params.weight_of(v.source.joint_id) for v in canonical]
 
     # Cluster state keyed by canonical id (the id of a merged cluster is its
     # smallest member id).  Linkage lives in a symmetric matrix updated with
@@ -159,29 +179,33 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     # so a row-major argmin lands on the smallest-distance pair with the
     # smallest (id, id) tie-break for free.
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    dist = np.full((n, n), np.inf)
-    if n > 1:
-        diffs = pts[:, None, :] - pts[None, :, :]
-        d = np.sqrt(np.sum(diffs * diffs, axis=2))
-        np.fill_diagonal(d, np.inf)
-        dist = d
+    dx = pts[:, None, 0] - pts[None, :, 0]
+    dy = pts[:, None, 1] - pts[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    np.fill_diagonal(dist, np.inf)
+    threshold = params.link_threshold
 
+    cols = dist.T  # cols[i] is column i, a cheaper view than dist[:, i]
     while len(members) > 1:
-        flat = int(np.argmin(dist))
-        a, b = divmod(flat, n)
-        d_min = dist[a, b]
-        if not (d_min <= params.link_threshold):
+        flat = int(dist.argmin())
+        if not (dist.item(flat) <= threshold):
             break
-        na, nb = len(members[a]), len(members[b])
-        merged = (na * dist[a, :] + nb * dist[b, :]) / (na + nb)
-        merged[a] = np.inf
-        merged[b] = np.inf
-        dist[a, :] = merged
-        dist[:, a] = merged
-        dist[b, :] = np.inf
-        dist[:, b] = np.inf
-        members[a].extend(members[b])
-        del members[b]
+        a, b = divmod(flat, n)
+        ma = members[a]
+        mb = members.pop(b)
+        na, nb = len(ma), len(mb)
+        # Row a becomes (na * row a + nb * row b) / (na + nb), in place and
+        # with the same IEEE operations.  Its entries a and b come out inf,
+        # each the sum of an inf diagonal term and the finite d(a, b).
+        row_a, row_b = dist[a], dist[b]
+        row_a *= na
+        row_b *= nb
+        row_a += row_b
+        row_a /= na + nb
+        cols[a] = row_a
+        row_b.fill(np.inf)
+        cols[b] = np.inf
+        ma.extend(mb)
 
     partitions = []
     for cid in sorted(members):
@@ -189,7 +213,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         cluster_pts = pts[canon]
         cx = float(np.mean(cluster_pts[:, 0]))
         cy = float(np.mean(cluster_pts[:, 1]))
-        score = _log_vote_density((cx, cy), canonical, params)
+        score = _log_vote_density((cx, cy), pts, weights)
         own = [canonical[i] for i in sorted(canon)]
         partitions.append(
             Partition(

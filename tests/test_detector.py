@@ -116,6 +116,26 @@ def test_threshold_compares_float32_values_with_float64_tau():
     assert got == [JointCandidate(joint_id=0, position=(4, 4), score=float(np.float32(0.1)))]
 
 
+def test_infinite_pixel_at_or_above_tau_is_rejected():
+    plane = np.zeros((9, 9), dtype=np.float32)
+    plane[2, 5] = 0.8
+    other = plane.copy()
+    other[6, 3] = np.inf
+    with pytest.raises(ParameterError, match=r"joint 1 is \+inf at \(3, 6\)"):
+        detect_candidates(conf_from_planes(plane, other))
+    # A +inf plateau has no strict maximum inside it, but it is still rejected.
+    other[:] = np.inf
+    with pytest.raises(ParameterError, match="joint 1"):
+        detect_candidates(conf_from_planes(plane, other))
+    # -inf and NaN never reach tau: they yield no candidate and no error.
+    other[:] = 0.0
+    other[6, 3] = -np.inf
+    other[0, 0] = np.nan
+    assert detect_candidates(conf_from_planes(plane, other)) == [
+        JointCandidate(joint_id=0, position=(5, 2), score=float(np.float32(0.8)))
+    ]
+
+
 @st.composite
 def detector_inputs(draw):
     """Small maps whose values cluster on a few levels (plateaus), including

@@ -1,0 +1,50 @@
+"""Golden decode digest: any drift in decoded poses or energy traces fails.
+
+A few seeded 256 px scenes are decoded from maps corrupted with the
+acceptance test's noise model (uniform +-0.05 on confidence, +-0.01 on
+regression), which triples the candidates and so exercises clustering
+ties, merged partitions and multi-pose assembly.  A few clean 512 px
+scenes add partitions that hold two people, whose scores take the
+log-sum-exp fallback (noise votes would fill their density in).  The digest covers the poses JSON
+bytes and the repr of every energy value; it was recorded before the
+clustering and assembly speed-ups, whose outputs must stay byte-identical.
+A change that alters decode outputs on purpose records a new digest and
+says why.
+"""
+import hashlib
+import json
+
+import numpy as np
+
+from posepartition.config import PipelineConfig
+from posepartition.corpus import CorpusSpec, generate_corpus
+from posepartition.iojson import poses_to_doc
+from posepartition.maps import ConfidenceMapSet, RegressionMapSet
+from posepartition.pipeline import decode_maps, synth_maps
+
+GOLDEN_SHA256 = "5501faf028e0ffc9d7ea34c544273d40bb528cb717f3e5f68f4089bbb8d27e7c"
+
+
+def test_decodes_match_the_golden_digest():
+    cfg = PipelineConfig()
+    rng = np.random.default_rng(1)
+    digest = hashlib.sha256()
+    maps = []
+    for scene in generate_corpus(CorpusSpec(num_scenes=12), seed=0):
+        conf, reg = synth_maps(scene, cfg)
+        noisy_conf = ConfidenceMapSet(
+            conf.values + rng.uniform(-0.05, 0.05, size=conf.values.shape)
+        )
+        noisy_reg = RegressionMapSet(
+            reg.values + rng.uniform(-0.01, 0.01, size=reg.values.shape)
+        )
+        maps.append((scene, noisy_conf, noisy_reg))
+    big = CorpusSpec(num_scenes=4, height=512, width=512, max_persons=8)
+    for scene in generate_corpus(big, seed=0):
+        maps.append((scene, *synth_maps(scene, cfg)))
+    for scene, conf, reg in maps:
+        result = decode_maps(conf, reg, cfg)
+        doc = poses_to_doc(result.poses, scene.height, scene.width)
+        digest.update((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
+        digest.update("\n".join(repr(e) for e in result.energy_trace).encode("ascii"))
+    assert digest.hexdigest() == GOLDEN_SHA256

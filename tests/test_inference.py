@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posepartition.detect import JointCandidate, detect_candidates
 from posepartition.errors import ParameterError
 from posepartition.infer import (
+    JointEstimate,
+    PersonPose,
     PoseSet,
     energy,
     greedy_infer,
@@ -88,6 +92,76 @@ def partition_of(members, reg, centroid):
 
 def pose_positions(pose):
     return {j: est.position for j, est in enumerate(pose.joints) if est is not None}
+
+
+def _sq_dist(p, q):
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return dx * dx + dy * dy
+
+
+def reference_greedy_one_partition(partition, conf, layout, tau):
+    """Greedy assembly before per-category pools: one pool of (candidate,
+    vote) pairs scanned per category with min() and list.remove(), and the
+    center recomputed with sum() after every acceptance."""
+    for c in partition.members:
+        if c.score < tau:
+            raise ParameterError("member below tau")
+    by_rank = sorted(layout, key=lambda js: js.inference_rank)
+    pool = list(zip(partition.members, partition.votes))
+    poses = []
+    deltas = []
+    k = len(layout)
+    while pool:
+        root = None
+        root_rank = -1
+        for js in by_rank:
+            group = [m for m in pool if m[0].joint_id == js.joint_id]
+            if group:
+                root = min(group, key=lambda m: m[0].sort_key())
+                root_rank = js.inference_rank
+                break
+        assert root is not None
+        pool.remove(root)
+        accepted = [root[0]]
+        embeds = [root[1]]
+        center = embeds[0]
+        deltas.append(-unary(root[0], conf))
+        for js in by_rank:
+            if js.inference_rank <= root_rank:
+                continue
+            group = [m for m in pool if m[0].joint_id == js.joint_id]
+            if not group:
+                continue
+            picked = min(group, key=lambda m: (_sq_dist(m[1], center), m[0].sort_key()))
+            pool.remove(picked)
+            chosen, h = picked
+            delta = -unary(chosen, conf)
+            for e in embeds:
+                delta -= math.exp(-_sq_dist(h, e))
+            deltas.append(delta)
+            accepted.append(chosen)
+            embeds.append(h)
+            center = (
+                sum(e[0] for e in embeds) / len(embeds),
+                sum(e[1] for e in embeds) / len(embeds),
+            )
+        slots = [None] * k
+        for c in accepted:
+            slots[c.joint_id] = JointEstimate(position=c.position, score=c.score)
+        poses.append(PersonPose(joints=tuple(slots), final_centroid=center))
+    return poses, deltas
+
+
+def reference_infer_all(partitions, conf, layout, tau=0.1):
+    trace = [-partition_score(partitions)]
+    poses = []
+    for part in partitions:
+        part_poses, deltas = reference_greedy_one_partition(part, conf, layout, tau)
+        poses.extend(part_poses)
+        for d in deltas:
+            trace.append(trace[-1] + d)
+    return PoseSet(poses=tuple(poses)), trace
 
 
 # --- unary and pairwise -----------------------------------------------------
@@ -265,6 +339,72 @@ def test_assembly_follows_the_votes_the_partition_carries():
     assert pose_positions(poses.poses[1]) == {1: (4, 5)}
     # Accepting the torso adds exp(0) = 1 of carried-vote agreement.
     assert abs((trace[2] - trace[1]) + float(np.float32(0.6)) + 1.0) <= 1e-12
+
+
+@st.composite
+def assembly_cases(draw):
+    """Partitions of candidates on an 8x8 grid, several per category, with
+    votes on a half-pixel grid near the origin (so equal vote distances
+    and coincident votes are common), members in any order, and the
+    confidence maps the unary terms read."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conf = ConfidenceMapSet(rng.random((4, 8, 8), dtype=np.float32))
+    cell = st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 7),
+        st.integers(0, 7),
+        st.sampled_from([0.1, 0.5, 0.9]),
+        st.integers(-4, 4),
+        st.integers(-4, 4),
+    )
+    partitions = []
+    for _ in range(draw(st.integers(1, 3))):
+        cells = draw(st.lists(cell, min_size=1, max_size=12))
+        partitions.append(
+            Partition(
+                members=tuple(cand(j, (x, y), score) for j, x, y, score, _, _ in cells),
+                votes=tuple((vx / 2, vy / 2) for _, _, _, _, vx, vy in cells),
+                centroid=(0.0, 0.0),
+                score=draw(st.sampled_from([0.0, -1.5]) | st.floats(-50.0, 5.0)),
+            )
+        )
+    return partitions, conf
+
+
+@settings(max_examples=300, deadline=None)
+@given(assembly_cases())
+def test_assembly_matches_the_reference(case):
+    partitions, conf = case
+    poses, trace = infer_all(partitions, conf, four_joint_layout())
+    expect_poses, expect_trace = reference_infer_all(partitions, conf, four_joint_layout())
+    assert poses == expect_poses
+    assert repr(poses) == repr(expect_poses)
+    assert repr(trace) == repr(expect_trace)
+
+
+def test_negative_zero_votes_center_like_sum():
+    # sum() starts at int 0, so a center summed from -0.0 votes is 0.0; a
+    # root-only pose keeps its root's vote, -0.0 included.
+    conf, _ = flat_maps(conf_cells=[(0, (1, 1), 0.9), (1, (2, 1), 0.8), (0, (5, 5), 0.7)])
+    part = Partition(
+        members=(cand(0, (1, 1), 0.9), cand(1, (2, 1), 0.8), cand(0, (5, 5), 0.7)),
+        votes=((-0.0, -0.0), (-0.0, -0.0), (-0.0, 3.0)),
+        centroid=(0.0, 0.0),
+        score=0.0,
+    )
+    poses = greedy_infer(part, conf, four_joint_layout())
+    assert repr(poses[0].final_centroid) == "(0.0, 0.0)"
+    assert repr(poses[1].final_centroid) == "(-0.0, 3.0)"
+
+
+def test_greedy_rejects_nan_scores_and_foreign_joints():
+    conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.9)])
+    nan_member = partition_of((cand(0, (5, 5), math.nan),), reg, (5.0, 5.0))
+    with pytest.raises(ParameterError, match="below tau"):
+        greedy_infer(nan_member, conf, four_joint_layout())
+    foreign = partition_of((cand(0, (5, 5), 0.9), cand(3, (5, 5), 0.9)), reg, (5.0, 5.0))
+    with pytest.raises(ParameterError, match="joint id 3 is not in the layout"):
+        greedy_infer(foreign, conf, four_joint_layout()[:3])
 
 
 def test_decoding_no_partitions_is_empty():

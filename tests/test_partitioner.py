@@ -78,6 +78,77 @@ def oracle_cluster(points, threshold):
     return clusters
 
 
+def reference_log_vote_density(point, votes, params):
+    """The log vote density as cluster_votes computed it before scores
+    skipped the terms that underflow: every vote, in the given order."""
+    density = vote_density(point, votes, params)
+    if density > 0.0:
+        return math.log(density)
+    px, py = point
+    terms = []
+    for vote in votes:
+        w = params.weight_of(vote.source.joint_id)
+        if w > 0.0:
+            dx = vote.point[0] - px
+            dy = vote.point[1] - py
+            terms.append(math.log(w) - (dx * dx + dy * dy))
+    if not terms:
+        return -math.inf
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def reference_cluster_votes(votes, params):
+    """cluster_votes before its speed-ups: an (n, n, 2) difference array
+    reduced along its last axis, a merge loop on fresh arrays, and scores
+    that sum every vote's term."""
+    n = len(votes)
+    if n == 0:
+        return []
+    canonical = sorted(votes, key=lambda v: v.source.sort_key())
+    pts = np.array([v.point for v in canonical], dtype=np.float64)
+    members = {i: [i] for i in range(n)}
+    dist = np.full((n, n), np.inf)
+    if n > 1:
+        diffs = pts[:, None, :] - pts[None, :, :]
+        d = np.sqrt(np.sum(diffs * diffs, axis=2))
+        np.fill_diagonal(d, np.inf)
+        dist = d
+    while len(members) > 1:
+        flat = int(np.argmin(dist))
+        a, b = divmod(flat, n)
+        d_min = dist[a, b]
+        if not (d_min <= params.link_threshold):
+            break
+        na, nb = len(members[a]), len(members[b])
+        merged = (na * dist[a, :] + nb * dist[b, :]) / (na + nb)
+        merged[a] = np.inf
+        merged[b] = np.inf
+        dist[a, :] = merged
+        dist[:, a] = merged
+        dist[b, :] = np.inf
+        dist[:, b] = np.inf
+        members[a].extend(members[b])
+        del members[b]
+    partitions = []
+    for cid in sorted(members):
+        canon = members[cid]
+        cluster_pts = pts[canon]
+        cx = float(np.mean(cluster_pts[:, 0]))
+        cy = float(np.mean(cluster_pts[:, 1]))
+        score = reference_log_vote_density((cx, cy), canonical, params)
+        own = [canonical[i] for i in sorted(canon)]
+        partitions.append(
+            Partition(
+                members=tuple(v.source for v in own),
+                votes=tuple(v.point for v in own),
+                centroid=(cx, cy),
+                score=score,
+            )
+        )
+    return partitions
+
+
 # --- embedding --------------------------------------------------------------
 
 
@@ -129,6 +200,30 @@ def test_embed_rejects_out_of_range_candidates():
         embed([JointCandidate(joint_id=1, position=(0, 0), score=1.0)], reg)
     with pytest.raises(ParameterError):
         embed([JointCandidate(joint_id=0, position=(8, 0), score=1.0)], reg)
+
+
+def test_embed_rejects_non_finite_offsets():
+    values = np.zeros((2, 8, 8, 2), dtype=np.float32)
+    values[1, 3, 5, 1] = np.nan
+    values[0, 2, 2, 0] = np.inf
+    reg = RegressionMapSet(values)
+    with pytest.raises(ParameterError, match=r"joint 1 at \(5, 3\) is not finite"):
+        embed([JointCandidate(joint_id=1, position=(5, 3), score=1.0)], reg)
+    with pytest.raises(ParameterError, match=r"joint 0 at \(2, 2\)"):
+        embed([JointCandidate(joint_id=0, position=(2, 2), score=1.0)], reg)
+    # Offsets away from the candidates are not read.
+    assert embed([JointCandidate(joint_id=0, position=(1, 1), score=1.0)], reg)[0].point == (1.0, 1.0)
+
+
+def test_nan_regression_maps_fail_in_embedding():
+    # NaN in joint 0's regression map used to surface as "partition 0 has
+    # zero vote density" from partition_score.
+    scene = generate_corpus(CorpusSpec(num_scenes=1, min_persons=2, max_persons=2), seed=3)[0]
+    conf, reg = synth_maps(scene)
+    values = np.array(reg.values)
+    values[0] = np.nan
+    with pytest.raises(ParameterError, match="joint 0 .* not finite"):
+        decode_maps(conf, RegressionMapSet(values))
 
 
 # --- vote density -----------------------------------------------------------
@@ -283,6 +378,68 @@ def test_cluster_invariant_to_vote_order(case):
     parts = cluster_votes(votes, params)
     # Partition equality covers members, votes, centroid and score, bit for bit.
     assert cluster_votes([votes[i] for i in perm], params) == parts
+
+
+@st.composite
+def weighted_vote_sets(draw):
+    """Votes on a half-pixel grid (equal distances, coincident votes), in
+    up to three groups 60 px apart, from candidates of three joints whose
+    canonical order is not the input order; no weights, zero or mixed
+    weights, and cutoffs from a pixel to past the group spacing, so merged
+    far groups score by the log-sum-exp fallback."""
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2), st.integers(0, 2)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    votes = [
+        vote_at(
+            (x / 2 + 60.0 * group, y / 2),
+            joint_id=joint,
+            position=(i % 5, i // 5),
+            score=draw(st.sampled_from([0.5, 0.9])),
+        )
+        for i, (x, y, group, joint) in enumerate(cells)
+    ]
+    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    weights = draw(st.none() | st.tuples(weight, weight, weight))
+    threshold = draw(st.sampled_from([0.5, 1.0, 2.0, 70.0, 150.0]) | st.floats(0.1, 150.0))
+    return votes, ClusterParams(link_threshold=threshold, weights=weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_vote_sets())
+def test_cluster_matches_the_reference_bit_for_bit(case):
+    votes, params = case
+    got = cluster_votes(votes, params)
+    expect = reference_cluster_votes(votes, params)
+    # Partition equality covers members, votes, centroid and score; repr
+    # also tells -0.0 from 0.0.
+    assert got == expect
+    assert repr(got) == repr(expect)
+
+
+def test_score_keeps_the_last_term_that_does_not_underflow():
+    # A joint-0 vote of weight 0 and a joint-1 vote of weight 1 at squared
+    # distance 745.13 from it: exp(-745.13) is the smallest subnormal,
+    # 5e-324, so the joint-0 partition scores log(5e-324) ~ -744.44.  A sum
+    # that dropped that term would fall back to log-sum-exp, -745.13.
+    far = (27.0, math.sqrt(745.13 - 27.0 * 27.0))
+    sq = far[0] * far[0] + far[1] * far[1]
+    assert math.exp(-sq) == 5e-324
+    votes = [vote_at((0.0, 0.0), joint_id=0), vote_at(far, joint_id=1, position=(1, 0))]
+    parts = cluster_votes(votes, ClusterParams(link_threshold=1.0, weights=(0.0, 1.0)))
+    assert [p.centroid for p in parts] == [(0.0, 0.0), far]
+    assert parts[0].score == math.log(5e-324)
+    assert parts[1].score == 0.0
+
+
+def test_votes_without_a_weight_are_rejected():
+    votes = [vote_at((0.0, 0.0), joint_id=0), vote_at((90.0, 0.0), joint_id=2, position=(1, 0))]
+    with pytest.raises(ParameterError, match="no weight for joint id 2"):
+        cluster_votes(votes, ClusterParams(link_threshold=1.0, weights=(1.0, 1.0)))
 
 
 def test_cluster_members_in_canonical_candidate_order():
