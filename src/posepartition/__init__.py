@@ -33,22 +33,17 @@ from .infer import (
     JointEstimate,
     PersonPose,
     PoseSet,
-    ProximityReport,
     energy,
-    greedy_infer,
     infer_all,
     pairwise,
-    proximity_report,
     unary,
 )
 from .maps import (
     ConfidenceMapSet,
     ForwardParams,
-    LossBreakdown,
     RegressionMapSet,
     build_confidence_maps,
     build_regression_maps,
-    combined_loss,
     map_loss,
 )
 from .partition import (
@@ -64,16 +59,12 @@ from .partition import (
 from .pipeline import DecodeResult, decode_maps, synth_maps
 from .pmap import read_map_set, write_map_set
 from .scene import (
-    AugmentParams,
     JointGroup,
     JointSpec,
     PersonAnnotation,
     Scene,
-    augment,
-    derive_centroid,
     load_scene,
     mpii_joint_layout,
-    perturb_overlapping_centroids,
     person_centroid,
     save_scene,
 )

@@ -18,6 +18,7 @@ from . import corpus as corpus_mod
 from .config import PipelineConfig, dump_config, load_config
 from .errors import ConfigurationError, ParameterError, PipelineError, SchemaError
 from .evaluate import MatchParams, evaluate_corpus, report_csv
+from .infer import PoseSet
 from .iojson import (
     candidates_from_doc,
     candidates_to_doc,
@@ -32,7 +33,7 @@ from .partition import cluster_votes, embed
 from .pipeline import decode_maps, synth_maps
 from .pmap import read_confidence, read_regression, write_map_set
 from .render import write_ppm
-from .scene import load_scene, save_scene
+from .scene import Scene, load_scene, save_scene
 from .detect import detect_candidates
 
 EXIT_OK = 0
@@ -122,6 +123,22 @@ def _cmd_decode(args) -> int:
     return EXIT_OK
 
 
+def _load_poses_for(path, scene: Scene) -> PoseSet:
+    """A poses file whose canvas and per-pose joint slots match the scene."""
+    poses, h, w = poses_from_doc(load_json(path))
+    if (h, w) != (scene.height, scene.width):
+        raise SchemaError(
+            "%s canvas %dx%d does not match scene %dx%d" % (path, w, h, scene.width, scene.height)
+        )
+    for i, pose in enumerate(poses.poses):
+        if len(pose.joints) != scene.num_joints:
+            raise SchemaError(
+                "%s pose %d has %d joint slots, scene has %d"
+                % (path, i, len(pose.joints), scene.num_joints)
+            )
+    return poses
+
+
 def _cmd_eval(args) -> int:
     scene_paths = sorted(Path(args.scenes).glob("*.json"))
     if not scene_paths:
@@ -133,13 +150,7 @@ def _cmd_eval(args) -> int:
         if not poses_path.exists():
             raise SchemaError("no poses file %s for scene %s" % (poses_path, scene_path.name))
         scene = load_scene(scene_path)
-        poses, h, w = poses_from_doc(load_json(poses_path))
-        if (h, w) != (scene.height, scene.width):
-            raise SchemaError(
-                "%s canvas %dx%d does not match scene %dx%d"
-                % (poses_path, w, h, scene.width, scene.height)
-            )
-        return poses, scene
+        return _load_poses_for(poses_path, scene), scene
 
     pairs = [load_pair(p) for p in scene_paths]
     try:
@@ -161,10 +172,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_render(args) -> int:
     scene = load_scene(args.scene)
-    poses, h, w = poses_from_doc(load_json(args.poses))
-    if (h, w) != (scene.height, scene.width):
-        raise SchemaError("poses canvas %dx%d does not match scene %dx%d" % (w, h, scene.width, scene.height))
-    write_ppm(poses, scene, args.out)
+    write_ppm(_load_poses_for(args.poses, scene), scene, args.out)
     return EXIT_OK
 
 

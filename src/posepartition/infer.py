@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .detect import DEFAULT_TAU, JointCandidate
 from .errors import ParameterError
 from .maps import ConfidenceMapSet, RegressionMapSet
@@ -81,49 +79,6 @@ def pairwise(
     return math.exp(-_sq_dist(va.point, vb.point))
 
 
-@dataclass(frozen=True)
-class ProximityReport:
-    """Diagnostic unary/pairwise tables over all partition members.
-
-    The pairwise matrix is zero across partitions, symmetric, and has ones
-    on the diagonal for above-threshold candidates.
-    """
-
-    candidates: tuple[JointCandidate, ...]
-    unary: np.ndarray
-    pairwise: np.ndarray
-
-
-def proximity_report(
-    partitions: Sequence[Partition],
-    conf: ConfidenceMapSet,
-    reg: RegressionMapSet,
-    tau: float = DEFAULT_TAU,
-) -> ProximityReport:
-    """Tabulate unary scores and pairwise vote agreements for inspection."""
-    cands: list[JointCandidate] = []
-    part_of: list[int] = []
-    for pi, part in enumerate(partitions):
-        for cand in part.members:
-            cands.append(cand)
-            part_of.append(pi)
-    n = len(cands)
-    un = np.zeros(n)
-    pw = np.zeros((n, n))
-    for i, cand in enumerate(cands):
-        un[i] = unary(cand, conf)
-    for i in range(n):
-        for j in range(i, n):
-            if part_of[i] != part_of[j]:
-                continue
-            val = pairwise(cands[i], cands[j], reg, tau)
-            pw[i, j] = val
-            pw[j, i] = val
-    un.flags.writeable = False
-    pw.flags.writeable = False
-    return ProximityReport(candidates=tuple(cands), unary=un, pairwise=pw)
-
-
 def _greedy_one_partition(
     partition: Partition,
     conf: ConfidenceMapSet,
@@ -132,7 +87,8 @@ def _greedy_one_partition(
 ) -> tuple[list[PersonPose], list[float]]:
     """Consume a partition into poses, returning per-acceptance energy deltas.
 
-    by_rank is the joint layout sorted by inference rank.
+    by_rank is the joint layout sorted by inference rank.  Every pass roots
+    a new pose, which is emitted even when only the root was assigned.
     """
     for cand in partition.members:
         # "not >=" also rejects a NaN score, which would leave the pools
@@ -213,26 +169,6 @@ def _greedy_one_partition(
     return poses, deltas
 
 
-def _by_rank(layout: Sequence[JointSpec]) -> list[JointSpec]:
-    return sorted(layout, key=lambda js: js.inference_rank)
-
-
-def greedy_infer(
-    partition: Partition,
-    conf: ConfidenceMapSet,
-    layout: Sequence[JointSpec],
-    tau: float = DEFAULT_TAU,
-) -> list[PersonPose]:
-    """Assemble poses from one partition until its candidate pool is empty.
-
-    Every pass roots a new pose, so a partition holding candidates of n
-    distinct copies of some category yields at least n poses.  A pose is
-    emitted even when only the root was assigned.
-    """
-    poses, _ = _greedy_one_partition(partition, conf, _by_rank(layout), tau)
-    return poses
-
-
 def infer_all(
     partitions: Sequence[Partition],
     conf: ConfidenceMapSet,
@@ -247,7 +183,7 @@ def infer_all(
     base = -partition_score(partitions)
     trace = [base]
     poses: list[PersonPose] = []
-    by_rank = _by_rank(layout)
+    by_rank = sorted(layout, key=lambda js: js.inference_rank)
     for part in partitions:
         part_poses, deltas = _greedy_one_partition(part, conf, by_rank, tau)
         poses.extend(part_poses)

@@ -1,4 +1,4 @@
-"""Ground-truth map synthesis and map-space losses.
+"""Ground-truth map synthesis and the map-space loss.
 
 Two map families are produced from an annotated scene, both evaluated at
 integer pixel centers:
@@ -278,27 +278,3 @@ def map_loss(pred, target) -> float:
         )
     diff = pred.values.astype(np.float64) - target.values.astype(np.float64)
     return float(np.sum(diff * diff))
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """Confidence and offset losses plus their weighted combination."""
-
-    joint_loss: float
-    regression_loss: float
-    combined: float
-
-
-def combined_loss(
-    pred_conf: ConfidenceMapSet,
-    target_conf: ConfidenceMapSet,
-    pred_reg: RegressionMapSet,
-    target_reg: RegressionMapSet,
-    alpha: float = 1.0,
-) -> LossBreakdown:
-    """Joint confidence loss plus alpha times the offset regression loss."""
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ParameterError("alpha must be non-negative, got %g" % alpha)
-    jl = map_loss(pred_conf, target_conf)
-    rl = map_loss(pred_reg, target_reg)
-    return LossBreakdown(joint_loss=jl, regression_loss=rl, combined=jl + alpha * rl)

@@ -1,4 +1,4 @@
-"""Annotated multi-person scenes and their geometric transformations.
+"""Annotated multi-person scenes and their JSON codec.
 
 A scene is a pixel canvas plus a joint layout (one JointSpec per joint
 category) and a list of person annotations.  Coordinates are (x, y) with x
@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import AnnotationError, ParameterError, SchemaError
+from .errors import AnnotationError, SchemaError
 
 Position = tuple[float, float]
 
@@ -188,194 +188,6 @@ class Scene:
                 cx, cy = person.centroid
                 if not (math.isfinite(cx) and math.isfinite(cy)):
                     raise AnnotationError("person %d centroid is not finite" % i)
-
-
-def perturb_overlapping_centroids(scene: Scene, min_sep: float) -> Scene:
-    """Push person centroids apart until all pairwise distances reach min_sep.
-
-    Groups of centroids closer than min_sep are spread onto a small circle
-    around their mean, visiting members in declaration order with fixed
-    angular offsets, so the result is deterministic.  Centroids already at
-    least min_sep apart are left untouched.  Moved persons get an explicit
-    centroid in the returned scene; positions are clamped to the canvas.
-    """
-    if min_sep <= 0:
-        raise ParameterError("min_sep must be positive, got %g" % min_sep)
-    n = len(scene.persons)
-    if n < 2:
-        return scene
-    cents = [person_centroid(p) for p in scene.persons]
-
-    # Union-find over pairs closer than min_sep.
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.dist(cents[i], cents[j]) < min_sep:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    moved = [False] * n
-    new = list(cents)
-    xmax, ymax = scene.width - 1.0, scene.height - 1.0
-
-    def clamp(p: Position) -> Position:
-        return (min(max(p[0], 0.0), xmax), min(max(p[1], 0.0), ymax))
-
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        m = len(members)
-        mx = sum(cents[i][0] for i in members) / m
-        my = sum(cents[i][1] for i in members) / m
-        # Circumradius of a regular m-gon with side min_sep, padded a hair so
-        # rounding cannot land just below the separation target.
-        rho = min_sep / (2.0 * math.sin(math.pi / m)) * (1.0 + 1e-9)
-        for k, i in enumerate(members):
-            ang = 2.0 * math.pi * k / m
-            new[i] = clamp((mx + rho * math.cos(ang), my + rho * math.sin(ang)))
-            moved[i] = True
-
-    # Clamping (or chained groups) can leave residual violations; repair with
-    # deterministic pairwise pushes along the joining line.
-    for _ in range(64):
-        worst = None
-        for i in range(n):
-            for j in range(i + 1, n):
-                if math.dist(new[i], new[j]) < min_sep:
-                    worst = (i, j)
-                    break
-            if worst:
-                break
-        if worst is None:
-            break
-        i, j = worst
-        d = math.dist(new[i], new[j])
-        if d == 0.0:
-            ux, uy = 1.0, 0.0
-        else:
-            ux = (new[j][0] - new[i][0]) / d
-            uy = (new[j][1] - new[i][1]) / d
-        push = (min_sep - d) / 2.0 * (1.0 + 1e-9)
-        new[i] = clamp((new[i][0] - push * ux, new[i][1] - push * uy))
-        new[j] = clamp((new[j][0] + push * ux, new[j][1] + push * uy))
-        moved[i] = moved[j] = True
-
-    persons = tuple(
-        replace(p, centroid=new[i]) if moved[i] else p for i, p in enumerate(scene.persons)
-    )
-    return replace(scene, persons=persons)
-
-
-@dataclass(frozen=True)
-class AugmentParams:
-    """Similarity transform about the canvas center plus optional mirroring.
-
-    rotation is in degrees, translate in pixels.  Mirroring happens first
-    (x -> W-1-x with left/right label swap), then rotation and scale about
-    the canvas center, then translation.
-    """
-
-    rotation: float = 0.0
-    scale: float = 1.0
-    translate: tuple[float, float] = (0.0, 0.0)
-    mirror: bool = False
-
-    ROTATION_RANGE = (-40.0, 40.0)
-    SCALE_RANGE = (0.7, 1.3)
-    TRANSLATE_RANGE = (-40.0, 40.0)
-
-    def check_ranges(self) -> None:
-        """Enforce the training-time parameter ranges."""
-        lo, hi = self.ROTATION_RANGE
-        if not lo <= self.rotation <= hi:
-            raise ParameterError("rotation %g outside [%g, %g]" % (self.rotation, lo, hi))
-        lo, hi = self.SCALE_RANGE
-        if not lo <= self.scale <= hi:
-            raise ParameterError("scale %g outside [%g, %g]" % (self.scale, lo, hi))
-        lo, hi = self.TRANSLATE_RANGE
-        for t in self.translate:
-            if not lo <= t <= hi:
-                raise ParameterError("translation %g outside [%g, %g]" % (t, lo, hi))
-
-    def inverse(self) -> AugmentParams:
-        """Params undoing this transform. Only defined for non-mirroring params."""
-        if self.mirror:
-            raise ParameterError("mirrored transforms have no single-step inverse")
-        if self.scale <= 0:
-            raise ParameterError("scale must be positive, got %g" % self.scale)
-        th = math.radians(-self.rotation)
-        tx, ty = self.translate
-        c, s = math.cos(th), math.sin(th)
-        # Undoing translate t requires pre-rotating it back and rescaling.
-        itx = -(c * tx - s * ty) / self.scale
-        ity = -(s * tx + c * ty) / self.scale
-        return AugmentParams(
-            rotation=-self.rotation,
-            scale=1.0 / self.scale,
-            translate=(itx, ity),
-        )
-
-
-def augment(scene: Scene, params: AugmentParams, *, enforce_ranges: bool = False) -> Scene:
-    """Apply a similarity transform (and optional mirror) to all annotations.
-
-    Joints that land outside the canvas become absent; persons losing all
-    joints are dropped.  Explicit centroids are transformed along and clamped
-    to the canvas, derived centroids stay derived.
-    """
-    if params.scale <= 0:
-        raise ParameterError("scale must be positive, got %g" % params.scale)
-    if enforce_ranges:
-        params.check_ranges()
-    w, h = scene.width, scene.height
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    th = math.radians(params.rotation)
-    cth, sth = math.cos(th), math.sin(th)
-    s = params.scale
-    tx, ty = params.translate
-
-    def warp(p: Position) -> Position:
-        x, y = p
-        if params.mirror:
-            x = (w - 1) - x
-        dx, dy = x - cx, y - cy
-        return (
-            cx + s * (cth * dx - sth * dy) + tx,
-            cy + s * (sth * dx + cth * dy) + ty,
-        )
-
-    k = scene.num_joints
-    mirror_of = {js.joint_id: js.mirror_id for js in scene.joint_layout}
-    persons = []
-    for person in scene.persons:
-        slots: list[Position | None] = [None] * k
-        for j, pos in enumerate(person.joints):
-            if pos is None:
-                continue
-            target = mirror_of[j] if params.mirror else j
-            q = warp(pos)
-            if 0.0 <= q[0] < w and 0.0 <= q[1] < h:
-                slots[target] = q
-        if not any(p is not None for p in slots):
-            continue
-        cent = None
-        if person.centroid is not None:
-            qc = warp(person.centroid)
-            cent = (min(max(qc[0], 0.0), w - 1.0), min(max(qc[1], 0.0), h - 1.0))
-        persons.append(PersonAnnotation(joints=tuple(slots), centroid=cent, head_box=None))
-    return replace(scene, persons=tuple(persons))
 
 
 # --- JSON codec ------------------------------------------------------------

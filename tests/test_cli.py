@@ -168,6 +168,26 @@ def test_invalid_eval_filter_exits_three(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["eval", "render"])
+@pytest.mark.parametrize("slots", [3, 17])
+def test_poses_with_the_wrong_joint_count_exit_two(tmp_path, capsys, command, slots):
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(iter(scenes.glob("*.json")))
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    poses = poses_dir / scene.name
+    pose = {"joints": [[10, 10]] * slots, "scores": [0.9] * slots, "centroid": [10.0, 10.0]}
+    poses.write_text(json.dumps({"height": 256, "width": 256, "poses": [pose]}))
+    if command == "eval":
+        code = run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
+    else:
+        code = run("render", "--poses", poses, "--scene", scene, "--out", tmp_path / "o.ppm")
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(poses) in err
+    assert "pose 0 has %d joint slots, scene has 16" % slots in err
+
+
 def test_config_subcommand(tmp_path, capsys):
     assert run("config") == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

@@ -3,20 +3,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from posepartition.config import PipelineConfig
+from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
-from posepartition.errors import ParameterError
+from posepartition.errors import ConfigurationError, ParameterError
 from posepartition.infer import (
     JointEstimate,
     PersonPose,
     PoseSet,
     energy,
-    greedy_infer,
     infer_all,
     pairwise,
-    proximity_report,
     unary,
 )
 from posepartition.maps import (
@@ -33,6 +33,7 @@ from posepartition.partition import (
     embed,
     partition_score,
 )
+from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
 
@@ -253,13 +254,13 @@ def test_two_merged_persons_are_split_into_two_poses():
 def test_root_falls_back_to_the_earliest_present_category():
     conf, reg = flat_maps(conf_cells=[(1, (5, 5), 0.8), (2, (9, 9), 0.7)])
     part = partition_of((cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)), reg, (7.0, 7.0))
-    poses = greedy_infer(part, conf, four_joint_layout())
+    poses = infer_all([part], conf, four_joint_layout())[0].poses
     assert len(poses) == 1
     assert pose_positions(poses[0]) == {1: (5, 5), 2: (9, 9)}
 
     conf2, reg2 = flat_maps(conf_cells=[(3, (2, 2), 0.5)])
     solo = partition_of((cand(3, (2, 2), 0.5),), reg2, (2.0, 2.0))
-    poses2 = greedy_infer(solo, conf2, four_joint_layout())
+    poses2 = infer_all([solo], conf2, four_joint_layout())[0].poses
     assert len(poses2) == 1
     assert pose_positions(poses2[0]) == {3: (2, 2)}
 
@@ -270,7 +271,7 @@ def test_one_candidate_per_category_yields_one_pose():
     cells = [(0, (1, 1), 0.9), (1, (30, 1), 0.8), (2, (1, 30), 0.7), (3, (30, 30), 0.6)]
     conf, reg = flat_maps(conf_cells=cells)
     part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (15.0, 15.0))
-    poses = greedy_infer(part, conf, four_joint_layout())
+    poses = infer_all([part], conf, four_joint_layout())[0].poses
     assert len(poses) == 1
     assert poses[0].present_count() == 4
 
@@ -279,7 +280,7 @@ def test_greedy_rejects_below_threshold_members():
     conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.05)])
     part = partition_of((cand(0, (5, 5), 0.05),), reg, (5.0, 5.0))
     with pytest.raises(ParameterError):
-        greedy_infer(part, conf, four_joint_layout())
+        infer_all([part], conf, four_joint_layout())[0].poses
 
 
 def test_every_member_is_assigned_exactly_once():
@@ -315,7 +316,7 @@ def test_ties_resolve_to_the_row_major_candidate():
     part = partition_of(
         (cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)), reg, (5.0, 5.0)
     )
-    poses = greedy_infer(part, conf, four_joint_layout())
+    poses = infer_all([part], conf, four_joint_layout())[0].poses
     # Both torso candidates lie one pixel from the root's vote with equal
     # scores; the smaller x wins, the loser roots a second pose.
     assert pose_positions(poses[0]) == {0: (5, 5), 1: (4, 5)}
@@ -392,7 +393,7 @@ def test_negative_zero_votes_center_like_sum():
         centroid=(0.0, 0.0),
         score=0.0,
     )
-    poses = greedy_infer(part, conf, four_joint_layout())
+    poses = infer_all([part], conf, four_joint_layout())[0].poses
     assert repr(poses[0].final_centroid) == "(0.0, 0.0)"
     assert repr(poses[1].final_centroid) == "(-0.0, 3.0)"
 
@@ -401,10 +402,10 @@ def test_greedy_rejects_nan_scores_and_foreign_joints():
     conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.9)])
     nan_member = partition_of((cand(0, (5, 5), math.nan),), reg, (5.0, 5.0))
     with pytest.raises(ParameterError, match="below tau"):
-        greedy_infer(nan_member, conf, four_joint_layout())
+        infer_all([nan_member], conf, four_joint_layout())[0].poses
     foreign = partition_of((cand(0, (5, 5), 0.9), cand(3, (5, 5), 0.9)), reg, (5.0, 5.0))
     with pytest.raises(ParameterError, match="joint id 3 is not in the layout"):
-        greedy_infer(foreign, conf, four_joint_layout()[:3])
+        infer_all([foreign], conf, four_joint_layout()[:3])[0].poses
 
 
 def test_decoding_no_partitions_is_empty():
@@ -496,6 +497,39 @@ def test_energy_matches_term_enumeration():
     assert abs(got - expect) <= 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    height=st.integers(140, 256),
+    width=st.integers(140, 256),
+    persons=st.integers(1, 4),
+    separation=st.floats(20.0, 60.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noisy_decode_trace_decreases_to_the_energy(height, width, persons, separation, seed):
+    spec = CorpusSpec(
+        num_scenes=1,
+        min_persons=persons,
+        max_persons=persons,
+        min_separation=separation,
+        height=height,
+        width=width,
+    )
+    try:
+        (scene,) = generate_corpus(spec, seed)
+    except ConfigurationError:
+        assume(False)  # the persons do not fit at this separation
+    cfg = PipelineConfig()
+    conf, reg = synth_maps(scene, cfg)
+    # The acceptance noise model: +-0.05 on confidence, +-0.01 on regression.
+    rng = np.random.default_rng(seed)
+    conf = ConfidenceMapSet(conf.values + rng.uniform(-0.05, 0.05, size=conf.values.shape))
+    reg = RegressionMapSet(reg.values + rng.uniform(-0.01, 0.01, size=reg.values.shape))
+    result = decode_maps(conf, reg, cfg)
+    trace = result.energy_trace
+    assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
+    assert abs(trace[-1] - energy(result.poses, result.partitions, conf, reg)) <= 1e-9
+
+
 def test_decode_is_translation_equivariant():
     base = [(40.0, 30.0), (36.0, 42.0), (30.0, 52.0), (48.0, 50.0)]
     shift = (23.0, 31.0)
@@ -514,32 +548,3 @@ def test_decode_is_translation_equivariant():
     c2 = poses2.poses[0].final_centroid
     assert abs(c2[0] - (c1[0] + shift[0])) <= 1e-9
     assert abs(c2[1] - (c1[1] + shift[1])) <= 1e-9
-
-
-# --- proximity report -------------------------------------------------------
-
-
-def test_proximity_report_structure():
-    a = [(30.0, 30.0), (26.0, 40.0), (20.0, 50.0), (38.0, 50.0)]
-    b = [(x + 60.0, y + 40.0) for x, y in a]
-    scene = scene_of([a, b])
-    conf = build_confidence_maps(scene)
-    reg = build_regression_maps(scene)
-    votes = embed(detect_candidates(conf), reg)
-    parts = cluster_votes(votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor)))
-    assert len(parts) == 2
-    report = proximity_report(parts, conf, reg)
-    n = len(report.candidates)
-    assert n == 8
-    assert report.unary.shape == (n,)
-    assert report.pairwise.shape == (n, n)
-    assert list(report.candidates) == [c for p in parts for c in p.members]
-    for i, c in enumerate(report.candidates):
-        assert report.unary[i] == c.score
-        assert report.pairwise[i, i] == 1.0
-    assert np.array_equal(report.pairwise, report.pairwise.T)
-    # Members of different partitions never interact.
-    first = len(parts[0].members)
-    assert np.all(report.pairwise[:first, first:] == 0.0)
-    assert not report.unary.flags.writeable
-    assert not report.pairwise.flags.writeable

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posepartition.detect import JointCandidate
 from posepartition.errors import SchemaError
@@ -138,15 +140,39 @@ def test_partition_members_reject_json_booleans():
         partitions_from_doc(doc, sample_candidates(), sample_reg())
 
 
-def test_poses_round_trip():
-    poses = sample_poses()
-    doc = poses_to_doc(poses, height=64, width=48)
-    json.dumps(doc)
-    back, height, width = poses_from_doc(doc)
+def pose_sets():
+    """Pose sets with finite scores and centroids and absent (None) joints."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    estimate = st.builds(
+        JointEstimate,
+        position=st.tuples(st.integers(0, 4095), st.integers(0, 4095)),
+        score=finite,
+    )
+    return st.integers(1, 5).flatmap(
+        lambda k: st.lists(
+            st.builds(
+                PersonPose,
+                joints=st.tuples(*[st.none() | estimate] * k),
+                final_centroid=st.tuples(finite, finite),
+            ),
+            max_size=4,
+        )
+    ).map(lambda poses: PoseSet(poses=tuple(poses)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(poses=pose_sets(), height=st.integers(1, 4096), width=st.integers(1, 4096))
+@example(poses=sample_poses(), height=64, width=48)
+def test_poses_round_trip(poses, height, width):
+    doc = json.loads(json.dumps(poses_to_doc(poses, height=height, width=width)))
+    back, h, w = poses_from_doc(doc)
     assert back == poses
-    assert (height, width) == (64, 48)
-    assert doc["poses"][0]["joints"][1] is None
-    assert doc["poses"][0]["scores"][1] is None
+    assert (h, w) == (height, width)
+    for entry, pose in zip(doc["poses"], poses.poses):
+        for j, est in enumerate(pose.joints):
+            if est is None:
+                assert entry["joints"][j] is None
+                assert entry["scores"][j] is None
 
 
 def test_poses_schema_errors():

@@ -13,7 +13,6 @@ from posepartition.maps import (
     RegressionMapSet,
     build_confidence_maps,
     build_regression_maps,
-    combined_loss,
     map_loss,
 )
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene, person_centroid
@@ -485,19 +484,3 @@ def test_map_loss_rejects_mismatched_inputs():
     with pytest.raises(DimensionError):
         map_loss(conf, reg)
 
-
-def test_combined_loss_weights_regression_term():
-    conf_a = ConfidenceMapSet(np.zeros((1, 2, 2), dtype=np.float32))
-    bumped = np.zeros((1, 2, 2), dtype=np.float32)
-    bumped[0, 0, 0] = 1.0
-    conf_b = ConfidenceMapSet(bumped)
-    reg_a = RegressionMapSet(np.zeros((1, 2, 2, 2), dtype=np.float32))
-    rb = np.zeros((1, 2, 2, 2), dtype=np.float32)
-    rb[0, 0, 0, 1] = 2.0
-    reg_b = RegressionMapSet(rb)
-    out = combined_loss(conf_a, conf_b, reg_a, reg_b, alpha=0.5)
-    assert out.joint_loss == 1.0
-    assert out.regression_loss == 4.0
-    assert out.combined == 1.0 + 0.5 * 4.0
-    with pytest.raises(ParameterError):
-        combined_loss(conf_a, conf_b, reg_a, reg_b, alpha=-1.0)

@@ -5,6 +5,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from posepartition.errors import MapFormatError
 from posepartition.maps import ConfidenceMapSet, RegressionMapSet
@@ -48,23 +51,44 @@ def test_regression_header_and_payload_size():
     assert len(data) == HEADER_SIZE + 2 * 3 * 4 * 2 * 4
 
 
-def test_confidence_round_trip_is_byte_identical():
-    rng = np.random.default_rng(29)
-    conf = sample_confidence(rng)
-    data = encode_map_set(conf)
+# Every float32 class the payload must carry bit for bit: quiet and
+# signalling NaNs of both signs, infinities, signed zeros, subnormals.
+SPECIAL_FLOAT32 = np.array(
+    [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFBFFFFF, 0x7F800000, 0xFF800000,
+     0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x7F7FFFFF, 0x3F800000],
+    dtype=np.uint32,
+).view(np.float32)
+
+
+def float32_maps(tail=()):
+    """Small (K, H, W, *tail) float32 arrays, NaN, infinities and -0.0 included."""
+    shapes = st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)).map(
+        lambda khw: khw + tail
+    )
+    return arrays(np.float32, shapes, elements=st.floats(width=32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=float32_maps())
+@example(values=sample_confidence(np.random.default_rng(29)).values)
+@example(values=SPECIAL_FLOAT32.reshape(1, 3, 4))
+def test_confidence_round_trip_is_byte_identical(values):
+    data = encode_map_set(ConfidenceMapSet(values))
     back = decode_map_set(data)
     assert isinstance(back, ConfidenceMapSet)
-    assert np.array_equal(back.values, conf.values)
+    assert back.values.tobytes() == values.astype("<f4").tobytes()
     assert encode_map_set(back) == data
 
 
-def test_regression_round_trip_is_byte_identical():
-    rng = np.random.default_rng(31)
-    reg = sample_regression(rng)
-    data = encode_map_set(reg)
+@settings(max_examples=60, deadline=None)
+@given(values=float32_maps((2,)))
+@example(values=sample_regression(np.random.default_rng(31)).values)
+@example(values=SPECIAL_FLOAT32.reshape(2, 1, 3, 2))
+def test_regression_round_trip_is_byte_identical(values):
+    data = encode_map_set(RegressionMapSet(values))
     back = decode_map_set(data)
     assert isinstance(back, RegressionMapSet)
-    assert np.array_equal(back.values, reg.values)
+    assert back.values.tobytes() == values.astype("<f4").tobytes()
     assert encode_map_set(back) == data
 
 

@@ -1,18 +1,17 @@
-"""Scene model: joint layouts, centroids, perturbation, augmentation, JSON."""
+"""Scene model: joint layouts, centroids, validation, JSON codec."""
 import json
-import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from posepartition.errors import AnnotationError, ParameterError, SchemaError
+from posepartition.errors import AnnotationError, SchemaError
 from posepartition.scene import (
-    AugmentParams,
     JointGroup,
     JointSpec,
     PersonAnnotation,
     Scene,
-    augment,
     derive_centroid,
     dump_scene,
     layout_from_doc,
@@ -20,7 +19,6 @@ from posepartition.scene import (
     load_scene,
     mpii_joint_layout,
     person_centroid,
-    perturb_overlapping_centroids,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -186,212 +184,11 @@ def test_scene_validation_rejects_jointless_person():
         scene.validate()
 
 
-# --- centroid perturbation --------------------------------------------------
-
-
-def two_person_scene(c0, c1, height=128, width=128):
-    layout = tiny_layout()
-    persons = tuple(
-        PersonAnnotation(joints=((30.0, 30.0), (40.0, 40.0), None, None), centroid=c)
-        for c in (c0, c1)
-    )
-    return Scene(height=height, width=width, joint_layout=layout, persons=persons)
-
-
-def pairwise_distances(scene):
-    cents = [person_centroid(p) for p in scene.persons]
-    return [
-        math.dist(cents[i], cents[j])
-        for i in range(len(cents))
-        for j in range(i + 1, len(cents))
-    ]
-
-
-def test_perturb_separates_coincident_pair():
-    scene = two_person_scene((50.0, 50.0), (50.0, 50.0))
-    out = perturb_overlapping_centroids(scene, 2.0)
-    assert all(d >= 2.0 for d in pairwise_distances(out))
-
-
-def test_perturb_leaves_separated_scene_unchanged():
-    scene = two_person_scene((0.0, 0.0), (100.0, 100.0))
-    out = perturb_overlapping_centroids(scene, 2.0)
-    assert [person_centroid(p) for p in out.persons] == [
-        person_centroid(p) for p in scene.persons
-    ]
-    assert [p.joints for p in out.persons] == [p.joints for p in scene.persons]
-
-
-def test_perturb_separates_three_coincident():
-    layout = tiny_layout()
-    persons = tuple(
-        PersonAnnotation(joints=((30.0, 30.0), (40.0, 40.0), None, None), centroid=(60.0, 60.0))
-        for _ in range(3)
-    )
-    scene = Scene(height=128, width=128, joint_layout=layout, persons=persons)
-    out = perturb_overlapping_centroids(scene, 2.0)
-    dists = pairwise_distances(out)
-    assert len(dists) == 3 and all(d >= 2.0 for d in dists)
-    # Small groups stay near the original location: moved by at most min_sep.
-    for person in out.persons:
-        assert math.dist(person_centroid(person), (60.0, 60.0)) <= 2.0
-
-
-def test_perturb_is_deterministic_and_idempotent():
-    scene = two_person_scene((50.0, 50.0), (50.5, 50.0))
-    once = perturb_overlapping_centroids(scene, 4.0)
-    again = perturb_overlapping_centroids(scene, 4.0)
-    assert [person_centroid(p) for p in once.persons] == [
-        person_centroid(p) for p in again.persons
-    ]
-    twice = perturb_overlapping_centroids(once, 4.0)
-    assert [person_centroid(p) for p in twice.persons] == [
-        person_centroid(p) for p in once.persons
-    ]
-
-
-def test_perturb_rejects_nonpositive_separation():
-    with pytest.raises(ParameterError):
-        perturb_overlapping_centroids(two_person_scene((0.0, 0.0), (9.0, 9.0)), 0.0)
-
-
-def test_perturb_random_scenes_reach_separation():
-    rng = np.random.default_rng(23)
-    layout = tiny_layout()
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        persons = tuple(
-            PersonAnnotation(
-                joints=((10.0, 10.0), (20.0, 20.0), None, None),
-                centroid=tuple(float(v) for v in rng.uniform(40, 90, size=2)),
-            )
-            for _ in range(n)
-        )
-        scene = Scene(height=256, width=256, joint_layout=layout, persons=persons)
-        out = perturb_overlapping_centroids(scene, 8.0)
-        assert all(d >= 8.0 for d in pairwise_distances(out))
-
-
-# --- augmentation -----------------------------------------------------------
-
-
-def test_augment_identity_recovers_scene():
-    scene = one_person_scene([(10.0, 12.0), (20.0, 22.0), (30.5, 31.5), (5.0, 60.0)])
-    out = augment(scene, AugmentParams())
-    assert [p.joints for p in out.persons] == [p.joints for p in scene.persons]
-
-
-def test_augment_mirror_reflects_and_swaps_labels():
-    scene = one_person_scene(
-        [(10.0, 5.0), (20.0, 15.0), (30.0, 25.0), (40.0, 35.0)], height=100, width=100
-    )
-    out = augment(scene, AugmentParams(mirror=True))
-    joints = out.persons[0].joints
-    # Midline joints stay in their slots, mirrored x.
-    assert joints[0] == (89.0, 5.0)
-    assert joints[1] == (79.0, 15.0)
-    # The limb pair swaps slots.
-    assert joints[2] == (59.0, 35.0)
-    assert joints[3] == (69.0, 25.0)
-    # Brute-force reflection of every annotated point, slot-by-slot.
-    mirror_of = {js.joint_id: js.mirror_id for js in scene.joint_layout}
-    expect = [None] * 4
-    for j, p in enumerate(scene.persons[0].joints):
-        expect[mirror_of[j]] = (99.0 - p[0], p[1])
-    assert list(joints) == expect
-
-
-def test_augment_rotation_matches_matrix_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        h, w = 101, 81
-        pts = [tuple(float(v) for v in rng.uniform(20, 60, size=2)) for _ in range(4)]
-        deg = float(rng.uniform(-180.0, 180.0))
-        scale = float(rng.uniform(0.5, 1.5))
-        tx, ty = (float(v) for v in rng.uniform(-5, 5, size=2))
-        scene = one_person_scene(pts, height=h, width=w)
-        out = augment(scene, AugmentParams(rotation=deg, scale=scale, translate=(tx, ty)))
-        th = math.radians(deg)
-        rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        center = np.array([(w - 1) / 2.0, (h - 1) / 2.0])
-        for got, p in zip(out.persons[0].joints, pts):
-            expect = center + scale * rot @ (np.array(p) - center) + np.array([tx, ty])
-            assert got is not None
-            assert abs(got[0] - expect[0]) <= 1e-9
-            assert abs(got[1] - expect[1]) <= 1e-9
-
-
-def test_augment_quarter_turn_of_unit_offset():
-    # One point, one quarter turn: (1, 0) offset from the center maps to a
-    # (0, 1) offset, matching the rotation matrix exactly.
-    scene = one_person_scene([(2.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], height=3, width=3)
-    out = augment(scene, AugmentParams(rotation=90.0))
-    got = out.persons[0].joints[0]
-    assert abs(got[0] - 1.0) <= 1e-9 and abs(got[1] - 2.0) <= 1e-9
-
-
-def test_augment_inverse_round_trip():
-    rng = np.random.default_rng(17)
-    for _ in range(30):
-        pts = [tuple(float(v) for v in rng.uniform(200, 300, size=2)) for _ in range(4)]
-        scene = one_person_scene(pts, height=500, width=500)
-        params = AugmentParams(
-            rotation=float(rng.uniform(-40, 40)),
-            scale=float(rng.uniform(0.7, 1.3)),
-            translate=tuple(float(v) for v in rng.uniform(-40, 40, size=2)),
-        )
-        back = augment(augment(scene, params), params.inverse())
-        assert len(back.persons) == 1
-        for got, p in zip(back.persons[0].joints, pts):
-            assert got is not None
-            assert math.dist(got, p) <= 1e-6
-
-
-def test_augment_drops_joints_leaving_canvas():
-    scene = one_person_scene([(1.0, 10.0), (30.0, 30.0), (62.0, 10.0), (30.0, 60.0)])
-    out = augment(scene, AugmentParams(translate=(-10.0, 0.0)))
-    joints = out.persons[0].joints
-    assert joints[0] is None  # pushed past the left edge
-    assert joints[1] == (20.0, 30.0)
-    assert joints[2] == (52.0, 10.0)
-
-
-def test_augment_drops_person_losing_all_joints():
-    scene = one_person_scene([(1.0, 1.0), (2.0, 2.0), (1.0, 2.0), (2.0, 1.0)])
-    out = augment(scene, AugmentParams(translate=(-30.0, -30.0)))
-    assert out.persons == ()
-
-
-def test_augment_parameter_errors():
-    scene = one_person_scene([(10.0, 10.0), (20.0, 20.0), (30.0, 30.0), (40.0, 40.0)])
-    with pytest.raises(ParameterError):
-        augment(scene, AugmentParams(scale=0.0))
-    with pytest.raises(ParameterError):
-        augment(scene, AugmentParams(scale=-1.0))
-    with pytest.raises(ParameterError):
-        augment(scene, AugmentParams(rotation=60.0), enforce_ranges=True)
-    with pytest.raises(ParameterError):
-        augment(scene, AugmentParams(scale=1.5), enforce_ranges=True)
-    with pytest.raises(ParameterError):
-        augment(scene, AugmentParams(translate=(50.0, 0.0)), enforce_ranges=True)
-    with pytest.raises(ParameterError):
-        AugmentParams(mirror=True).inverse()
-    # In-range params pass the explicit check.
-    augment(scene, AugmentParams(rotation=40.0, scale=1.3), enforce_ranges=True)
-
-
-def test_augment_transforms_explicit_centroid():
-    scene = one_person_scene(
-        [(10.0, 10.0), (20.0, 20.0), (30.0, 30.0), (40.0, 40.0)], centroid=(25.0, 25.0)
-    )
-    out = augment(scene, AugmentParams(translate=(3.0, 4.0)))
-    assert out.persons[0].centroid == (28.0, 29.0)
-
-
 # --- JSON codec -------------------------------------------------------------
 
 
-def test_scene_json_round_trip(tmp_path):
+def seeded_scene():
+    """A 16-joint scene with random absent joints, centroids and head boxes."""
     layout = mpii_joint_layout()
     rng = np.random.default_rng(3)
     persons = []
@@ -413,6 +210,42 @@ def test_scene_json_round_trip(tmp_path):
         )
     scene = Scene(height=220, width=210, joint_layout=layout, persons=tuple(persons))
     scene.validate()
+    return scene
+
+
+@st.composite
+def scenes(draw):
+    """Valid scenes with non-integer joints, absent joints, explicit
+    centroids and head boxes."""
+    height = draw(st.integers(1, 300))
+    width = draw(st.integers(1, 300))
+    layout = draw(st.sampled_from([tiny_layout(), mpii_joint_layout()]))
+    joint = st.tuples(
+        st.floats(0.0, width, exclude_max=True), st.floats(0.0, height, exclude_max=True)
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    persons = []
+    for _ in range(draw(st.integers(0, 3))):
+        slots = [draw(st.none() | joint) for _ in layout]
+        if all(p is None for p in slots):
+            slots[draw(st.integers(0, len(layout) - 1))] = draw(joint)
+        persons.append(
+            PersonAnnotation(
+                joints=tuple(slots),
+                centroid=draw(st.none() | st.tuples(finite, finite)),
+                head_box=draw(st.none() | st.tuples(finite, finite, finite, finite)),
+            )
+        )
+    return Scene(height=height, width=width, joint_layout=layout, persons=tuple(persons))
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(scene=scenes())
+@example(scene=seeded_scene())
+def test_scene_json_round_trip(tmp_path, scene):
+    assert scene_from_dict(json.loads(json.dumps(scene_to_dict(scene)))) == scene
     path = tmp_path / "scene.json"
     save_scene(scene, path)
     back = load_scene(path)
