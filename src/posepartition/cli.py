@@ -4,6 +4,8 @@ Exit codes: 0 on success, 2 for input or format problems, 3 for
 configuration problems.  Stage flags (--tau on detect and decode, --sigma,
 --radius, --nms-radius, --link-threshold) override the --config file, or
 the defaults, only when given; --link-threshold auto overrides a number.
+The eval and corpus flags likewise take their defaults from MatchParams
+and CorpusSpec when not given.
 """
 from __future__ import annotations
 
@@ -41,15 +43,27 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
 
-def _load_cli_config(args) -> PipelineConfig:
-    """Config file (if given) with the stage flags actually given on top.
+def _given(args, cls) -> dict:
+    """The flags given on the command line that are named after cls's fields.
 
     A flag that was not given is absent from args (argparse.SUPPRESS), so
-    every attribute named after a config field is an override.
+    the dataclass's own default holds for it.
     """
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+
+
+def _params(cls, args):
+    """cls built from the given flags; a rejected value is a configuration error."""
+    try:
+        return cls(**_given(args, cls))
+    except ParameterError as exc:
+        raise ConfigurationError(str(exc)) from exc
+
+
+def _load_cli_config(args) -> PipelineConfig:
+    """Config file (if given) with the stage flags actually given on top."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    given = {f.name: getattr(args, f.name) for f in fields(cfg) if hasattr(args, f.name)}
-    cfg = replace(cfg, **given)
+    cfg = replace(cfg, **_given(args, PipelineConfig))
     cfg.validate()
     return cfg
 
@@ -153,16 +167,7 @@ def _cmd_eval(args) -> int:
         return _load_poses_for(poses_path, scene), scene
 
     pairs = [load_pair(p) for p in scene_paths]
-    try:
-        params = MatchParams(
-            pckh_fraction=args.pckh,
-            fallback_px=args.fallback_px,
-            min_joints=args.min_joints,
-            min_score=args.min_score,
-        )
-    except ParameterError as exc:
-        raise ConfigurationError(str(exc)) from exc
-    report = evaluate_corpus(pairs, params)
+    report = evaluate_corpus(pairs, _params(MatchParams, args))
     save_json(report_to_doc(report), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -177,18 +182,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    try:
-        spec = corpus_mod.CorpusSpec(
-            num_scenes=args.num_scenes,
-            min_persons=args.min_persons,
-            max_persons=args.max_persons,
-            min_separation=args.separation,
-            height=args.height,
-            width=args.width,
-            jitter=args.jitter,
-        )
-    except ParameterError as exc:
-        raise ConfigurationError(str(exc)) from exc
+    spec = _params(corpus_mod.CorpusSpec, args)
     scenes = corpus_mod.generate_corpus(spec, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -253,26 +247,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True, help="directory of ground-truth scene JSON files")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--csv", help="optional one-row CSV with grouped joint APs")
-    p.add_argument("--pckh", type=float, default=0.5, help="fraction of head size for a hit")
-    p.add_argument(
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--pckh", dest="pckh_fraction", type=float, help="fraction of head size for a hit")
+    flag(
         "--fallback-px",
         dest="fallback_px",
         type=float,
-        default=None,
         help="absolute hit distance when a person has no head size",
     )
-    p.add_argument(
+    flag(
         "--min-joints",
         dest="min_joints",
         type=int,
-        default=1,
         help="discard predicted poses with fewer assigned joints",
     )
-    p.add_argument(
+    flag(
         "--min-score",
         dest="min_score",
         type=float,
-        default=None,
         help="discard predicted poses whose mean joint score is below this",
     )
     p.set_defaults(func=_cmd_eval)
@@ -285,14 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("corpus", help="generate a seeded synthetic scene corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--num-scenes", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-persons", type=int, default=1)
-    p.add_argument("--max-persons", type=int, default=5)
-    p.add_argument("--separation", type=float, default=60.0)
-    p.add_argument("--height", type=int, default=256)
-    p.add_argument("--width", type=int, default=256)
-    p.add_argument("--jitter", type=int, default=4)
+    flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--num-scenes", type=int)
+    flag("--min-persons", type=int)
+    flag("--max-persons", type=int)
+    flag("--separation", dest="min_separation", type=float)
+    flag("--height", type=int)
+    flag("--width", type=int)
+    flag("--jitter", type=int)
     p.set_defaults(func=_cmd_corpus)
 
     p = subs.add_parser("config", help="print default configuration or check a config file")

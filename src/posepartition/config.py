@@ -5,7 +5,9 @@ greedy assembly, which keeps the two consistent by construction; map
 synthesis does not use it.  The clustering cutoff may be the string "auto",
 meaning 10% of the canvas diagonal of whatever maps are being decoded.  A
 document lists only what it changes: absent entries take the PipelineConfig
-defaults, and unknown keys are rejected.
+defaults, which in turn read the stage dataclasses' defaults.  The dump of
+the defaults is the schema: a key it does not hold, at the top level or in
+a section, is rejected.
 """
 from __future__ import annotations
 
@@ -23,11 +25,10 @@ from .scene import JointSpec, _is_num, layout_from_doc, layout_to_doc, mpii_join
 @dataclass(frozen=True)
 class PipelineConfig:
     tau: float = DEFAULT_TAU
-    sigma: float = 7.0
-    radius: float = 7.0
-    nms_radius: int = 3
+    sigma: float = ForwardParams.sigma
+    radius: float = ForwardParams.radius
+    nms_radius: int = DetectorParams.nms_radius
     link_threshold: float | None = None  # None means auto: 0.1 * canvas diagonal
-    vote_weights: tuple[float, ...] | None = None
     joint_layout: tuple[JointSpec, ...] = field(default_factory=mpii_joint_layout)
 
     def forward_params(self) -> ForwardParams:
@@ -42,20 +43,15 @@ class PipelineConfig:
             if self.link_threshold is not None
             else default_link_threshold(norm_factor)
         )
-        return ClusterParams(link_threshold=threshold, weights=self.vote_weights)
+        return ClusterParams(link_threshold=threshold)
 
     def validate(self) -> None:
         try:
             self.forward_params()
             self.detector_params()
-            self.cluster_params(1.0)  # a fixed cutoff and the weights; auto is always valid
+            self.cluster_params(1.0)  # a fixed cutoff; auto is always valid
         except ParameterError as exc:
             raise ConfigurationError(str(exc)) from exc
-        if self.vote_weights is not None and len(self.vote_weights) != len(self.joint_layout):
-            raise ConfigurationError(
-                "vote_weights has %d entries for %d joints"
-                % (len(self.vote_weights), len(self.joint_layout))
-            )
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -65,24 +61,29 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
         "detector": {"nms_radius": cfg.nms_radius},
         "cluster": {
             "link_threshold": "auto" if cfg.link_threshold is None else cfg.link_threshold,
-            "weights": None if cfg.vote_weights is None else list(cfg.vote_weights),
         },
         "joint_spec": layout_to_doc(cfg.joint_layout),
     }
 
 
+def _reject_unknown(doc: dict, schema: dict, what: str) -> None:
+    unknown = set(doc) - set(schema)
+    if unknown:
+        raise ConfigurationError("unknown %s keys: %s" % (what, ", ".join(sorted(unknown))))
+
+
 def config_from_dict(doc: Any) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    unknown = set(doc) - {"tau", "forward", "detector", "cluster", "joint_spec"}
-    if unknown:
-        raise ConfigurationError("unknown config keys: %s" % ", ".join(sorted(unknown)))
     defaults = PipelineConfig()
+    schema = config_to_dict(defaults)
+    _reject_unknown(doc, schema, "config")
 
     def section(name: str) -> dict:
         sec = doc.get(name, {})
         if not isinstance(sec, dict):
             raise ConfigurationError("config section %r must be an object" % name)
+        _reject_unknown(sec, schema[name], name)
         return sec
 
     def real(value, name: str) -> float:
@@ -114,11 +115,6 @@ def config_from_dict(doc: Any) -> PipelineConfig:
         link_threshold = real(link, "cluster.link_threshold")
     else:
         raise ConfigurationError("cluster.link_threshold must be a number or 'auto'")
-    weights = clu.get("weights")
-    if weights is not None:
-        if not (isinstance(weights, list) and all(_is_num(w) for w in weights)):
-            raise ConfigurationError("cluster.weights must be a list of numbers or null")
-        weights = tuple(real(w, "cluster.weights") for w in weights)
 
     layout = defaults.joint_layout
     if "joint_spec" in doc:
@@ -133,7 +129,6 @@ def config_from_dict(doc: Any) -> PipelineConfig:
         radius=number(fwd, "radius", "forward.radius"),
         nms_radius=number(det, "nms_radius", "detector.nms_radius", integral=True),
         link_threshold=link_threshold,
-        vote_weights=weights,
         joint_layout=layout,
     )
     cfg.validate()

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .scene import PersonAnnotation, Scene, mpii_joint_layout
+from .scene import PersonAnnotation, Scene, mpii_joint_layout, person_centroid
 
 # Joint offsets (dx, dy) in pixels relative to the placement anchor, loosely
 # matching frontal standing proportions.  Keys follow the default layout
@@ -60,8 +60,8 @@ class CorpusSpec:
                 "person range must satisfy 1 <= min <= max, got [%d, %d]"
                 % (self.min_persons, self.max_persons)
             )
-        if self.min_separation < 0:
-            raise ParameterError("min_separation must be non-negative")
+        if not (self.min_separation >= 0 and math.isfinite(self.min_separation)):
+            raise ParameterError("min_separation must be finite and non-negative")
         if self.height < 1 or self.width < 1:
             raise ParameterError("canvas must be at least 1x1")
         if self.jitter < 0:
@@ -128,12 +128,12 @@ def generate_corpus(
                 jx = ax + dx + int(rng.integers(-spec.jitter, spec.jitter + 1))
                 jy = ay + dy + int(rng.integers(-spec.jitter, spec.jitter + 1))
                 joints.append((float(jx), float(jy)))
-            cx = sum(p[0] for p in joints) / len(joints)
-            cy = sum(p[1] for p in joints) / len(joints)
-            if any(math.dist((cx, cy), c) < spec.min_separation for c in centroids):
+            person = PersonAnnotation(joints=tuple(joints))
+            centroid = person_centroid(person)
+            if any(math.dist(centroid, c) < spec.min_separation for c in centroids):
                 continue
-            centroids.append((cx, cy))
-            persons.append(PersonAnnotation(joints=tuple(joints)))
+            centroids.append(centroid)
+            persons.append(person)
         scene = Scene(
             height=spec.height,
             width=spec.width,

@@ -50,8 +50,8 @@ class MatchParams:
     def __post_init__(self) -> None:
         if not (self.pckh_fraction > 0 and math.isfinite(self.pckh_fraction)):
             raise ParameterError("pckh_fraction must be positive, got %g" % self.pckh_fraction)
-        if self.fallback_px is not None and not (self.fallback_px > 0):
-            raise ParameterError("fallback_px must be positive when set")
+        if self.fallback_px is not None and not (self.fallback_px > 0 and math.isfinite(self.fallback_px)):
+            raise ParameterError("fallback_px must be positive and finite when set")
         if self.min_joints < 1:
             raise ParameterError("min_joints must be at least 1, got %d" % self.min_joints)
         if self.min_score is not None and not math.isfinite(self.min_score):

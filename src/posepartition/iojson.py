@@ -1,8 +1,8 @@
 """JSON interchange for intermediate pipeline artifacts.
 
 Candidates, partitions, poses, and evaluation reports all travel as small
-JSON documents so every pipeline stage can be run, inspected, and replayed
-from files.
+JSON documents so every pipeline stage can be run and inspected from files.
+Candidates and poses are read back; partitions and reports are only written.
 """
 from __future__ import annotations
 
@@ -15,15 +15,13 @@ from .detect import JointCandidate
 from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import JointEstimate, PersonPose, PoseSet
-from .maps import RegressionMapSet
-from .partition import Partition, embed
+from .partition import Partition
 from .scene import _is_int, _is_num, _require
 
 __all__ = [
     "candidates_to_doc",
     "candidates_from_doc",
     "partitions_to_doc",
-    "partitions_from_doc",
     "poses_to_doc",
     "poses_from_doc",
     "report_to_doc",
@@ -104,40 +102,6 @@ def partitions_to_doc(partitions: Sequence[Partition], candidates: Sequence[Join
             }
         )
     return {"partitions": entries}
-
-
-def partitions_from_doc(
-    doc, candidates: Sequence[JointCandidate], reg: RegressionMapSet
-) -> list[Partition]:
-    """Rebuild partitions; member votes are recomputed from the regression maps."""
-    _require(isinstance(doc, dict) and "partitions" in doc, "partitions document must have 'partitions'")
-    _require(isinstance(doc["partitions"], list), "'partitions' must be a list")
-    out = []
-    for pi, entry in enumerate(doc["partitions"]):
-        _require(isinstance(entry, dict), "partitions[%d] must be an object" % pi)
-        for key in ("members", "centroid", "score"):
-            _require(key in entry, "partitions[%d] is missing %r" % (pi, key))
-        _require(
-            isinstance(entry["members"], list)
-            and all(_is_int(m) and 0 <= m < len(candidates) for m in entry["members"]),
-            "partitions[%d].members must be valid candidate indices" % pi,
-        )
-        cent = entry["centroid"]
-        _require(
-            isinstance(cent, list) and len(cent) == 2 and all(_is_num(v) for v in cent),
-            "partitions[%d].centroid must be [x, y]" % pi,
-        )
-        _require(_is_num(entry["score"]), "partitions[%d].score must be a number" % pi)
-        votes = embed([candidates[m] for m in entry["members"]], reg)
-        out.append(
-            Partition(
-                members=tuple(v.source for v in votes),
-                votes=tuple(v.point for v in votes),
-                centroid=(float(cent[0]), float(cent[1])),
-                score=float(entry["score"]),
-            )
-        )
-    return out
 
 
 # --- poses -------------------------------------------------------------------

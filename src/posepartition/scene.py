@@ -184,10 +184,9 @@ class Scene:
                     raise AnnotationError(
                         "person %d joint %d at (%g, %g) is outside the canvas" % (i, j, x, y)
                     )
-            if person.centroid is not None:
-                cx, cy = person.centroid
-                if not (math.isfinite(cx) and math.isfinite(cy)):
-                    raise AnnotationError("person %d centroid is not finite" % i)
+            for what, values in (("centroid", person.centroid), ("head box", person.head_box)):
+                if values is not None and not all(map(math.isfinite, values)):
+                    raise AnnotationError("person %d %s is not finite" % (i, what))
 
 
 # --- JSON codec ------------------------------------------------------------

@@ -5,7 +5,11 @@ import json
 import pytest
 
 from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
-from posepartition.iojson import load_json
+from posepartition.corpus import CorpusSpec, generate_corpus
+from posepartition.evaluate import MatchParams, evaluate_corpus
+from posepartition.infer import JointEstimate, PersonPose, PoseSet
+from posepartition.iojson import load_json, poses_from_doc, poses_to_doc, report_to_doc, save_json
+from posepartition.scene import load_scene, save_scene
 
 
 def run(*argv):
@@ -161,11 +165,11 @@ def test_invalid_eval_filter_exits_three(tmp_path):
     (poses_dir / scene.name).write_text(
         json.dumps({"height": 256, "width": 256, "poses": []})
     )
-    code = run(
-        "eval", "--poses", poses_dir, "--scenes", scenes,
-        "--out", tmp_path / "r.json", "--min-joints", "0",
-    )
-    assert code == EXIT_CONFIG
+    for flags in (["--min-joints", "0"], ["--fallback-px", "inf"]):
+        code = run(
+            "eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json", *flags
+        )
+        assert code == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command", ["eval", "render"])
@@ -204,12 +208,80 @@ def test_config_subcommand(tmp_path, capsys):
     bad.write_text("{broken")
     assert run("config", "--check", bad) == EXIT_CONFIG
 
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"detector": {"nms_radus": 9}}))
+    assert run("config", "--check", typo) == EXIT_CONFIG
+    assert "unknown detector keys: nms_radus" in capsys.readouterr().err
+
 
 def test_config_number_beyond_float_range_exits_three(tmp_path, capsys):
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"forward": {"sigma": 10**400}}))
     assert run("config", "--check", cfg) == EXIT_CONFIG
     assert "forward.sigma is too large" in capsys.readouterr().err
+
+
+def test_corpus_defaults_are_the_corpus_spec_defaults(tmp_path):
+    out = tmp_path / "cli"
+    assert run("corpus", "--out-dir", out, "--num-scenes", 2) == EXIT_OK
+    expected = tmp_path / "api"
+    expected.mkdir()
+    for i, scene in enumerate(generate_corpus(CorpusSpec(num_scenes=2), 0)):
+        save_scene(scene, expected / ("scene_%04d.json" % i))
+    got = sorted(out.iterdir())
+    assert [f.name for f in got] == ["scene_0000.json", "scene_0001.json"]
+    for f in got:
+        assert f.read_bytes() == (expected / f.name).read_bytes()
+
+
+def test_eval_defaults_are_the_match_params_defaults(tmp_path):
+    scenes = make_corpus(tmp_path, n=2)
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    for f in sorted(scenes.glob("*.json")):
+        scene = load_scene(f)
+        poses = [
+            PersonPose(
+                joints=tuple(JointEstimate((int(x) + 3, int(y)), 0.9) for x, y in person.joints),
+                final_centroid=(0.0, 0.0),
+            )
+            for person in scene.persons
+        ]
+        # One single-joint, low-score pose: kept only while the filters are off.
+        stray = (JointEstimate((5, 5), 0.05),) + (None,) * (scene.num_joints - 1)
+        poses.append(PersonPose(joints=stray, final_centroid=(5.0, 5.0)))
+        save_json(poses_to_doc(PoseSet(tuple(poses)), scene.height, scene.width), poses_dir / f.name)
+    report = tmp_path / "report.json"
+    assert run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", report) == EXIT_OK
+    pairs = [
+        (poses_from_doc(load_json(poses_dir / f.name))[0], load_scene(f))
+        for f in sorted(scenes.glob("*.json"))
+    ]
+    expected = report_to_doc(evaluate_corpus(pairs, MatchParams()))
+    assert load_json(report) == json.loads(json.dumps(expected))
+    assert load_json(report) != json.loads(
+        json.dumps(report_to_doc(evaluate_corpus(pairs, MatchParams(min_joints=2))))
+    )
+
+
+def test_non_finite_separation_exits_three(tmp_path, capsys):
+    code = run("corpus", "--out-dir", tmp_path, "--num-scenes", 1, "--separation", "nan")
+    assert code == EXIT_CONFIG
+    assert "min_separation must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_head_box_exits_two(tmp_path, capsys):
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(iter(scenes.glob("*.json")))
+    doc = load_json(scene)
+    doc["persons"][0]["head_box"] = [0, 0, "X", 10]
+    scene.write_text(json.dumps(doc).replace('"X"', "Infinity"))
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    (poses_dir / scene.name).write_text(json.dumps({"height": 256, "width": 256, "poses": []}))
+    code = run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
+    assert code == EXIT_INPUT
+    assert "head box is not finite" in capsys.readouterr().err
 
 
 def test_malformed_joint_spec_exits_two_or_three(tmp_path):

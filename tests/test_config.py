@@ -1,5 +1,6 @@
 """Pipeline configuration document parsing and validation."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,6 @@ def test_non_default_round_trip():
         radius=6.0,
         nms_radius=2,
         link_threshold=12.5,
-        vote_weights=tuple(0.5 for _ in range(16)),
     )
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
@@ -51,6 +51,22 @@ def test_empty_document_means_defaults():
 def test_unknown_keys_are_rejected():
     with pytest.raises(ConfigurationError, match="sigma_px"):
         config_from_dict({"sigma_px": 7})
+    for doc, message in (
+        ({"forward": {"sigma": 3, "sigmaa": 1}}, "unknown forward keys: sigmaa"),
+        ({"detector": {"nms_radus": 9}}, "unknown detector keys: nms_radus"),
+        ({"cluster": {"link": 5}}, "unknown cluster keys: link"),
+    ):
+        with pytest.raises(ConfigurationError, match=message):
+            config_from_dict(doc)
+
+
+def test_readme_lists_the_default_config():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    expected = config_to_dict(PipelineConfig())
+    del expected["joint_spec"]
+    assert json.loads(block) == expected
 
 
 def test_bad_values_are_rejected():
@@ -64,8 +80,6 @@ def test_bad_values_are_rejected():
         config_from_dict({"cluster": {"link_threshold": -5}})
     with pytest.raises(ConfigurationError):
         config_from_dict({"cluster": {"link_threshold": True}})
-    with pytest.raises(ConfigurationError):
-        config_from_dict({"cluster": {"weights": "all"}})
     with pytest.raises(ConfigurationError, match="integer"):
         config_from_dict({"detector": {"nms_radius": 3.5}})
     with pytest.raises(ConfigurationError, match="integer"):
@@ -81,17 +95,11 @@ def test_bad_values_are_rejected():
         {"forward": {"sigma": 10**400}},
         {"forward": {"radius": -(10**400)}},
         {"cluster": {"link_threshold": 10**400}},
-        {"cluster": {"weights": [1.0] * 15 + [10**400]}},
     ],
 )
 def test_integers_beyond_float_range_are_configuration_errors(doc):
     with pytest.raises(ConfigurationError, match="too large"):
         config_from_dict(doc)
-
-
-def test_weight_count_must_match_the_layout():
-    with pytest.raises(ConfigurationError, match="weights"):
-        config_from_dict({"cluster": {"weights": [1.0, 2.0]}})
 
 
 def test_cluster_params_resolve_auto_threshold():
@@ -105,6 +113,10 @@ def test_removed_keys_are_rejected_as_unknown():
     for key, value in (("loss_alpha", 1.0), ("seed", 0)):
         with pytest.raises(ConfigurationError, match="unknown config keys: %s" % key):
             config_from_dict({key: value})
+    # A dump from before the vote weights were dropped holds "weights": null.
+    for weights in (None, [1.0] * 16):
+        with pytest.raises(ConfigurationError, match="unknown cluster keys: weights"):
+            config_from_dict({"cluster": {"link_threshold": "auto", "weights": weights}})
 
 
 def test_stage_param_accessors_share_tau():

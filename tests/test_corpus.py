@@ -117,8 +117,9 @@ def test_corpus_spec_validation():
         CorpusSpec(min_persons=0)
     with pytest.raises(ParameterError):
         CorpusSpec(min_persons=3, max_persons=2)
-    with pytest.raises(ParameterError):
-        CorpusSpec(min_separation=-1.0)
+    for separation in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="min_separation"):
+            CorpusSpec(min_separation=separation)
     with pytest.raises(ParameterError):
         CorpusSpec(jitter=-1)
     with pytest.raises(ParameterError):

@@ -185,8 +185,9 @@ def test_min_score_filter_uses_the_mean_joint_score():
 def test_match_params_validation():
     with pytest.raises(ParameterError):
         MatchParams(pckh_fraction=0.0)
-    with pytest.raises(ParameterError):
-        MatchParams(fallback_px=0.0)
+    for fallback in (0.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="fallback_px"):
+            MatchParams(fallback_px=fallback)
     with pytest.raises(ParameterError):
         MatchParams(min_joints=0)
     with pytest.raises(ParameterError):

@@ -291,6 +291,12 @@ def test_scene_json_schema_errors():
     with pytest.raises(SchemaError):
         scene_from_dict(bad_scene)
 
+    # Python's json reads the NaN and Infinity tokens.
+    for token in ("Infinity", "NaN"):
+        text = json.dumps(dict(good, persons=[dict(good["persons"][0], head_box=[0, 0, "X", 10])]))
+        with pytest.raises(SchemaError, match="person 0 head box is not finite"):
+            scene_from_dict(json.loads(text.replace('"X"', token)))
+
 
 @pytest.mark.parametrize(
     "key, value",
