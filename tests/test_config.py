@@ -113,8 +113,12 @@ def test_removed_keys_are_rejected_as_unknown():
     for key, value in (("loss_alpha", 1.0), ("seed", 0)):
         with pytest.raises(ConfigurationError, match="unknown config keys: %s" % key):
             config_from_dict({key: value})
-    # A dump from before the vote weights were dropped holds "weights": null.
-    for weights in (None, [1.0] * 16):
+
+
+def test_weight_count_must_match_the_layout():
+    # Per-joint vote weights are no longer configurable, so no count fits:
+    # every "weights" list is rejected, and so is an old dump's null.
+    for weights in ([1.0, 2.0], [1.0] * 16, None):
         with pytest.raises(ConfigurationError, match="unknown cluster keys: weights"):
             config_from_dict({"cluster": {"link_threshold": "auto", "weights": weights}})
 
