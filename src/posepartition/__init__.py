@@ -22,7 +22,6 @@ from .errors import (
 )
 from .evaluate import (
     EvalReport,
-    HeadSizeSource,
     MatchParams,
     average_precision,
     count_metrics,

@@ -1,6 +1,6 @@
 """Seeded synthetic scene generation.
 
-Scenes hold 1..N copies of a jittered humanoid joint template placed by
+Scenes hold 1..N copies of the jittered humanoid joint template placed by
 rejection sampling so person centroids keep a minimum separation.  All
 coordinates are integers and every draw comes from one seeded generator, so
 a given (spec, seed) pair always produces the same scenes byte for byte.
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -38,6 +37,8 @@ HUMANOID_TEMPLATE: dict[str, tuple[float, float]] = {
     "l_ankle": (15.0, 60.0),
 }
 
+MAX_ATTEMPTS = 2000  # placements tried per scene before giving up
+
 
 @dataclass(frozen=True)
 class CorpusSpec:
@@ -50,7 +51,6 @@ class CorpusSpec:
     height: int = 256
     width: int = 256
     jitter: int = 4
-    max_attempts: int = 2000
 
     def __post_init__(self) -> None:
         if self.num_scenes < 0:
@@ -66,19 +66,15 @@ class CorpusSpec:
             raise ParameterError("canvas must be at least 1x1")
         if self.jitter < 0:
             raise ParameterError("jitter must be non-negative")
-        if self.max_attempts < 1:
-            raise ParameterError("max_attempts must be positive")
 
 
-def _anchor_box(
-    spec: CorpusSpec, template: Mapping[str, tuple[float, float]]
-) -> tuple[int, int, int, int]:
+def _anchor_box(spec: CorpusSpec) -> tuple[int, int, int, int]:
     """Inclusive anchor bounds keeping every jittered joint inside the canvas."""
     pad = spec.jitter
-    xlo = -min(dx for dx, _ in template.values()) + pad
-    xhi = spec.width - 1 - (max(dx for dx, _ in template.values()) + pad)
-    ylo = -min(dy for _, dy in template.values()) + pad
-    yhi = spec.height - 1 - (max(dy for _, dy in template.values()) + pad)
+    xlo = -min(dx for dx, _ in HUMANOID_TEMPLATE.values()) + pad
+    xhi = spec.width - 1 - (max(dx for dx, _ in HUMANOID_TEMPLATE.values()) + pad)
+    ylo = -min(dy for _, dy in HUMANOID_TEMPLATE.values()) + pad
+    yhi = spec.height - 1 - (max(dy for _, dy in HUMANOID_TEMPLATE.values()) + pad)
     xlo, ylo = math.ceil(xlo), math.ceil(ylo)
     xhi, yhi = math.floor(xhi), math.floor(yhi)
     if xlo > xhi or ylo > yhi:
@@ -89,24 +85,16 @@ def _anchor_box(
     return xlo, xhi, ylo, yhi
 
 
-def generate_corpus(
-    spec: CorpusSpec,
-    seed: int,
-    template: Mapping[str, tuple[float, float]] | None = None,
-) -> list[Scene]:
+def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
     """Generate the corpus deterministically from one seed.
 
-    Raises ConfigurationError when a scene's rejection sampling budget runs
+    Raises ConfigurationError when a scene's MAX_ATTEMPTS placements run
     out, which signals an infeasible crowding/separation combination.
     """
-    template = dict(template) if template is not None else dict(HUMANOID_TEMPLATE)
     layout = mpii_joint_layout()
-    missing = [js.name for js in layout if js.name not in template]
-    if missing:
-        raise ConfigurationError("template lacks offsets for joints: %s" % ", ".join(missing))
     rng = np.random.default_rng(seed)
-    xlo, xhi, ylo, yhi = _anchor_box(spec, template)
-    offsets = [template[js.name] for js in layout]
+    xlo, xhi, ylo, yhi = _anchor_box(spec)
+    offsets = [HUMANOID_TEMPLATE[js.name] for js in layout]
 
     scenes = []
     for _ in range(spec.num_scenes):
@@ -115,10 +103,10 @@ def generate_corpus(
         centroids: list[tuple[float, float]] = []
         attempts = 0
         while len(persons) < n_persons:
-            if attempts >= spec.max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 raise ConfigurationError(
                     "failed to place %d persons with separation %g after %d attempts"
-                    % (n_persons, spec.min_separation, spec.max_attempts)
+                    % (n_persons, spec.min_separation, MAX_ATTEMPTS)
                 )
             attempts += 1
             ax = int(rng.integers(xlo, xhi + 1))

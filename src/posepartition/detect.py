@@ -56,7 +56,14 @@ def _float32_ceil(value: float) -> np.float32:
     return t
 
 
-def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
+def _reject(bad: np.ndarray, flat_idx: np.ndarray, what: str, h: int, w: int) -> None:
+    """Raise ParameterError naming the first pixel flat_idx[i] with bad[i]."""
+    if bad.any():
+        j, rest = divmod(int(flat_idx[bad.argmax()]), h * w)
+        raise ParameterError("confidence map of joint %d is %s at (%d, %d)" % (j, what, rest % w, rest // w))
+
+
+def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, h: int, w: int) -> np.ndarray:
     """Mask over flat indices idx (values v) of pixels >= their in-grid left
     and right neighbors, a necessary condition for a strict local maximum.
 
@@ -64,12 +71,16 @@ def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, w: int) -> np.
     only a pixel or two per row pass, so the full neighbor test that
     follows runs on a few percent of the pixels at or above tau.
     mode="clip" keeps idx - 1 and idx + 1 inside the array; the row-end
-    masks discard what those reads return there.
+    masks discard what those reads return there.  NaN fails every
+    comparison, so an in-grid NaN neighbor, which would silently veto the
+    pixel, raises ParameterError instead.
     """
     xs = idx % w
-    left_ok = (xs == 0) | (v >= np.take(flat, idx - 1, mode="clip"))
-    right_ok = (xs == w - 1) | (v >= np.take(flat, idx + 1, mode="clip"))
-    return left_ok & right_ok
+    lo, hi = idx - 1, idx + 1
+    left, right = np.take(flat, lo, mode="clip"), np.take(flat, hi, mode="clip")
+    _reject(np.isnan(left) & (xs > 0), lo, "NaN", h, w)
+    _reject(np.isnan(right) & (xs < w - 1), hi, "NaN", h, w)
+    return ((xs == 0) | (v >= left)) & ((xs == w - 1) | (v >= right))
 
 
 def _strict_peaks(
@@ -91,7 +102,9 @@ def _strict_peaks(
             if dy == 0 and dx == 0:
                 continue
             inside = row_ok[dy] & col_ok[dx]
-            nv = flat[np.where(inside, idx + (dy * w + dx), idx)]
+            nidx = np.where(inside, idx + (dy * w + dx), idx)
+            nv = flat[nidx]
+            _reject(np.isnan(nv), nidx, "NaN", h, w)
             ge_all &= v >= nv
             gt_any |= v > nv
     return ge_all & gt_any
@@ -102,7 +115,8 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
 
     The output is sorted by (joint_id, descending score, row-major position)
     and does not depend on how the maps are traversed internally.  A pixel
-    at or above tau that is +inf raises ParameterError.
+    at or above tau that is +inf, or a NaN neighbor of one, raises
+    ParameterError.
     """
     params = params or DetectorParams()
     radius = params.nms_radius
@@ -110,14 +124,10 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
     flat = conf.values.ravel()
     idx = np.flatnonzero(flat >= _float32_ceil(params.tau))
     v = flat[idx]
-    # NaN never reaches tau, so the max over these pixels is +inf exactly
-    # when one of them is; it would make a candidate of infinite score.
-    if v.size and v.max() == np.inf:
-        j, rest = divmod(int(idx[v.argmax()]), h * w)
-        raise ParameterError(
-            "confidence map of joint %d is +inf at (%d, %d)" % (j, rest % w, rest // w)
-        )
-    idx = idx[_row_maxima(flat, idx, v, w)]
+    # A +inf pixel would make a candidate of infinite score and the energy
+    # trace non-finite.
+    _reject(v == np.inf, idx, "+inf", h, w)
+    idx = idx[_row_maxima(flat, idx, v, h, w)]
     js, rest = np.divmod(idx, h * w)
     ys, xs = np.divmod(rest, w)
     peak = _strict_peaks(flat, idx, ys, xs, h, w)

@@ -2,15 +2,14 @@
 
 Predicted poses are matched one-to-one to ground-truth persons greedily by
 the number of joints falling within the PCKh distance (a fraction of the
-person's head size).  Average precision per joint category is the area
-under the interpolated precision/recall curve over score-ranked predictions,
-reported in [0, 100].
+person's neck-to-head-top distance).  Average precision per joint category
+is the area under the interpolated precision/recall curve over score-ranked
+predictions, reported in [0, 100].
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -22,27 +21,20 @@ from .scene import Scene, JointGroup
 HEAD_TOP_NAME = "head_top"
 
 
-class HeadSizeSource(str, Enum):
-    """Where the per-person PCKh reference length comes from."""
-
-    ANNOTATION_BOX = "annotation_box"
-    JOINT_DISTANCE = "joint_distance"
-
-
 @dataclass(frozen=True)
 class MatchParams:
     """Evaluation protocol knobs.
 
-    pckh_fraction scales the head size into the hit distance.  When a person
-    offers no usable head size, fallback_px (an absolute pixel distance) is
-    used instead if set, otherwise evaluation fails for that person.
+    pckh_fraction scales the head size (the neck-to-head-top distance) into
+    the hit distance.  When a person offers no usable head size, fallback_px
+    (an absolute pixel distance) is used instead if set, otherwise
+    evaluation fails for that person.
     Predicted poses with fewer than min_joints assigned joints, or whose mean
     joint score falls below min_score, are discarded before matching and
     scoring (the usual low-quality-assembly filter).
     """
 
     pckh_fraction: float = 0.5
-    head_size_source: HeadSizeSource = HeadSizeSource.JOINT_DISTANCE
     fallback_px: float | None = None
     min_joints: int = 1
     min_score: float | None = None
@@ -82,32 +74,27 @@ class PoseMatch:
 
 
 def _hit_distance(scene: Scene, person_idx: int, params: MatchParams) -> float:
-    """PCKh radius for one ground-truth person."""
+    """PCKh radius for one ground-truth person (see MatchParams)."""
     person = scene.persons[person_idx]
     size = None
-    if params.head_size_source is HeadSizeSource.JOINT_DISTANCE:
-        neck_id = next(
-            js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK
-        )
-        head_id = next(
-            (js.joint_id for js in scene.joint_layout if js.name == HEAD_TOP_NAME), None
-        )
-        if head_id is not None:
-            a = person.joints[neck_id]
-            b = person.joints[head_id]
-            if a is not None and b is not None:
-                size = math.dist(a, b)
-    else:
-        if person.head_box is not None:
-            x0, y0, x1, y1 = person.head_box
-            size = math.hypot(x1 - x0, y1 - y0)
+    neck_id = next(
+        js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK
+    )
+    head_id = next(
+        (js.joint_id for js in scene.joint_layout if js.name == HEAD_TOP_NAME), None
+    )
+    if head_id is not None:
+        a = person.joints[neck_id]
+        b = person.joints[head_id]
+        if a is not None and b is not None:
+            size = math.dist(a, b)
     if size is not None and size > 0:
         return params.pckh_fraction * size
     if params.fallback_px is not None:
         return params.fallback_px
     raise EvaluationError(
-        "person %d has no usable head size (%s) and no fallback distance is set"
-        % (person_idx, params.head_size_source.value)
+        "person %d has no usable head size (neck to head top) and no fallback distance is set"
+        % person_idx
     )
 
 

@@ -7,6 +7,7 @@ Candidates and poses are read back; partitions and reports are only written.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,11 @@ __all__ = [
     "load_json",
     "save_json",
 ]
+
+
+def _is_finite(v) -> bool:
+    """A JSON number within float range (json reads NaN and Infinity)."""
+    return _is_num(v) and abs(v) <= sys.float_info.max
 
 
 def load_json(path) -> dict | list:
@@ -70,7 +76,7 @@ def candidates_from_doc(doc) -> list[JointCandidate]:
             _is_int(entry["joint"]) and _is_int(entry["x"]) and _is_int(entry["y"]),
             "candidates[%d] joint and position must be integers" % i,
         )
-        _require(_is_num(entry["score"]), "candidates[%d].score must be a number" % i)
+        _require(_is_finite(entry["score"]), "candidates[%d].score must be a finite number" % i)
         out.append(
             JointCandidate(
                 joint_id=entry["joint"],
@@ -151,14 +157,14 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
                 continue
             _require(
                 isinstance(pos, list) and len(pos) == 2
-                and all(_is_int(v) for v in pos) and _is_num(sc),
-                "poses[%d].joints[%d] must be [x, y] integers with a numeric score" % (pi, j),
+                and all(_is_int(v) for v in pos) and _is_finite(sc),
+                "poses[%d].joints[%d] must be [x, y] integers with a finite score" % (pi, j),
             )
             slots.append(JointEstimate(position=(pos[0], pos[1]), score=float(sc)))
         cent = entry["centroid"]
         _require(
-            isinstance(cent, list) and len(cent) == 2 and all(_is_num(v) for v in cent),
-            "poses[%d].centroid must be [x, y]" % pi,
+            isinstance(cent, list) and len(cent) == 2 and all(_is_finite(v) for v in cent),
+            "poses[%d].centroid must be finite [x, y]" % pi,
         )
         poses.append(
             PersonPose(joints=tuple(slots), final_centroid=(float(cent[0]), float(cent[1])))

@@ -106,16 +106,8 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
     exponential has unit variance by construction, so the value is only
     meaningful relative to other locations.
     """
-    px, py = point
-    total = 0.0
-    for vote in votes:
-        w = params.weight_of(vote.source.joint_id)
-        if w == 0.0:
-            continue
-        dx = vote.point[0] - px
-        dy = vote.point[1] - py
-        total += w * math.exp(-(dx * dx + dy * dy))
-    return total
+    pts = np.array([v.point for v in votes], dtype=np.float64).reshape(-1, 2)
+    return _density_sum(point, pts, [params.weight_of(v.source.joint_id) for v in votes])[0]
 
 
 # math.exp(-x) is exactly 0.0 for every x >= 745.14 (the result rounds below
@@ -124,28 +116,33 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
 _EXP_UNDERFLOW_SQ_DIST = 746.0
 
 
-def _log_vote_density(point: tuple[float, float], pts: np.ndarray, weights: Sequence[float]) -> float:
-    """log(vote_density) at point for votes at pts (canonical order) with
-    per-vote weights, finite whenever some vote has a positive weight.
-
-    The direct sum runs over the votes that are not 746 or more squared
-    pixels from the point, in canonical order, with vote_density's
-    arithmetic, so wherever it is positive it equals log(vote_density) bit
-    for bit.  When it is 0 (every term underflows), the log-sum-exp form
-    over every vote gives the value instead.  Only votes that all weigh 0
-    (or no votes) score -inf.
-    """
+def _density_sum(point: tuple[float, float], pts: np.ndarray, weights: Sequence[float]) -> tuple:
+    """(vote_density at point for votes at pts with per-vote weights, squared
+    distances): the sum runs in the given order and skips only terms that are
+    exactly 0 (zero weight, or 746 or more squared pixels away)."""
     px, py = point
     dx = pts[:, 0] - px
     dy = pts[:, 1] - py
     sq = dx * dx + dy * dy
-    # "not >=" keeps NaN distances in the sum, as vote_density does.
+    # "not >=" keeps NaN distances, whose NaN terms the sum must carry.
     near = np.flatnonzero(~(sq >= _EXP_UNDERFLOW_SQ_DIST))
     density = 0.0
     for i, d2 in zip(near.tolist(), sq[near].tolist()):
         w = weights[i]
         if w != 0.0:
             density += w * math.exp(-d2)
+    return density, sq
+
+
+def _log_vote_density(point: tuple[float, float], pts: np.ndarray, weights: Sequence[float]) -> float:
+    """log(vote_density) at point for votes at pts (canonical order) with
+    per-vote weights, finite whenever some vote has a positive weight.
+
+    Wherever the direct sum is positive this is its log.  When it is 0
+    (every term underflows), the log-sum-exp form over every vote gives the
+    value instead.  Only votes that all weigh 0 (or no votes) score -inf.
+    """
+    density, sq = _density_sum(point, pts, weights)
     if density > 0.0:
         return math.log(density)
     terms = [math.log(w) - d2 for w, d2 in zip(weights, sq.tolist()) if w > 0.0]

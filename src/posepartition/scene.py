@@ -3,7 +3,8 @@
 A scene is a pixel canvas plus a joint layout (one JointSpec per joint
 category) and a list of person annotations.  Coordinates are (x, y) with x
 growing rightward, y growing downward, and the origin at the center of the
-top-left pixel, so valid positions live in [0, W) x [0, H).
+top-left pixel, so valid positions live in [0, W) x [0, H).  Readers ignore
+unknown keys, so files that carry extra keys still load.
 """
 from __future__ import annotations
 
@@ -31,23 +32,21 @@ class JointSpec:
     """Static description of one joint category.
 
     inference_rank is the position of the category in the greedy assembly
-    order (0 first).  mirror_id names the partner category under a horizontal
-    flip; midline joints point at themselves.
+    order (0 first).
     """
 
     joint_id: int
     name: str
     group: JointGroup
     inference_rank: int
-    mirror_id: int
 
 
 def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
     """Check the structural invariants of a joint layout.
 
     Ids and ranks must each be a permutation of 0..K-1, exactly one joint is
-    the neck, the rank order must visit neck, then torso, then limb joints,
-    and the mirror table must be an involution.
+    the neck, and the rank order must visit neck, then torso, then limb
+    joints.
     """
     k = len(layout)
     if k == 0:
@@ -72,34 +71,28 @@ def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
                 "%s (rank %d) comes after a later group" % (js.name, js.inference_rank)
             )
         seen = idx
-    by_id = {js.joint_id: js for js in layout}
-    for js in layout:
-        if js.mirror_id not in by_id:
-            raise AnnotationError("mirror id %d of %s is not a joint id" % (js.mirror_id, js.name))
-        if by_id[js.mirror_id].mirror_id != js.joint_id:
-            raise AnnotationError("mirror table is not an involution at %s" % js.name)
 
 
 def mpii_joint_layout() -> tuple[JointSpec, ...]:
-    """Default 16-joint layout with MPII ordering and left/right pairing."""
-    # (joint_id, name, group, inference_rank, mirror_id)
+    """Default 16-joint layout with MPII ordering."""
+    # (joint_id, name, group, inference_rank)
     rows = [
-        (0, "r_ankle", JointGroup.LIMB, 10, 5),
-        (1, "r_knee", JointGroup.LIMB, 8, 4),
-        (2, "r_hip", JointGroup.TORSO, 4, 3),
-        (3, "l_hip", JointGroup.TORSO, 5, 2),
-        (4, "l_knee", JointGroup.LIMB, 9, 1),
-        (5, "l_ankle", JointGroup.LIMB, 11, 0),
-        (6, "pelvis", JointGroup.TORSO, 2, 6),
-        (7, "thorax", JointGroup.TORSO, 1, 7),
-        (8, "neck", JointGroup.NECK, 0, 8),
-        (9, "head_top", JointGroup.TORSO, 3, 9),
-        (10, "r_wrist", JointGroup.LIMB, 14, 15),
-        (11, "r_elbow", JointGroup.LIMB, 12, 14),
-        (12, "r_shoulder", JointGroup.TORSO, 6, 13),
-        (13, "l_shoulder", JointGroup.TORSO, 7, 12),
-        (14, "l_elbow", JointGroup.LIMB, 13, 11),
-        (15, "l_wrist", JointGroup.LIMB, 15, 10),
+        (0, "r_ankle", JointGroup.LIMB, 10),
+        (1, "r_knee", JointGroup.LIMB, 8),
+        (2, "r_hip", JointGroup.TORSO, 4),
+        (3, "l_hip", JointGroup.TORSO, 5),
+        (4, "l_knee", JointGroup.LIMB, 9),
+        (5, "l_ankle", JointGroup.LIMB, 11),
+        (6, "pelvis", JointGroup.TORSO, 2),
+        (7, "thorax", JointGroup.TORSO, 1),
+        (8, "neck", JointGroup.NECK, 0),
+        (9, "head_top", JointGroup.TORSO, 3),
+        (10, "r_wrist", JointGroup.LIMB, 14),
+        (11, "r_elbow", JointGroup.LIMB, 12),
+        (12, "r_shoulder", JointGroup.TORSO, 6),
+        (13, "l_shoulder", JointGroup.TORSO, 7),
+        (14, "l_elbow", JointGroup.LIMB, 13),
+        (15, "l_wrist", JointGroup.LIMB, 15),
     ]
     return tuple(JointSpec(*row) for row in rows)
 
@@ -109,17 +102,11 @@ class PersonAnnotation:
     """One person: a joint position (or None) per category.
 
     centroid is optional; when None the person's reference point is derived
-    as the mean of the annotated joints.  head_box is an optional (x0, y0,
-    x1, y1) head bounding box used only by box-based evaluation.
+    as the mean of the annotated joints.
     """
 
     joints: tuple[Position | None, ...]
     centroid: Position | None = None
-    head_box: tuple[float, float, float, float] | None = None
-
-    def present(self) -> list[tuple[int, Position]]:
-        """Annotated (joint_id, position) pairs in id order."""
-        return [(j, p) for j, p in enumerate(self.joints) if p is not None]
 
 
 def derive_centroid(person: PersonAnnotation) -> Position:
@@ -184,9 +171,8 @@ class Scene:
                     raise AnnotationError(
                         "person %d joint %d at (%g, %g) is outside the canvas" % (i, j, x, y)
                     )
-            for what, values in (("centroid", person.centroid), ("head box", person.head_box)):
-                if values is not None and not all(map(math.isfinite, values)):
-                    raise AnnotationError("person %d %s is not finite" % (i, what))
+            if person.centroid is not None and not all(map(math.isfinite, person.centroid)):
+                raise AnnotationError("person %d centroid is not finite" % i)
 
 
 # --- JSON codec ------------------------------------------------------------
@@ -222,7 +208,6 @@ def layout_to_doc(layout: Sequence[JointSpec]) -> list:
             "name": js.name,
             "group": js.group.value,
             "rank": js.inference_rank,
-            "mirror_id": js.mirror_id,
         }
         for js in layout
     ]
@@ -234,9 +219,9 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
     layout = []
     for i, entry in enumerate(doc):
         _require(isinstance(entry, dict), "joint_spec[%d] must be an object" % i)
-        for key in ("id", "name", "group", "rank", "mirror_id"):
+        for key in ("id", "name", "group", "rank"):
             _require(key in entry, "joint_spec[%d] is missing %r" % (i, key))
-        for key in ("id", "rank", "mirror_id"):
+        for key in ("id", "rank"):
             _require(_is_int(entry[key]), "joint_spec[%d].%s must be an integer" % (i, key))
         _require(isinstance(entry["name"], str), "joint_spec[%d].name must be a string" % i)
         _require(
@@ -249,7 +234,6 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
                 name=entry["name"],
                 group=_GROUP_NAMES[entry["group"]],
                 inference_rank=entry["rank"],
-                mirror_id=entry["mirror_id"],
             )
         )
     try:
@@ -260,9 +244,8 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    persons = []
-    for person in scene.persons:
-        entry: dict = {
+    persons = [
+        {
             "joints": [
                 None if p is None else [_num(p[0]), _num(p[1])] for p in person.joints
             ],
@@ -270,9 +253,8 @@ def scene_to_dict(scene: Scene) -> dict:
             if person.centroid is None
             else [_num(person.centroid[0]), _num(person.centroid[1])],
         }
-        if person.head_box is not None:
-            entry["head_box"] = [_num(v) for v in person.head_box]
-        persons.append(entry)
+        for person in scene.persons
+    ]
     return {
         "height": scene.height,
         "width": scene.width,
@@ -310,15 +292,7 @@ def scene_from_dict(doc: dict) -> Scene:
         )
         cent = entry.get("centroid")
         centroid = None if cent is None else _parse_position(cent, "persons[%d].centroid" % i)
-        head_box = None
-        if entry.get("head_box") is not None:
-            hb = entry["head_box"]
-            _require(
-                isinstance(hb, list) and len(hb) == 4 and all(_is_num(v) for v in hb),
-                "persons[%d].head_box must be [x0, y0, x1, y1]" % i,
-            )
-            head_box = tuple(float(v) for v in hb)
-        persons.append(PersonAnnotation(joints=joints, centroid=centroid, head_box=head_box))
+        persons.append(PersonAnnotation(joints=joints, centroid=centroid))
     scene = Scene(
         height=doc["height"],
         width=doc["width"],

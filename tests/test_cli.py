@@ -5,6 +5,7 @@ import json
 import pytest
 
 from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
+from posepartition.config import PipelineConfig, config_to_dict, load_config
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.infer import JointEstimate, PersonPose, PoseSet
@@ -214,6 +215,20 @@ def test_config_subcommand(tmp_path, capsys):
     assert "unknown detector keys: nms_radus" in capsys.readouterr().err
 
 
+def test_config_dump_with_mirror_ids_passes_the_check(tmp_path, capsys):
+    # Dumps written while joint layouts carried a mirror table hold a
+    # "mirror_id" in every joint_spec entry; readers ignore it.
+    doc = config_to_dict(PipelineConfig())
+    mirrors = (5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 15, 14, 13, 12, 11, 10)
+    for entry, mirror in zip(doc["joint_spec"], mirrors):
+        entry["mirror_id"] = mirror
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc, indent=2) + "\n")
+    assert run("config", "--check", old) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ok"
+    assert load_config(old) == PipelineConfig()
+
+
 def test_config_number_beyond_float_range_exits_three(tmp_path, capsys):
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"forward": {"sigma": 10**400}}))
@@ -270,18 +285,26 @@ def test_non_finite_separation_exits_three(tmp_path, capsys):
     assert "min_separation must be finite" in capsys.readouterr().err
 
 
-def test_non_finite_head_box_exits_two(tmp_path, capsys):
+def test_non_finite_pose_score_exits_two(tmp_path, capsys):
+    # A NaN score has no sort order: before it was rejected, total AP read
+    # 100 with the correct pose first in the file and 50 with it second.
     scenes = make_corpus(tmp_path, n=1)
     scene = next(iter(scenes.glob("*.json")))
-    doc = load_json(scene)
-    doc["persons"][0]["head_box"] = [0, 0, "X", 10]
-    scene.write_text(json.dumps(doc).replace('"X"', "Infinity"))
+    person = load_scene(scene).persons[0]
+    right = {
+        "joints": [list(map(int, p)) for p in person.joints],
+        "scores": [0.5] * 16,
+        "centroid": [10, 10],
+    }
+    wrong = {"joints": [[0, 0]] * 16, "scores": ["X"] * 16, "centroid": [0, 0]}
     poses_dir = tmp_path / "poses"
     poses_dir.mkdir()
-    (poses_dir / scene.name).write_text(json.dumps({"height": 256, "width": 256, "poses": []}))
-    code = run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
-    assert code == EXIT_INPUT
-    assert "head box is not finite" in capsys.readouterr().err
+    for order in ([right, wrong], [wrong, right]):
+        doc = {"height": 256, "width": 256, "poses": order}
+        (poses_dir / scene.name).write_text(json.dumps(doc).replace('"X"', "NaN"))
+        code = run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
+        assert code == EXIT_INPUT
+        assert "finite score" in capsys.readouterr().err
 
 
 def test_malformed_joint_spec_exits_two_or_three(tmp_path):

@@ -132,8 +132,8 @@ def test_stage_param_accessors_share_tau():
 def test_custom_joint_spec_round_trip():
     doc = config_to_dict(PipelineConfig())
     doc["joint_spec"] = [
-        {"id": 0, "name": "neck", "group": "neck", "rank": 0, "mirror_id": 0},
-        {"id": 1, "name": "torso", "group": "torso", "rank": 1, "mirror_id": 1},
+        {"id": 0, "name": "neck", "group": "neck", "rank": 0},
+        {"id": 1, "name": "torso", "group": "torso", "rank": 1},
     ]
     cfg = config_from_dict(doc)
     assert len(cfg.joint_layout) == 2
@@ -144,7 +144,7 @@ def test_custom_joint_spec_round_trip():
 
 @pytest.mark.parametrize(
     "key, value",
-    [("id", "x"), ("id", 0.5), ("id", True), ("rank", "0"), ("mirror_id", None), ("name", 3)],
+    [("id", "x"), ("id", 0.5), ("id", True), ("rank", "0"), ("name", 3)],
 )
 def test_malformed_joint_spec_entries_are_configuration_errors(key, value):
     doc = config_to_dict(PipelineConfig())

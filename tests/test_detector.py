@@ -5,9 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import DetectorParams, JointCandidate, detect_candidates
 from posepartition.errors import ParameterError
 from posepartition.maps import ConfidenceMapSet, build_confidence_maps
+from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
 
@@ -54,7 +56,7 @@ def oracle_detect(values, tau=0.1, nms_radius=3):
 
 
 def test_single_peak_detected_at_annotation():
-    layout = (JointSpec(0, "neck", JointGroup.NECK, 0, 0),)
+    layout = (JointSpec(0, "neck", JointGroup.NECK, 0),)
     scene = Scene(
         height=64,
         width=64,
@@ -136,6 +138,32 @@ def test_infinite_pixel_at_or_above_tau_is_rejected():
     ]
 
 
+def test_nan_neighbor_of_a_pixel_at_or_above_tau_is_rejected():
+    plane = np.zeros((9, 9), dtype=np.float32)
+    plane[4, 0] = 0.8
+    # The pixel before (0, 4) in memory ends the row above: not a neighbor.
+    plane[3, 8] = np.nan
+    assert [c.position for c in detect_candidates(conf_from_planes(plane))] == [(0, 4)]
+    # NaN fails every comparison, so the peak would silently vanish.
+    for y, x in ((4, 1), (3, 0), (5, 1)):
+        bad = plane.copy()
+        bad[y, x] = np.nan
+        with pytest.raises(ParameterError, match=r"joint 0 is NaN at \(%d, %d\)" % (x, y)):
+            detect_candidates(conf_from_planes(bad))
+
+
+def test_nan_beside_a_neck_fails_the_decode():
+    # Before the check, this decode returned 31 of 32 candidates and a
+    # 15-joint pose without an error.
+    scene = generate_corpus(CorpusSpec(num_scenes=1, min_persons=2, max_persons=2), 0)[0]
+    conf, reg = synth_maps(scene)
+    x, y = map(int, scene.persons[0].joints[8])
+    values = conf.values.copy()
+    values[8, y, x + 1] = np.nan
+    with pytest.raises(ParameterError, match=r"joint 8 is NaN at \(%d, %d\)" % (x + 1, y)):
+        decode_maps(ConfidenceMapSet(values), reg)
+
+
 @st.composite
 def detector_inputs(draw):
     """Small maps whose values cluster on a few levels (plateaus), including
@@ -178,8 +206,8 @@ def test_detection_matches_bruteforce_oracle():
 
 def test_detection_complete_on_separated_scenes():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
     )
     rng = np.random.default_rng(103)
     for _ in range(10):

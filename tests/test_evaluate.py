@@ -8,7 +8,6 @@ from posepartition.errors import DimensionError, EvaluationError, ParameterError
 from posepartition.evaluate import (
     CSV_GROUPS,
     EvalReport,
-    HeadSizeSource,
     MatchParams,
     average_precision,
     count_metrics,
@@ -30,10 +29,10 @@ K = 4
 
 def eval_layout():
     return (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "head_top", JointGroup.TORSO, 1, 1),
-        JointSpec(2, "r_limb", JointGroup.LIMB, 2, 3),
-        JointSpec(3, "l_limb", JointGroup.LIMB, 3, 2),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "head_top", JointGroup.TORSO, 1),
+        JointSpec(2, "r_limb", JointGroup.LIMB, 2),
+        JointSpec(3, "l_limb", JointGroup.LIMB, 3),
     )
 
 
@@ -48,10 +47,8 @@ def make_scene(persons, height=128, width=128):
     return scene
 
 
-def person(neck=None, head=None, limbs=(None, None), head_box=None):
-    return PersonAnnotation(
-        joints=(neck, head, limbs[0], limbs[1]), head_box=head_box
-    )
+def person(neck=None, head=None, limbs=(None, None)):
+    return PersonAnnotation(joints=(neck, head, limbs[0], limbs[1]))
 
 
 def pose(estimates):
@@ -136,18 +133,8 @@ def test_hit_distance_from_neck_to_head_top():
     assert outside.pairs == ()
 
 
-def test_hit_distance_from_annotation_box():
-    # A 6x8 head box has diagonal 10, so the radius is 5.
-    params = MatchParams(head_size_source=HeadSizeSource.ANNOTATION_BOX)
-    scene = make_scene([person(neck=(40.0, 40.0), head_box=(0.0, 0.0, 6.0, 8.0))])
-    near = match_poses(PoseSet(poses=(neck_pose(44, 40, 0.9),)), scene, params)
-    assert near.predictions[0].correct
-    far = match_poses(PoseSet(poses=(neck_pose(46, 40, 0.9),)), scene, params)
-    assert not far.predictions[0].correct
-
-
 def test_hit_distance_fallback_and_failure():
-    scene = make_scene([person(neck=(40.0, 40.0))])  # no head_top, no box
+    scene = make_scene([person(neck=(40.0, 40.0))])  # no head_top
     params = MatchParams(fallback_px=7.0)
     m = match_poses(PoseSet(poses=(neck_pose(46, 40, 0.9),)), scene, params)
     assert m.predictions[0].correct
@@ -158,8 +145,9 @@ def test_hit_distance_fallback_and_failure():
 
 
 def test_degenerate_head_box_uses_the_fallback():
-    params = MatchParams(head_size_source=HeadSizeSource.ANNOTATION_BOX, fallback_px=3.0)
-    scene = make_scene([person(neck=(40.0, 40.0), head_box=(5.0, 5.0, 5.0, 5.0))])
+    # Neck and head top coincide: a head size of 0 is not usable.
+    params = MatchParams(fallback_px=3.0)
+    scene = make_scene([person(neck=(40.0, 40.0), head=(40.0, 40.0))])
     m = match_poses(PoseSet(poses=(neck_pose(42, 40, 0.9),)), scene, params)
     assert m.predictions[0].correct
 
@@ -376,7 +364,7 @@ def test_evaluate_corpus_input_validation():
     other = Scene(
         height=64,
         width=64,
-        joint_layout=(JointSpec(0, "neck", JointGroup.NECK, 0, 0),),
+        joint_layout=(JointSpec(0, "neck", JointGroup.NECK, 0),),
         persons=(PersonAnnotation(joints=((10.0, 10.0),)),),
     )
     with pytest.raises(DimensionError):

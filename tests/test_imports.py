@@ -1,4 +1,5 @@
-"""Source hygiene: every module uses each name it imports."""
+"""Source hygiene: every module uses each name it imports, and every
+private top-level name is used somewhere in the package."""
 import ast
 from pathlib import Path
 
@@ -6,9 +7,8 @@ import pytest
 
 import posepartition
 
-MODULES = sorted(
-    p for p in Path(posepartition.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(posepartition.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +42,65 @@ def test_the_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names (a leading underscore, not a dunder) bound by
+    a def, class or assignment that no module references outside the
+    statement binding them, as "module.name"."""
+    defined = []
+    refs = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            nodes = list(ast.walk(stmt))
+            used = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            used |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+            refs.append((stmt, used))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                bound = []
+            for name in bound:
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.append((module, name, stmt))
+    return [
+        "%s.%s" % (module, name)
+        for module, name, stmt in defined
+        if not any(name in used for other, used in refs if other is not stmt)
+    ]
+
+
+def test_the_scan_finds_unused_private_names():
+    sources = {
+        "a": (
+            "__version__ = '1'\n"
+            "_LIMIT = 3\n"
+            "_spare, _pair = 1, 2\n"
+            "def _helper(n):\n"
+            "    return _helper(n - 1)\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def _shared():\n"
+            "    return 1\n"
+            "def _attr():\n"
+            "    return 2\n"
+            "def public(x=_pair):\n"
+            "    return _LIMIT + x\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import _shared\n"
+            "def g():\n"
+            "    return a._attr() + _shared()\n"
+        ),
+    }
+    assert unused_private_names(sources) == ["a._spare", "a._helper", "a._Unused"]
+
+
+def test_package_has_no_unused_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unused_private_names(sources) == []

@@ -39,10 +39,10 @@ from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
 def four_joint_layout():
     return (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
-        JointSpec(2, "r_limb", JointGroup.LIMB, 2, 3),
-        JointSpec(3, "l_limb", JointGroup.LIMB, 3, 2),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(2, "r_limb", JointGroup.LIMB, 2),
+        JointSpec(3, "l_limb", JointGroup.LIMB, 3),
     )
 
 
@@ -435,7 +435,7 @@ def test_energy_of_an_empty_decode_is_zero():
 
 
 def test_energy_of_a_single_joint_is_its_negated_confidence():
-    layout = (JointSpec(0, "neck", JointGroup.NECK, 0, 0),)
+    layout = (JointSpec(0, "neck", JointGroup.NECK, 0),)
     scene = Scene(
         height=64,
         width=64,

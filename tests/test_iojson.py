@@ -87,6 +87,11 @@ def test_candidates_schema_errors():
         candidates_from_doc([{"joint": 0, "x": 1.5, "y": 2, "score": 0.5}])
     with pytest.raises(SchemaError, match="score"):
         candidates_from_doc([{"joint": 0, "x": 1, "y": 2, "score": "high"}])
+    # Python's json reads the NaN and Infinity tokens.
+    for token in ("NaN", "Infinity", "-Infinity", "1" + "0" * 400):
+        text = '[{"joint": 0, "x": 1, "y": 2, "score": %s}]' % token
+        with pytest.raises(SchemaError, match=r"candidates\[0\]\.score must be a finite number"):
+            candidates_from_doc(json.loads(text))
 
 
 @pytest.mark.parametrize("key", ["joint", "x", "y"])
@@ -171,6 +176,17 @@ def test_poses_schema_errors():
     corrupt(lambda d: d["poses"][0].__setitem__("scores", [None, 0.5, 0.5]))
     corrupt(lambda d: d["poses"][0]["joints"].__setitem__(0, [1.5, 2]))
     corrupt(lambda d: d["poses"][0]["centroid"].append(3))
+    # Python's json reads the NaN and Infinity tokens; a NaN score has no
+    # place in the score order that average precision sweeps.
+    for token in ("NaN", "Infinity", "-Infinity", "1" + "0" * 400):
+        for field, match in (
+            ("scores", r"joints\[0\] .* finite score"),
+            ("centroid", "centroid must be finite"),
+        ):
+            doc = json.loads(json.dumps(good))
+            doc["poses"][0][field][0] = "X"
+            with pytest.raises(SchemaError, match=match):
+                poses_from_doc(json.loads(json.dumps(doc).replace('"X"', token)))
 
 
 def test_report_doc_is_plain_json():

@@ -19,10 +19,10 @@ from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene, 
 
 
 def layout_k(k):
-    """k-joint layout: neck, then torso joints (self-mirrored)."""
-    specs = [JointSpec(0, "neck", JointGroup.NECK, 0, 0)]
+    """k-joint layout: neck, then torso joints."""
+    specs = [JointSpec(0, "neck", JointGroup.NECK, 0)]
     for j in range(1, k):
-        specs.append(JointSpec(j, "t%d" % j, JointGroup.TORSO, j, j))
+        specs.append(JointSpec(j, "t%d" % j, JointGroup.TORSO, j))
     return tuple(specs)
 
 

@@ -175,8 +175,8 @@ def test_embed_scales_offsets_by_the_diagonal():
 
 def test_embed_votes_hit_single_person_centroid():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
     )
     scene = Scene(
         height=80,
@@ -456,9 +456,9 @@ def test_cluster_members_in_canonical_candidate_order():
 
 def test_well_separated_scene_yields_one_partition_per_person():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
-        JointSpec(2, "limb", JointGroup.LIMB, 2, 2),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(2, "limb", JointGroup.LIMB, 2),
     )
     anchors = [(40.0, 40.0), (160.0, 40.0), (100.0, 180.0)]
     persons = tuple(
@@ -488,8 +488,8 @@ def test_well_separated_scene_yields_one_partition_per_person():
 
 def test_scaling_scene_and_threshold_preserves_memberships():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
     )
 
     def build(scale):
@@ -572,8 +572,8 @@ def test_partition_score_sums_log_densities():
 
 def test_partition_score_matches_recomputation_on_scene():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
     )
     persons = (
         PersonAnnotation(joints=((30.0, 30.0), (34.0, 38.0))),

@@ -8,8 +8,8 @@ from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
 def tiny_scene(height=24, width=20):
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
     )
     return Scene(
         height=height,

@@ -27,12 +27,12 @@ from posepartition.scene import (
 
 
 def tiny_layout():
-    """Four-joint layout: one neck, one torso joint, a mirrored limb pair."""
+    """Four-joint layout: one neck, one torso joint, two limb joints."""
     return (
-        JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
-        JointSpec(2, "r_limb", JointGroup.LIMB, 2, 3),
-        JointSpec(3, "l_limb", JointGroup.LIMB, 3, 2),
+        JointSpec(0, "neck", JointGroup.NECK, 0),
+        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(2, "r_limb", JointGroup.LIMB, 2),
+        JointSpec(3, "l_limb", JointGroup.LIMB, 3),
     )
 
 
@@ -70,28 +70,18 @@ def test_layout_validation_rejects_bad_tables():
         validate_joint_layout(())
     # Duplicate id.
     with pytest.raises(AnnotationError):
-        validate_joint_layout((good[0], good[1], good[2], JointSpec(2, "dup", JointGroup.LIMB, 3, 2)))
+        validate_joint_layout((good[0], good[1], good[2], JointSpec(2, "dup", JointGroup.LIMB, 3)))
     # Two necks.
     with pytest.raises(AnnotationError):
-        validate_joint_layout((good[0], JointSpec(1, "neck2", JointGroup.NECK, 1, 1), good[2], good[3]))
+        validate_joint_layout((good[0], JointSpec(1, "neck2", JointGroup.NECK, 1), good[2], good[3]))
     # Limb ranked before a torso joint.
     with pytest.raises(AnnotationError):
         validate_joint_layout(
             (
-                JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-                JointSpec(1, "torso", JointGroup.TORSO, 2, 1),
-                JointSpec(2, "r_limb", JointGroup.LIMB, 1, 3),
-                JointSpec(3, "l_limb", JointGroup.LIMB, 3, 2),
-            )
-        )
-    # Mirror table not an involution.
-    with pytest.raises(AnnotationError):
-        validate_joint_layout(
-            (
-                JointSpec(0, "neck", JointGroup.NECK, 0, 0),
-                JointSpec(1, "torso", JointGroup.TORSO, 1, 1),
-                JointSpec(2, "r_limb", JointGroup.LIMB, 2, 3),
-                JointSpec(3, "l_limb", JointGroup.LIMB, 3, 3),
+                JointSpec(0, "neck", JointGroup.NECK, 0),
+                JointSpec(1, "torso", JointGroup.TORSO, 2),
+                JointSpec(2, "r_limb", JointGroup.LIMB, 1),
+                JointSpec(3, "l_limb", JointGroup.LIMB, 3),
             )
         )
 
@@ -188,7 +178,7 @@ def test_scene_validation_rejects_jointless_person():
 
 
 def seeded_scene():
-    """A 16-joint scene with random absent joints, centroids and head boxes."""
+    """A 16-joint scene with random absent joints and centroids."""
     layout = mpii_joint_layout()
     rng = np.random.default_rng(3)
     persons = []
@@ -205,7 +195,6 @@ def seeded_scene():
             PersonAnnotation(
                 joints=tuple(slots),
                 centroid=(100.5, 90.25) if rng.random() < 0.5 else None,
-                head_box=(10.0, 10.0, 30.0, 40.0) if rng.random() < 0.5 else None,
             )
         )
     scene = Scene(height=220, width=210, joint_layout=layout, persons=tuple(persons))
@@ -215,8 +204,8 @@ def seeded_scene():
 
 @st.composite
 def scenes(draw):
-    """Valid scenes with non-integer joints, absent joints, explicit
-    centroids and head boxes."""
+    """Valid scenes with non-integer joints, absent joints and explicit
+    centroids."""
     height = draw(st.integers(1, 300))
     width = draw(st.integers(1, 300))
     layout = draw(st.sampled_from([tiny_layout(), mpii_joint_layout()]))
@@ -233,7 +222,6 @@ def scenes(draw):
             PersonAnnotation(
                 joints=tuple(slots),
                 centroid=draw(st.none() | st.tuples(finite, finite)),
-                head_box=draw(st.none() | st.tuples(finite, finite, finite, finite)),
             )
         )
     return Scene(height=height, width=width, joint_layout=layout, persons=tuple(persons))
@@ -252,6 +240,20 @@ def test_scene_json_round_trip(tmp_path, scene):
     assert back == scene
     # Serialization is stable: a second dump of the parsed scene is identical.
     assert dump_scene(back) == dump_scene(scene)
+
+
+def test_old_scene_documents_with_mirror_ids_and_head_boxes_load():
+    # Files written while layouts carried a mirror table and persons an
+    # optional head box hold both keys; readers ignore them.
+    scene = seeded_scene()
+    old = scene_to_dict(scene)
+    mirrors = (5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 15, 14, 13, 12, 11, 10)
+    for entry, mirror in zip(old["joint_spec"], mirrors):
+        entry["mirror_id"] = mirror
+    old["persons"][0]["head_box"] = [10, 10, 30, 40.5]
+    old["persons"][1]["head_box"] = None
+    assert scene_from_dict(json.loads(json.dumps(old))) == scene
+    assert "head_box" not in dump_scene(scene) and "mirror_id" not in dump_scene(scene)
 
 
 def test_scene_json_integral_floats_written_as_ints():
@@ -293,8 +295,8 @@ def test_scene_json_schema_errors():
 
     # Python's json reads the NaN and Infinity tokens.
     for token in ("Infinity", "NaN"):
-        text = json.dumps(dict(good, persons=[dict(good["persons"][0], head_box=[0, 0, "X", 10])]))
-        with pytest.raises(SchemaError, match="person 0 head box is not finite"):
+        text = json.dumps(dict(good, persons=[dict(good["persons"][0], centroid=[0, "X"])]))
+        with pytest.raises(SchemaError, match="person 0 centroid is not finite"):
             scene_from_dict(json.loads(text.replace('"X"', token)))
 
 
@@ -307,8 +309,8 @@ def test_scene_json_schema_errors():
         ("id", False),
         ("rank", "0"),
         ("rank", True),
-        ("mirror_id", 1.5),
-        ("mirror_id", None),
+        ("rank", 1.5),
+        ("rank", None),
         ("name", 7),
         ("name", None),
         ("group", "spine"),
