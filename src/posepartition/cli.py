@@ -138,7 +138,8 @@ def _cmd_decode(args) -> int:
 
 
 def _load_poses_for(path, scene: Scene) -> PoseSet:
-    """A poses file whose canvas and per-pose joint slots match the scene."""
+    """A poses file whose canvas and per-pose joint slots match the scene,
+    with every assigned joint on the canvas."""
     poses, h, w = poses_from_doc(load_json(path))
     if (h, w) != (scene.height, scene.width):
         raise SchemaError(
@@ -150,6 +151,9 @@ def _load_poses_for(path, scene: Scene) -> PoseSet:
                 "%s pose %d has %d joint slots, scene has %d"
                 % (path, i, len(pose.joints), scene.num_joints)
             )
+        for j, est in enumerate(pose.joints):
+            if est is not None and not (0 <= est.position[0] < w and 0 <= est.position[1] < h):
+                raise SchemaError("%s pose %d joint %d lies outside the %dx%d canvas" % (path, i, j, w, h))
     return poses
 
 

@@ -56,30 +56,19 @@ def _float32_ceil(value: float) -> np.float32:
     return t
 
 
-def _reject(bad: np.ndarray, flat_idx: np.ndarray, what: str, h: int, w: int) -> None:
-    """Raise ParameterError naming the first pixel flat_idx[i] with bad[i]."""
-    if bad.any():
-        j, rest = divmod(int(flat_idx[bad.argmax()]), h * w)
-        raise ParameterError("confidence map of joint %d is %s at (%d, %d)" % (j, what, rest % w, rest // w))
-
-
-def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, h: int, w: int) -> np.ndarray:
+def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
     """Mask over flat indices idx (values v) of pixels >= their in-grid left
     and right neighbors, a necessary condition for a strict local maximum.
 
     The two reads sit next to each pixel in memory, and on a smooth bump
     only a pixel or two per row pass, so the full neighbor test that
-    follows runs on a few percent of the pixels at or above tau.
-    mode="clip" keeps idx - 1 and idx + 1 inside the array; the row-end
-    masks discard what those reads return there.  NaN fails every
-    comparison, so an in-grid NaN neighbor, which would silently veto the
-    pixel, raises ParameterError instead.
+    follows runs on a few percent of the pixels at or above tau.  The reads
+    are clamped to the array; the row-end masks discard what they return
+    there.
     """
     xs = idx % w
-    lo, hi = idx - 1, idx + 1
-    left, right = np.take(flat, lo, mode="clip"), np.take(flat, hi, mode="clip")
-    _reject(np.isnan(left) & (xs > 0), lo, "NaN", h, w)
-    _reject(np.isnan(right) & (xs < w - 1), hi, "NaN", h, w)
+    left = flat[np.maximum(idx - 1, 0)]
+    right = flat[np.minimum(idx + 1, flat.size - 1)]
     return ((xs == 0) | (v >= left)) & ((xs == w - 1) | (v >= right))
 
 
@@ -102,9 +91,7 @@ def _strict_peaks(
             if dy == 0 and dx == 0:
                 continue
             inside = row_ok[dy] & col_ok[dx]
-            nidx = np.where(inside, idx + (dy * w + dx), idx)
-            nv = flat[nidx]
-            _reject(np.isnan(nv), nidx, "NaN", h, w)
+            nv = flat[np.where(inside, idx + (dy * w + dx), idx)]
             ge_all &= v >= nv
             gt_any |= v > nv
     return ge_all & gt_any
@@ -114,20 +101,25 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
     """Extract thresholded, suppression-thinned peaks from every joint map.
 
     The output is sorted by (joint_id, descending score, row-major position)
-    and does not depend on how the maps are traversed internally.  A pixel
-    at or above tau that is +inf, or a NaN neighbor of one, raises
-    ParameterError.
+    and does not depend on how the maps are traversed internally.  A NaN
+    or +inf pixel anywhere raises ParameterError; -inf is below every tau.
     """
     params = params or DetectorParams()
     radius = params.nms_radius
     _, h, w = conf.values.shape
     flat = conf.values.ravel()
-    idx = np.flatnonzero(flat >= _float32_ceil(params.tau))
+    # "Not below tau" selects NaN too, so the threshold pass also finds every
+    # NaN and +inf pixel: +inf would make a candidate of infinite score and a
+    # non-finite energy trace, and NaN fails every comparison, so it would
+    # silently veto the peaks beside it.
+    idx = np.flatnonzero(~(flat < _float32_ceil(params.tau)))
     v = flat[idx]
-    # A +inf pixel would make a candidate of infinite score and the energy
-    # trace non-finite.
-    _reject(v == np.inf, idx, "+inf", h, w)
-    idx = idx[_row_maxima(flat, idx, v, h, w)]
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        j, rest = divmod(int(idx[bad[0]]), h * w)
+        what = "NaN" if np.isnan(v[bad[0]]) else "+inf"
+        raise ParameterError("confidence map of joint %d is %s at (%d, %d)" % (j, what, rest % w, rest // w))
+    idx = idx[_row_maxima(flat, idx, v, w)]
     js, rest = np.divmod(idx, h * w)
     ys, xs = np.divmod(rest, w)
     peak = _strict_peaks(flat, idx, ys, xs, h, w)

@@ -120,58 +120,40 @@ def match_poses(pred: PoseSet, gt: Scene, params: MatchParams | None = None) -> 
     n_gt = len(gt.persons)
     radii = [_hit_distance(gt, gi, params) for gi in range(n_gt)]
 
-    def hits(pose, gi: int) -> int:
-        person = gt.persons[gi]
-        count = 0
-        for j in range(k):
-            est = pose.joints[j]
-            ref = person.joints[j]
-            if est is None or ref is None:
-                continue
-            if math.dist(est.position, ref) <= radii[gi]:
-                count += 1
-        return count
-
-    scored_pairs = []
-    for pi, (orig_idx, pose) in enumerate(poses):
-        for gi in range(n_gt):
-            c = hits(pose, gi)
-            if c > 0:
-                scored_pairs.append((-c, pi, gi))
-    scored_pairs.sort()
-    used_pose: set[int] = set()
+    # hit[pi, gi]: the joints j of kept pose pi within person gi's hit
+    # distance of gi's joint j, for every pair with at least one.
+    hit: dict[tuple[int, int], list[int]] = {}
+    for pi, (_, pose) in enumerate(poses):
+        for gi, person in enumerate(gt.persons):
+            for j in range(k):
+                est, ref = pose.joints[j], person.joints[j]
+                if est is not None and ref is not None and math.dist(est.position, ref) <= radii[gi]:
+                    hit.setdefault((pi, gi), []).append(j)
+    scored_pairs = sorted((-len(js), pi, gi) for (pi, gi), js in hit.items())
+    matched: dict[int, int] = {}  # kept-pose index -> ground-truth person
     used_gt: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for neg_c, pi, gi in scored_pairs:
-        if pi in used_pose or gi in used_gt:
+    for _, pi, gi in scored_pairs:
+        if pi in matched or gi in used_gt:
             continue
-        used_pose.add(pi)
+        matched[pi] = gi
         used_gt.add(gi)
-        pairs.append((poses[pi][0], gi))
-    matched_gt_of_pose = {p: g for p, g in pairs}
 
     predictions: list[JointPrediction] = []
-    for orig_idx, pose in poses:
-        gi = matched_gt_of_pose.get(orig_idx)
+    for pi, (orig_idx, pose) in enumerate(poses):
         for j in range(k):
             est = pose.joints[j]
-            if est is None:
-                continue
-            correct = False
-            if gi is not None:
-                ref = gt.persons[gi].joints[j]
-                if ref is not None and math.dist(est.position, ref) <= radii[gi]:
-                    correct = True
-            predictions.append(
-                JointPrediction(joint_id=j, score=est.score, correct=correct, pose_index=orig_idx)
-            )
+            if est is not None:
+                correct = pi in matched and j in hit[pi, matched[pi]]
+                predictions.append(
+                    JointPrediction(joint_id=j, score=est.score, correct=correct, pose_index=orig_idx)
+                )
 
     gt_joint_counts = tuple(
         sum(1 for person in gt.persons if person.joints[j] is not None) for j in range(k)
     )
     return PoseMatch(
-        pairs=tuple(pairs),
-        unmatched_poses=tuple(i for i, _ in poses if i not in matched_gt_of_pose),
+        pairs=tuple((poses[pi][0], gi) for pi, gi in matched.items()),
+        unmatched_poses=tuple(i for pi, (i, _) in enumerate(poses) if pi not in matched),
         unmatched_persons=tuple(g for g in range(n_gt) if g not in used_gt),
         predictions=tuple(predictions),
         gt_joint_counts=gt_joint_counts,

@@ -160,6 +160,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     the smallest (id, id) pair, where a cluster's id is the canonical rank of
     its first member (candidates ordered by joint id, descending score,
     row-major position), which makes the outcome independent of input order.
+    A vote point that is not finite raises ParameterError.
     """
     n = len(votes)
     if n == 0:
@@ -168,6 +169,9 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     # emits), so density sums, and hence scores, ignore the input order too.
     canonical = sorted(votes, key=lambda v: v.source.sort_key())
     pts = np.array([v.point for v in canonical], dtype=np.float64)
+    if not np.isfinite(pts).all():
+        c = canonical[int(np.isfinite(pts).all(axis=1).argmin())].source
+        raise ParameterError("vote of joint %d at (%d, %d) is not finite" % (c.joint_id, *c.position))
     weights = [params.weight_of(v.source.joint_id) for v in canonical]
 
     # Cluster state keyed by canonical id (the id of a merged cluster is its

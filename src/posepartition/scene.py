@@ -268,7 +268,11 @@ def _parse_position(obj, what: str) -> Position:
         isinstance(obj, (list, tuple)) and len(obj) == 2 and all(_is_num(v) for v in obj),
         "%s must be a [x, y] number pair" % what,
     )
-    return (float(obj[0]), float(obj[1]))
+    # JSON integers are unbounded; past float's range they cannot be read.
+    try:
+        return (float(obj[0]), float(obj[1]))
+    except OverflowError:
+        raise SchemaError("%s is too large" % what) from None
 
 
 def scene_from_dict(doc: dict) -> Scene:

@@ -193,6 +193,39 @@ def test_poses_with_the_wrong_joint_count_exit_two(tmp_path, capsys, command, sl
     assert "pose 0 has %d joint slots, scene has 16" % slots in err
 
 
+@pytest.mark.parametrize("command", ["eval", "render"])
+@pytest.mark.parametrize("joint", [[10**400, 0], [256, 10], [10, -1]], ids=["huge", "right", "above"])
+def test_poses_with_a_joint_off_the_canvas_exit_two(tmp_path, capsys, command, joint):
+    # Before the check, eval on 10**400 ended in an OverflowError traceback
+    # and render drew its lines pixel by pixel out to the joint.
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(iter(scenes.glob("*.json")))
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    poses = poses_dir / scene.name
+    pose = {"joints": [[10, 10]] * 16, "scores": [0.9] * 16, "centroid": [10.0, 10.0]}
+    pose["joints"][5] = joint
+    poses.write_text(json.dumps({"height": 256, "width": 256, "poses": [pose]}))
+    if command == "eval":
+        code = run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
+    else:
+        code = run("render", "--poses", poses, "--scene", scene, "--out", tmp_path / "o.ppm")
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "%s pose 0 joint 5 lies outside the 256x256 canvas" % poses in err
+
+
+def test_scene_coordinate_past_float_range_exits_two(tmp_path, capsys):
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(iter(scenes.glob("*.json")))
+    doc = json.loads(scene.read_text())
+    doc["persons"][0]["joints"][0] = [10**400, 3]
+    scene.write_text(json.dumps(doc))
+    code = run("synth", "--scene", scene, "--out-conf", tmp_path / "c.pmap", "--out-reg", tmp_path / "r.pmap")
+    assert code == EXIT_INPUT
+    assert "persons[0].joints[0] is too large" in capsys.readouterr().err
+
+
 def test_config_subcommand(tmp_path, capsys):
     assert run("config") == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

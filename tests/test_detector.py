@@ -129,20 +129,27 @@ def test_infinite_pixel_at_or_above_tau_is_rejected():
     other[:] = np.inf
     with pytest.raises(ParameterError, match="joint 1"):
         detect_candidates(conf_from_planes(plane, other))
-    # -inf and NaN never reach tau: they yield no candidate and no error.
+    # -inf never reaches tau: it yields no candidate and no error.
     other[:] = 0.0
     other[6, 3] = -np.inf
-    other[0, 0] = np.nan
     assert detect_candidates(conf_from_planes(plane, other)) == [
         JointCandidate(joint_id=0, position=(5, 2), score=float(np.float32(0.8)))
     ]
+    # NaN is rejected wherever it lies, far from any pixel at or above tau.
+    other[0, 0] = np.nan
+    with pytest.raises(ParameterError, match=r"joint 1 is NaN at \(0, 0\)"):
+        detect_candidates(conf_from_planes(plane, other))
 
 
 def test_nan_neighbor_of_a_pixel_at_or_above_tau_is_rejected():
     plane = np.zeros((9, 9), dtype=np.float32)
     plane[4, 0] = 0.8
-    # The pixel before (0, 4) in memory ends the row above: not a neighbor.
-    plane[3, 8] = np.nan
+    # The pixel before (0, 4) in memory ends the row above: not a neighbor,
+    # but a NaN there is rejected all the same.
+    bad = plane.copy()
+    bad[3, 8] = np.nan
+    with pytest.raises(ParameterError, match=r"joint 0 is NaN at \(8, 3\)"):
+        detect_candidates(conf_from_planes(bad))
     assert [c.position for c in detect_candidates(conf_from_planes(plane))] == [(0, 4)]
     # NaN fails every comparison, so the peak would silently vanish.
     for y, x in ((4, 1), (3, 0), (5, 1)):
@@ -171,7 +178,7 @@ def detector_inputs(draw):
     tau = draw(st.sampled_from([0.1, 0.5, 0.7]) | st.floats(0.01, 0.99))
     t32 = np.float32(tau)
     near = [float(np.nextafter(t32, np.float32(0))), float(t32), float(np.nextafter(t32, np.float32(1)))]
-    levels = st.sampled_from([0.0, 0.3, 1.0] + near) | st.floats(0.0, 1.0, width=32)
+    levels = st.sampled_from([-np.inf, 0.0, 0.3, 1.0] + near) | st.floats(0.0, 1.0, width=32)
     shape = (draw(st.integers(1, 2)), draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     values = draw(arrays(np.float32, shape, elements=levels))
     return values, tau, draw(st.integers(1, 4))
@@ -185,6 +192,21 @@ def test_detection_matches_oracle_on_generated_maps(case):
     values, tau, radius = case
     got = detect_candidates(ConfidenceMapSet(values), DetectorParams(tau=tau, nms_radius=radius))
     assert got == oracle_detect(values, tau=tau, nms_radius=radius)
+
+
+@settings(max_examples=200, deadline=None)
+@given(detector_inputs(), st.data())
+def test_nan_or_inf_anywhere_is_rejected_at_the_first_such_pixel(case, data):
+    values, tau, radius = case
+    values = values.copy()
+    cells = st.tuples(*(st.integers(0, n - 1) for n in values.shape))
+    placed = data.draw(st.lists(st.tuples(cells, st.sampled_from([np.nan, np.inf])), min_size=1, max_size=4))
+    for cell, bad in placed:
+        values[cell] = bad
+    j, y, x = min(cell for cell, _ in placed)
+    what = "NaN" if np.isnan(values[j, y, x]) else r"\+inf"
+    with pytest.raises(ParameterError, match=r"joint %d is %s at \(%d, %d\)" % (j, what, x, y)):
+        detect_candidates(ConfidenceMapSet(values), DetectorParams(tau=tau, nms_radius=radius))
 
 
 def test_detection_matches_bruteforce_oracle():

@@ -81,10 +81,14 @@ def oracle_cluster(points, threshold):
 def reference_log_vote_density(point, votes, params):
     """The log vote density as cluster_votes computed it before scores
     skipped the terms that underflow: every vote, in the given order."""
-    density = vote_density(point, votes, params)
+    px, py = point
+    density = 0.0
+    for vote in votes:
+        dx = vote.point[0] - px
+        dy = vote.point[1] - py
+        density += params.weight_of(vote.source.joint_id) * math.exp(-(dx * dx + dy * dy))
     if density > 0.0:
         return math.log(density)
-    px, py = point
     terms = []
     for vote in votes:
         w = params.weight_of(vote.source.joint_id)
@@ -301,6 +305,17 @@ def test_cluster_identical_votes_form_one_partition():
     assert len(parts) == 1
     assert len(parts[0].members) == 4
     assert parts[0].centroid == (5.0, 5.0)
+
+
+def test_cluster_rejects_a_non_finite_vote():
+    votes = votes_at([(0.0, 0.0), (0.5, 0.0), (50.0, 0.0), (50.5, 0.0)])
+    params = ClusterParams(link_threshold=5.0)
+    assert len(cluster_votes(votes, params)) == 2
+    # One NaN distance stopped every merge: four NaN-scored singletons that
+    # infer_all then reported as "zero vote density".
+    votes[2] = vote_at((math.nan, 0.0), position=(2, 0), score=0.998)
+    with pytest.raises(ParameterError, match=r"vote of joint 0 at \(2, 0\) is not finite"):
+        cluster_votes(votes, params)
 
 
 def test_cluster_empty_votes():

@@ -300,6 +300,18 @@ def test_scene_json_schema_errors():
             scene_from_dict(json.loads(text.replace('"X"', token)))
 
 
+def test_scene_integers_past_float_range_are_schema_errors():
+    good = scene_to_dict(one_person_scene([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)]))
+    joint = json.loads(json.dumps(good))
+    joint["persons"][0]["joints"][1] = [10**400, 3]
+    with pytest.raises(SchemaError, match=r"persons\[0\]\.joints\[1\] is too large"):
+        scene_from_dict(joint)
+    centroid = json.loads(json.dumps(good))
+    centroid["persons"][0]["centroid"] = [2, -(10**400)]
+    with pytest.raises(SchemaError, match=r"persons\[0\]\.centroid is too large"):
+        scene_from_dict(centroid)
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
