@@ -16,10 +16,9 @@ integer pixel centers:
   disk of radius `radius` around person i's joint j, the vector points from
   the pixel to that person's centroid, scaled by 1/Z where Z is the canvas
   diagonal.  Pixels covered by several persons store the mean of the
-  non-zero contributions; pixels covered by none store (0, 0).  Channels
-  are accumulated one at a time in a reused float64 (H, W, 2) scratch, and
-  only the windows around the channel's joints are touched, with persons
-  added in scene order: the float64 sums are those of a full-canvas
+  non-zero contributions; pixels covered by none store (0, 0).  All
+  windows, clipped to the canvas, feed one ordered scatter (joint-major,
+  persons in scene order) whose float64 sums are those of a full-canvas
   accumulator, so the output is too.
 """
 from __future__ import annotations
@@ -186,79 +185,55 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     of the non-zero contributions (a person whose centroid coincides with
     the pixel contributes a zero vector and is not counted).
 
-    Channels are built one at a time in a reused float64 (H, W, 2) sum and
-    int32 (H, W) count, adding persons in scene order, so every pixel sums
-    its contributions in the same order as a full-canvas accumulator would.
-    Only the windows around the channel's joints are touched: the mean is
-    taken on their overlap pixels, they are cast into the float32 output,
-    and then they are zeroed for the next channel.
+    Every (joint, person) window, clipped to the canvas, contributes its
+    disk pixels to one list, joint-major with persons in scene order.  The
+    per-pixel float64 sums come from one bincount over that list, which adds
+    from 0.0 in list order, so each pixel sums its contributions in the same
+    order as a full-canvas accumulator would, and so the output is the same.
     """
     params = params or ForwardParams()
     scene.validate()
     k, h, w = scene.num_joints, scene.height, scene.width
     z = scene.norm_factor
-    out = np.zeros((k, h, w, 2), dtype=np.float32)
-    sums = np.zeros((h, w, 2), dtype=np.float64)
-    counts = np.zeros((h, w), dtype=np.int32)
     r = params.radius
-    r2 = r * r
-    ri = math.floor(r)
-    # Disk geometry relative to an integer joint position, reused for the
-    # common all-integer annotations.
-    rel = np.arange(-ri, ri + 1, dtype=np.float64)
-    rel_d2 = rel[:, None] ** 2 + rel[None, :] ** 2
-    int_mask = rel_d2 <= r2
+    out = np.zeros((k, h, w, 2), dtype=np.float32)
     centroids = [person_centroid(person) for person in scene.persons]
-    for j in range(k):
-        windows = []
-        for person, (cx, cy) in zip(scene.persons, centroids):
-            pos = person.joints[j]
-            if pos is None:
-                continue
-            x0, y0 = pos
-            integral = x0 == int(x0) and y0 == int(y0)
-            if integral:
-                xlo = max(0, int(x0) - ri)
-                xhi = min(w - 1, int(x0) + ri)
-                ylo = max(0, int(y0) - ri)
-                yhi = min(h - 1, int(y0) + ri)
-            else:
-                xlo = max(0, math.ceil(x0 - r))
-                xhi = min(w - 1, math.floor(x0 + r))
-                ylo = max(0, math.ceil(y0 - r))
-                yhi = min(h - 1, math.floor(y0 + r))
-            if xlo > xhi or ylo > yhi:
-                continue
-            xs = np.arange(xlo, xhi + 1, dtype=np.float64)
-            ys = np.arange(ylo, yhi + 1, dtype=np.float64)
-            if integral:
-                sy = slice(ylo - (int(y0) - ri), yhi + 1 - (int(y0) - ri))
-                sx = slice(xlo - (int(x0) - ri), xhi + 1 - (int(x0) - ri))
-                inside = int_mask[sy, sx]
-            else:
-                inside = (ys[:, None] - y0) ** 2 + (xs[None, :] - x0) ** 2 <= r2
-            offx = ((cx - xs) / z)[None, :]
-            offy = ((cy - ys) / z)[:, None]
-            nonzero = inside & ((offx != 0.0) | (offy != 0.0))
-            win = (slice(ylo, yhi + 1), slice(xlo, xhi + 1))
-            window = sums[win]
-            np.add(window[..., 0], offx, out=window[..., 0], where=nonzero)
-            np.add(window[..., 1], offy, out=window[..., 1], where=nonzero)
-            counts[win] += nonzero
-            windows.append(win)
-        # Pixels covered once (the usual case) already hold their value; only
-        # overlap pixels need the mean.  Their count drops to 1 once divided,
-        # so a pixel shared by two windows is divided once.
-        for win in windows:
-            c = counts[win]
-            overlap = c > 1
-            if overlap.any():
-                sums[win][overlap] /= c[overlap, None]
-                c[overlap] = 1
-            out[j][win] = sums[win]
-        for win in windows:
-            sums[win] = 0.0
-            counts[win] = 0
+    rows = [
+        (j, *person.joints[j], *centroid)
+        for j in range(k)
+        for person, centroid in zip(scene.persons, centroids)
+        if person.joints[j] is not None
+    ]
+    j, x0, y0, cx, cy = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    # Window bounds: integer joints span floor(radius) pixels each way, the
+    # others the pixels within radius along each axis; both are clipped to
+    # the canvas, so no array outgrows it whatever the radius.
+    ri = math.floor(r)
+    integral = (x0 == np.floor(x0)) & (y0 == np.floor(y0))
+    xlo = np.maximum(np.where(integral, x0 - ri, np.ceil(x0 - r)), 0.0)
+    xhi = np.minimum(np.where(integral, x0 + ri, np.floor(x0 + r)), w - 1.0)
+    ylo = np.maximum(np.where(integral, y0 - ri, np.ceil(y0 - r)), 0.0)
+    yhi = np.minimum(np.where(integral, y0 + ri, np.floor(y0 + r)), h - 1.0)
+    # Window i's columns are xs[i, :] and its rows ys[i, :], padded to the
+    # widest window; the padding fails the bounds test below.
+    xs = xlo[:, None] + np.arange(max(0.0, (xhi - xlo).max(initial=-1.0) + 1.0))
+    ys = ylo[:, None] + np.arange(max(0.0, (yhi - ylo).max(initial=-1.0) + 1.0))
+    offx = (cx[:, None] - xs) / z
+    offy = (cy[:, None] - ys) / z
+    keep = (ys - y0[:, None])[:, :, None] ** 2 + (xs - x0[:, None])[:, None, :] ** 2 <= r * r
+    keep &= (ys <= yhi[:, None])[:, :, None] & (xs <= xhi[:, None])[:, None, :]
+    keep &= (offy != 0.0)[:, :, None] | (offx != 0.0)[:, None, :]
+    # Kept pixels in window order, each window row-major.
+    win, iy, ix = np.nonzero(keep)
+    corner = ((j * h + ylo) * w + xlo).astype(np.intp)
+    cell = corner[win] + iy * w + ix
+    pixels, inverse = np.unique(cell, return_inverse=True)
+    # Dividing by a count of 1 is exact, so single-contributor pixels keep
+    # their sum.
+    counts = np.bincount(inverse)
+    flat = out.reshape(-1, 2)
+    flat[pixels, 0] = np.bincount(inverse, weights=offx[win, ix]) / counts
+    flat[pixels, 1] = np.bincount(inverse, weights=offy[win, iy]) / counts
     return RegressionMapSet(out)
 
 

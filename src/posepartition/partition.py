@@ -107,7 +107,8 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
     meaningful relative to other locations.
     """
     pts = np.array([v.point for v in votes], dtype=np.float64).reshape(-1, 2)
-    return _density_sum(point, pts, [params.weight_of(v.source.joint_id) for v in votes])[0]
+    sq = _squared_distances(np.array([point], dtype=np.float64), pts)
+    return _density_sums(sq, [params.weight_of(v.source.joint_id) for v in votes])[0]
 
 
 # math.exp(-x) is exactly 0.0 for every x >= 745.14 (the result rounds below
@@ -116,40 +117,49 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
 _EXP_UNDERFLOW_SQ_DIST = 746.0
 
 
-def _density_sum(point: tuple[float, float], pts: np.ndarray, weights: Sequence[float]) -> tuple:
-    """(vote_density at point for votes at pts with per-vote weights, squared
-    distances): the sum runs in the given order and skips only terms that are
-    exactly 0 (zero weight, or 746 or more squared pixels away)."""
-    px, py = point
-    dx = pts[:, 0] - px
-    dy = pts[:, 1] - py
-    sq = dx * dx + dy * dy
+def _squared_distances(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(P, n) squared pixel distances from each of P centers to each of n points."""
+    dx = pts[None, :, 0] - centers[:, 0, None]
+    dy = pts[None, :, 1] - centers[:, 1, None]
+    return dx * dx + dy * dy
+
+
+def _density_sums(sq: np.ndarray, weights: Sequence[float]) -> list[float]:
+    """vote_density at each center for votes at squared distances sq (one row
+    per center) with per-vote weights: each row's sum runs in the votes'
+    order and skips only terms that are exactly 0 (zero weight, or 746 or
+    more squared pixels away)."""
+    densities = [0.0] * len(sq)
     # "not >=" keeps NaN distances, whose NaN terms the sum must carry.
-    near = np.flatnonzero(~(sq >= _EXP_UNDERFLOW_SQ_DIST))
-    density = 0.0
-    for i, d2 in zip(near.tolist(), sq[near].tolist()):
+    rows, cols = np.nonzero(~(sq >= _EXP_UNDERFLOW_SQ_DIST))
+    for p, i, d2 in zip(rows.tolist(), cols.tolist(), sq[rows, cols].tolist()):
         w = weights[i]
         if w != 0.0:
-            density += w * math.exp(-d2)
-    return density, sq
+            densities[p] += w * math.exp(-d2)
+    return densities
 
 
-def _log_vote_density(point: tuple[float, float], pts: np.ndarray, weights: Sequence[float]) -> float:
-    """log(vote_density) at point for votes at pts (canonical order) with
-    per-vote weights, finite whenever some vote has a positive weight.
+def _log_vote_densities(sq: np.ndarray, weights: Sequence[float]) -> list[float]:
+    """log(vote_density) at each center for votes at squared distances sq
+    (one row per center, votes in canonical order) with per-vote weights,
+    finite whenever some vote has a positive weight.
 
     Wherever the direct sum is positive this is its log.  When it is 0
     (every term underflows), the log-sum-exp form over every vote gives the
     value instead.  Only votes that all weigh 0 (or no votes) score -inf.
     """
-    density, sq = _density_sum(point, pts, weights)
-    if density > 0.0:
-        return math.log(density)
-    terms = [math.log(w) - d2 for w, d2 in zip(weights, sq.tolist()) if w > 0.0]
-    if not terms:
-        return -math.inf
-    top = max(terms)
-    return top + math.log(sum(math.exp(t - top) for t in terms))
+    scores = []
+    for density, row in zip(_density_sums(sq, weights), sq):
+        if density > 0.0:
+            scores.append(math.log(density))
+            continue
+        terms = [math.log(w) - d2 for w, d2 in zip(weights, row.tolist()) if w > 0.0]
+        if not terms:
+            scores.append(-math.inf)
+            continue
+        top = max(terms)
+        scores.append(top + math.log(sum(math.exp(t - top) for t in terms)))
+    return scores
 
 
 def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partition]:
@@ -208,19 +218,20 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         cols[b] = np.inf
         ma.extend(mb)
 
-    partitions = []
-    for cid in sorted(members):
-        canon = members[cid]
+    groups = [members[cid] for cid in sorted(members)]
+    centroids = []
+    for canon in groups:
         cluster_pts = pts[canon]
-        cx = float(np.mean(cluster_pts[:, 0]))
-        cy = float(np.mean(cluster_pts[:, 1]))
-        score = _log_vote_density((cx, cy), pts, weights)
+        centroids.append((float(np.mean(cluster_pts[:, 0])), float(np.mean(cluster_pts[:, 1]))))
+    scores = _log_vote_densities(_squared_distances(np.array(centroids), pts), weights)
+    partitions = []
+    for canon, centroid, score in zip(groups, centroids, scores):
         own = [canonical[i] for i in sorted(canon)]
         partitions.append(
             Partition(
                 members=tuple(v.source for v in own),
                 votes=tuple(v.point for v in own),
-                centroid=(cx, cy),
+                centroid=centroid,
                 score=score,
             )
         )

@@ -11,7 +11,9 @@ Layout, all little-endian:
                          confidence and [joint][row][col][component] for
                          regression, components ordered (x, y)
 
-Encoding a decoded file reproduces it byte for byte.
+Encoding a decoded file reproduces it byte for byte.  Files are written
+from the maps' own float32 buffer after the header, so writing makes no
+copy of the payload on a little-endian host.
 
 Files are read through a read-only memory map rather than copied into
 memory: decoding scans the whole confidence payload but samples the
@@ -37,18 +39,25 @@ _HEADER = struct.Struct("<5sBIII")
 HEADER_SIZE = _HEADER.size  # 18 bytes
 
 
-def encode_map_set(maps: ConfidenceMapSet | RegressionMapSet) -> bytes:
-    """Serialize one map set to PMAP1 bytes."""
+def _header(maps: ConfidenceMapSet | RegressionMapSet) -> bytes:
     if isinstance(maps, ConfidenceMapSet):
         kind = KIND_CONFIDENCE
     elif isinstance(maps, RegressionMapSet):
         kind = KIND_REGRESSION
     else:
         raise MapFormatError("cannot encode %r as a map set" % type(maps).__name__)
-    k, h, w = maps.num_joints, maps.height, maps.width
-    header = _HEADER.pack(MAGIC, kind, k, h, w)
-    payload = np.ascontiguousarray(maps.values, dtype="<f4").tobytes()
-    return header + payload
+    return _HEADER.pack(MAGIC, kind, maps.num_joints, maps.height, maps.width)
+
+
+def _payload(maps: ConfidenceMapSet | RegressionMapSet) -> memoryview:
+    # The frozen float32 maps on a little-endian host are already "<f4" and
+    # C-contiguous, so this views their own buffer rather than copying it.
+    return memoryview(np.ascontiguousarray(maps.values, dtype="<f4"))
+
+
+def encode_map_set(maps: ConfidenceMapSet | RegressionMapSet) -> bytes:
+    """Serialize one map set to PMAP1 bytes."""
+    return _header(maps) + _payload(maps)
 
 
 def decode_map_set(data: bytes) -> ConfidenceMapSet | RegressionMapSet:
@@ -80,8 +89,11 @@ def decode_map_set(data: bytes) -> ConfidenceMapSet | RegressionMapSet:
 
 
 def write_map_set(maps: ConfidenceMapSet | RegressionMapSet, path) -> None:
+    """Write the PMAP1 bytes of one map set: the header, then the maps' buffer."""
+    header = _header(maps)
     with open(path, "wb") as fh:
-        fh.write(encode_map_set(maps))
+        fh.write(header)
+        fh.write(_payload(maps))
 
 
 def read_map_set(path) -> ConfidenceMapSet | RegressionMapSet:

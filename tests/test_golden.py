@@ -10,6 +10,11 @@ bytes and the repr of every energy value; it was recorded before the
 clustering and assembly speed-ups, whose outputs must stay byte-identical.
 A change that alters decode outputs on purpose records a new digest and
 says why.
+
+A second digest pins the PMAP bytes of the clean synthesized maps, for the
+same 256 px and 512 px scenes and two 1024 px crowds of 10-20 persons; it
+was recorded before the whole-array regression synthesis and the copy-free
+PMAP writes, whose outputs must stay byte-identical.
 """
 import hashlib
 import json
@@ -19,10 +24,17 @@ import numpy as np
 from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.iojson import poses_to_doc
-from posepartition.maps import ConfidenceMapSet, RegressionMapSet
+from posepartition.maps import (
+    ConfidenceMapSet,
+    RegressionMapSet,
+    build_confidence_maps,
+    build_regression_maps,
+)
 from posepartition.pipeline import decode_maps, synth_maps
+from posepartition.pmap import encode_map_set, write_map_set
 
 GOLDEN_SHA256 = "5501faf028e0ffc9d7ea34c544273d40bb528cb717f3e5f68f4089bbb8d27e7c"
+GOLDEN_MAPS_SHA256 = "7352218d0584d040405696f0c1ec0cf32abb29775318d83d9eedb54392c2acd6"
 
 
 def test_decodes_match_the_golden_digest():
@@ -48,3 +60,27 @@ def test_decodes_match_the_golden_digest():
         digest.update((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
         digest.update("\n".join(repr(e) for e in result.energy_trace).encode("ascii"))
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def golden_map_scenes():
+    yield from generate_corpus(CorpusSpec(num_scenes=12), seed=0)
+    yield from generate_corpus(CorpusSpec(num_scenes=4, height=512, width=512, max_persons=8), seed=0)
+    crowd = CorpusSpec(num_scenes=2, min_persons=10, max_persons=20, height=1024, width=1024)
+    yield from generate_corpus(crowd, seed=0)
+
+
+def test_synthesized_map_bytes_match_the_golden_digest(tmp_path):
+    params = PipelineConfig().forward_params()
+    digest = hashlib.sha256()
+    for i, scene in enumerate(golden_map_scenes()):
+        # One map set at a time: a 1024 px regression set is 128 MB.
+        for build in (build_confidence_maps, build_regression_maps):
+            maps = build(scene, params)
+            data = encode_map_set(maps)
+            digest.update(data)
+            if i == 0:
+                path = tmp_path / ("%s.pmap" % build.__name__)
+                write_map_set(maps, path)
+                assert path.read_bytes() == data
+            del maps, data
+    assert digest.hexdigest() == GOLDEN_MAPS_SHA256

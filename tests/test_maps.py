@@ -1,9 +1,10 @@
 """Forward model: confidence maps, regression maps, and the map losses."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posepartition.errors import DimensionError, ParameterError
@@ -351,7 +352,8 @@ def regression_scenes(draw):
     h = draw(st.integers(1, 64))
     w = draw(st.integers(1, 64))
     k = draw(st.integers(1, 3))
-    radius = draw(st.integers(0, 20).map(float) | st.floats(0.0, 20.0))
+    # Small disks, and disks up to past the whole canvas.
+    radius = draw(st.integers(0, 20).map(float) | st.floats(0.0, 20.0) | st.floats(0.0, 100.0))
     # Each category's joints crowd around an anchor, so that the disks of
     # several persons overlap, often three or more on one pixel.
     anchors = [(draw(coordinate(w)), draw(coordinate(h))) for _ in range(k)]
@@ -363,7 +365,7 @@ def regression_scenes(draw):
         )
 
     persons = []
-    for _ in range(draw(st.integers(2, 5))):
+    for _ in range(draw(st.integers(2, 8))):
         joints = [
             draw(st.none() | near(j) | st.tuples(coordinate(w), coordinate(h)))
             for j in range(k)
@@ -386,8 +388,24 @@ def regression_scenes(draw):
     return scene, radius
 
 
+# Seven persons whose disks all cover (20, 20), summed in scene order.
+CROWDED_PIXEL = make_scene(
+    [
+        [(20.0, 20.0)], [(21.0, 20.0)], [(19.5, 20.5)], [(20.0, 18.0)],
+        [(22.0, 21.0)], [(20.25, 19.0)], [(18.0, 22.0)],
+    ],
+    height=40,
+    width=40,
+    centroids=[
+        (3.1, 37.9), (36.9, 2.1), (20.0, 20.0 + 1e-9), (39.0, 39.0),
+        (0.5, 0.5), (20.0, 5.0), (31.7, 20.0),
+    ],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(regression_scenes())
+@example((CROWDED_PIXEL, 5.0))
 def test_window_local_regression_matches_full_canvas_bytes(case):
     scene, radius = case
     got = build_regression_maps(scene, ForwardParams(radius=radius)).values
@@ -405,6 +423,33 @@ def test_regression_sums_overlaps_in_scene_order():
     assert full_canvas_regression(scene, 3.0).tobytes() != full_canvas_regression(reordered, 3.0).tobytes()
     for s in (scene, reordered):
         assert build_regression_maps(s, params).values.tobytes() == full_canvas_regression(s, 3.0).tobytes()
+
+
+def test_regression_radius_far_past_the_canvas_matches_full_canvas_bytes():
+    # The windows are clipped to the canvas before any array is built, so a
+    # radius of 1e6 costs no more than one covering the canvas.
+    scene = make_scene(
+        [[(0.0, 7.0), (3.5, 2.0)], [(5.0, 2.0), None], [(2.5, 3.0), (5.0, 7.0)]],
+        height=8,
+        width=6,
+        centroids=[(1.0, 1.0), None, (5.0, 7.0)],
+    )
+    got = build_regression_maps(scene, ForwardParams(radius=1e6)).values
+    assert got.tobytes() == full_canvas_regression(scene, 1e6).tobytes()
+
+
+def test_regression_memory_follows_the_canvas_not_the_radius():
+    scene = make_scene([[(3.0, 5.0), (7.5, 0.25)], [(31.0, 31.0), (12.0, 30.5)]], height=32, width=32)
+    params = ForwardParams(radius=1e6)
+    tracemalloc.start()
+    try:
+        out = build_regression_maps(scene, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Both disks cover the canvas, so the pixel list holds two entries per
+    # output pixel; a disk template of side 2r+1 would need 29 TiB.
+    assert peak < 32 * out.values.nbytes
 
 
 def test_regression_vector_magnitudes_bounded_by_one():

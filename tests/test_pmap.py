@@ -2,6 +2,7 @@
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_file_round_trip(tmp_path):
     assert cpath.read_bytes() == encode_map_set(conf)
     assert np.array_equal(read_confidence(cpath).values, conf.values)
     assert np.array_equal(read_regression(rpath).values, reg.values)
+
+
+def test_writing_a_map_set_copies_no_payload(tmp_path):
+    # An 8 MB regression set goes to the file from its own buffer.
+    reg = RegressionMapSet(np.zeros((16, 256, 256, 2), dtype=np.float32))
+    path = tmp_path / "maps.reg.pmap"
+    tracemalloc.start()
+    try:
+        write_map_set(reg, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert path.stat().st_size == HEADER_SIZE + reg.values.nbytes
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
