@@ -63,9 +63,7 @@ def _params(cls, args):
 def _load_cli_config(args) -> PipelineConfig:
     """Config file (if given) with the stage flags actually given on top."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    cfg = replace(cfg, **_given(args, PipelineConfig))
-    cfg.validate()
-    return cfg
+    return replace(cfg, **_given(args, PipelineConfig))
 
 
 def _parse_link_threshold(raw: str) -> float | None:

@@ -31,6 +31,14 @@ class PipelineConfig:
     link_threshold: float | None = None  # None means auto: 0.1 * canvas diagonal
     joint_layout: tuple[JointSpec, ...] = field(default_factory=mpii_joint_layout)
 
+    def __post_init__(self) -> None:
+        try:
+            self.forward_params()
+            self.detector_params()
+            self.cluster_params(1.0)  # a fixed cutoff; auto is always valid
+        except ParameterError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
     def forward_params(self) -> ForwardParams:
         return ForwardParams(sigma=self.sigma, radius=self.radius)
 
@@ -38,20 +46,8 @@ class PipelineConfig:
         return DetectorParams(tau=self.tau, nms_radius=self.nms_radius)
 
     def cluster_params(self, norm_factor: float) -> ClusterParams:
-        threshold = (
-            self.link_threshold
-            if self.link_threshold is not None
-            else default_link_threshold(norm_factor)
-        )
-        return ClusterParams(link_threshold=threshold)
-
-    def validate(self) -> None:
-        try:
-            self.forward_params()
-            self.detector_params()
-            self.cluster_params(1.0)  # a fixed cutoff; auto is always valid
-        except ParameterError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        threshold = self.link_threshold
+        return ClusterParams(default_link_threshold(norm_factor) if threshold is None else threshold)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -123,7 +119,7 @@ def config_from_dict(doc: Any) -> PipelineConfig:
         except SchemaError as exc:
             raise ConfigurationError(str(exc)) from exc
 
-    cfg = PipelineConfig(
+    return PipelineConfig(
         tau=number(doc, "tau", "tau"),
         sigma=number(fwd, "sigma", "forward.sigma"),
         radius=number(fwd, "radius", "forward.radius"),
@@ -131,8 +127,6 @@ def config_from_dict(doc: Any) -> PipelineConfig:
         link_threshold=link_threshold,
         joint_layout=layout,
     )
-    cfg.validate()
-    return cfg
 
 
 def load_config(path) -> PipelineConfig:

@@ -103,9 +103,14 @@ def match_poses(pred: PoseSet, gt: Scene, params: MatchParams | None = None) -> 
 
     Pose/person pairs are ranked by how many predicted joints fall within
     the person's hit distance; pairs with no correct joint never match.
-    Remaining predictions count as false positives downstream.
+    Remaining predictions count as false positives downstream.  A pose
+    whose joint slots do not match the scene's layout raises DimensionError.
     """
     params = params or MatchParams()
+    k = gt.num_joints
+    for i, pose in enumerate(pred.poses):
+        if len(pose.joints) != k:
+            raise DimensionError("pose %d has %d joint slots, scene has %d" % (i, len(pose.joints), k))
 
     def keep(pose) -> bool:
         scores = [e.score for e in pose.joints if e is not None]
@@ -116,7 +121,6 @@ def match_poses(pred: PoseSet, gt: Scene, params: MatchParams | None = None) -> 
         return True
 
     poses = [(i, pose) for i, pose in enumerate(pred.poses) if keep(pose)]
-    k = gt.num_joints
     n_gt = len(gt.persons)
     radii = [_hit_distance(gt, gi, params) for gi in range(n_gt)]
 

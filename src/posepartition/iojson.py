@@ -114,18 +114,14 @@ def partitions_to_doc(partitions: Sequence[Partition], candidates: Sequence[Join
 
 
 def poses_to_doc(poses: PoseSet, height: int, width: int) -> dict:
-    entries = []
-    for pose in poses.poses:
-        entries.append(
-            {
-                "joints": [
-                    None if est is None else [est.position[0], est.position[1]]
-                    for est in pose.joints
-                ],
-                "scores": [None if est is None else est.score for est in pose.joints],
-                "centroid": [pose.final_centroid[0], pose.final_centroid[1]],
-            }
-        )
+    entries = [
+        {
+            "joints": [None if e is None else [e.position[0], e.position[1]] for e in pose.joints],
+            "scores": [None if e is None else e.score for e in pose.joints],
+            "centroid": [pose.final_centroid[0], pose.final_centroid[1]],
+        }
+        for pose in poses.poses
+    ]
     return {"height": height, "width": width, "poses": entries}
 
 

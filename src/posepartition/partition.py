@@ -168,9 +168,11 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     Merging continues while the minimum average linkage between clusters is
     at or below params.link_threshold.  Equal-distance merges are broken by
     the smallest (id, id) pair, where a cluster's id is the canonical rank of
-    its first member (candidates ordered by joint id, descending score,
+    its smallest member (candidates ordered by joint id, descending score,
     row-major position), which makes the outcome independent of input order.
-    A vote point that is not finite raises ParameterError.
+    A partition depends on its member set alone: members in canonical order,
+    centroid their votes' sum, added left to right in that order from 0.0,
+    over their count.  A vote point that is not finite raises ParameterError.
     """
     n = len(votes)
     if n == 0:
@@ -197,7 +199,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     threshold = params.link_threshold
 
     cols = dist.T  # cols[i] is column i, a cheaper view than dist[:, i]
-    while len(members) > 1:
+    while True:
         flat = int(dist.argmin())
         if not (dist.item(flat) <= threshold):
             break
@@ -218,24 +220,23 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         cols[b] = np.inf
         ma.extend(mb)
 
-    groups = [members[cid] for cid in sorted(members)]
-    centroids = []
-    for canon in groups:
-        cluster_pts = pts[canon]
-        centroids.append((float(np.mean(cluster_pts[:, 0])), float(np.mean(cluster_pts[:, 1]))))
-    scores = _log_vote_densities(_squared_distances(np.array(centroids), pts), weights)
-    partitions = []
-    for canon, centroid, score in zip(groups, centroids, scores):
-        own = [canonical[i] for i in sorted(canon)]
-        partitions.append(
-            Partition(
-                members=tuple(v.source for v in own),
-                votes=tuple(v.point for v in own),
-                centroid=centroid,
-                score=score,
-            )
+    # bincount adds each partition's votes in vote (canonical) order from 0.0.
+    groups = [sorted(members[cid]) for cid in sorted(members)]
+    label = np.empty(n, dtype=np.intp)
+    for p, canon in enumerate(groups):
+        label[canon] = p
+    sums = np.stack([np.bincount(label, weights=pts[:, axis]) for axis in (0, 1)], axis=1)
+    centroids = sums / np.bincount(label)[:, None]
+    scores = _log_vote_densities(_squared_distances(centroids, pts), weights)
+    return [
+        Partition(
+            members=tuple(canonical[i].source for i in canon),
+            votes=tuple(canonical[i].point for i in canon),
+            centroid=(cx, cy),
+            score=score,
         )
-    return partitions
+        for canon, (cx, cy), score in zip(groups, centroids.tolist(), scores)
+    ]
 
 
 def partition_score(partitions: Sequence[Partition]) -> float:

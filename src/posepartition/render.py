@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionError
 from .infer import PoseSet
 from .scene import Scene
 
@@ -78,14 +79,17 @@ def _draw_dot(img: np.ndarray, p: tuple[int, int], color) -> None:
 
 
 def render_poses(poses: PoseSet, scene: Scene) -> bytes:
-    """Render decoded poses over a white canvas as binary PPM (P6) bytes."""
-    h, w = scene.height, scene.width
+    """Render decoded poses over a white canvas as binary PPM (P6) bytes; a
+    pose whose joint slots do not match the scene's layout raises DimensionError."""
+    h, w, k = scene.height, scene.width, scene.num_joints
     img = np.full((h, w, 3), 255, dtype=np.uint8)
     id_of = {js.name: js.joint_id for js in scene.joint_layout}
     edges = [
         (id_of[a], id_of[b]) for a, b in SKELETON_EDGES if a in id_of and b in id_of
     ]
     for pi, pose in enumerate(poses.poses):
+        if len(pose.joints) != k:
+            raise DimensionError("pose %d has %d joint slots, scene has %d" % (pi, len(pose.joints), k))
         color = PALETTE[pi % len(PALETTE)]
         for ja, jb in edges:
             ea, eb = pose.joints[ja], pose.joints[jb]

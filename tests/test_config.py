@@ -1,5 +1,6 @@
 """Pipeline configuration document parsing and validation."""
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,18 @@ def test_bad_values_are_rejected():
         config_from_dict({"detector": {"nms_radius": float("inf")}})
     with pytest.raises(ConfigurationError):
         config_from_dict([])
+
+
+def test_a_config_is_valid_once_built():
+    # Validation runs on construction, so dataclasses.replace cannot return
+    # an invalid config either.
+    with pytest.raises(ConfigurationError, match="tau"):
+        PipelineConfig(tau=1.5)
+    with pytest.raises(ConfigurationError, match="nms_radius"):
+        replace(PipelineConfig(), nms_radius=0)
+    with pytest.raises(ConfigurationError, match="link_threshold"):
+        replace(PipelineConfig(), link_threshold=-1.0)
+    assert replace(PipelineConfig(), link_threshold=4.0).link_threshold == 4.0
 
 
 @pytest.mark.parametrize(

@@ -371,6 +371,18 @@ def test_evaluate_corpus_input_validation():
         evaluate_corpus([(PoseSet(poses=()), scene), (PoseSet(poses=()), other)])
 
 
+def test_poses_with_the_wrong_joint_slot_count_are_rejected():
+    # One slot short used to raise IndexError; one slot over was ignored.
+    scene = make_scene([person(neck=(20.0, 20.0), head=(20.0, 40.0))])
+    good = neck_pose(20, 20, 0.9)
+    for slots in (good.joints[:-1], good.joints + (None,)):
+        bad = PersonPose(joints=slots, final_centroid=(0.0, 0.0))
+        with pytest.raises(DimensionError, match="pose 1 has %d joint slots, scene has 4" % len(slots)):
+            match_poses(PoseSet(poses=(good, bad)), scene)
+        with pytest.raises(DimensionError, match="pose 1 has"):
+            evaluate_corpus([(PoseSet(poses=(good, bad)), scene)])
+
+
 def test_report_csv_groups_standard_joints():
     layout = mpii_joint_layout()
     names = tuple(js.name for js in sorted(layout, key=lambda js: js.joint_id))

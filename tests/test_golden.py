@@ -9,7 +9,11 @@ log-sum-exp fallback (noise votes would fill their density in).  The digest cove
 bytes and the repr of every energy value; it was recorded before the
 clustering and assembly speed-ups, whose outputs must stay byte-identical.
 A change that alters decode outputs on purpose records a new digest and
-says why.
+says why.  The digest was re-based once, when each partition became a
+function of its member set: a centroid is now the left-to-right sum of its
+members' votes in canonical order over their count, not a pairwise-summed
+mean in merge order.  Poses stayed byte-identical; centroid bits, and so
+scores and energy traces, moved on the noisy scenes.
 
 A second digest pins the PMAP bytes of the clean synthesized maps, for the
 same 256 px and 512 px scenes and two 1024 px crowds of 10-20 persons; it
@@ -33,7 +37,7 @@ from posepartition.maps import (
 from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.pmap import encode_map_set, write_map_set
 
-GOLDEN_SHA256 = "5501faf028e0ffc9d7ea34c544273d40bb528cb717f3e5f68f4089bbb8d27e7c"
+GOLDEN_SHA256 = "2e19d7050c172692120685d1f62813989e72fa5533aa7c6728ab7701bfd15071"
 GOLDEN_MAPS_SHA256 = "7352218d0584d040405696f0c1ec0cf32abb29775318d83d9eedb54392c2acd6"
 
 

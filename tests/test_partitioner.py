@@ -102,10 +102,35 @@ def reference_log_vote_density(point, votes, params):
     return top + math.log(sum(math.exp(t - top) for t in terms))
 
 
+def partitions_from_member_sets(canonical, member_sets, params):
+    """The partitions of these member sets (index lists into the votes in
+    canonical order), built in plain Python from the sets alone: members in
+    canonical order, a centroid that is the sum of their votes, added left
+    to right from 0.0, over their count, and a score over every vote at the
+    centroid.  Partitions run in the order of their smallest member."""
+    partitions = []
+    for members in sorted(sorted(m) for m in member_sets):
+        own = [canonical[i] for i in members]
+        sx = sy = 0.0
+        for vote in own:
+            sx += vote.point[0]
+            sy += vote.point[1]
+        centroid = (sx / len(own), sy / len(own))
+        partitions.append(
+            Partition(
+                members=tuple(v.source for v in own),
+                votes=tuple(v.point for v in own),
+                centroid=centroid,
+                score=reference_log_vote_density(centroid, canonical, params),
+            )
+        )
+    return partitions
+
+
 def reference_cluster_votes(votes, params):
     """cluster_votes before its speed-ups: an (n, n, 2) difference array
-    reduced along its last axis, a merge loop on fresh arrays, and scores
-    that sum every vote's term."""
+    reduced along its last axis and a merge loop on fresh arrays, with the
+    partitions built from the member sets it ends with."""
     n = len(votes)
     if n == 0:
         return []
@@ -134,23 +159,7 @@ def reference_cluster_votes(votes, params):
         dist[:, b] = np.inf
         members[a].extend(members[b])
         del members[b]
-    partitions = []
-    for cid in sorted(members):
-        canon = members[cid]
-        cluster_pts = pts[canon]
-        cx = float(np.mean(cluster_pts[:, 0]))
-        cy = float(np.mean(cluster_pts[:, 1]))
-        score = reference_log_vote_density((cx, cy), canonical, params)
-        own = [canonical[i] for i in sorted(canon)]
-        partitions.append(
-            Partition(
-                members=tuple(v.source for v in own),
-                votes=tuple(v.point for v in own),
-                centroid=(cx, cy),
-                score=score,
-            )
-        )
-    return partitions
+    return partitions_from_member_sets(canonical, members.values(), params)
 
 
 # --- embedding --------------------------------------------------------------
@@ -346,7 +355,9 @@ def test_cluster_matches_bruteforce_oracle():
 def test_cluster_centroid_and_score_definitions():
     rng = np.random.default_rng(71)
     for _ in range(20):
-        n = int(rng.integers(1, 8))
+        # Up to 39 votes, so that clusters pass the 8 terms at which numpy's
+        # pairwise summation would start to add in blocks.
+        n = int(rng.integers(1, 40))
         pts = [tuple(float(v) for v in rng.uniform(0, 10, size=2)) for _ in range(n)]
         votes = votes_at(pts)
         params = ClusterParams(link_threshold=2.5)
@@ -354,10 +365,10 @@ def test_cluster_centroid_and_score_definitions():
             member_pts = [
                 pts[c.position[0]] for c in part.members
             ]
+            # Exactly the members' sum, left to right in canonical order.
             mx = sum(p[0] for p in member_pts) / len(member_pts)
             my = sum(p[1] for p in member_pts) / len(member_pts)
-            assert abs(part.centroid[0] - mx) <= 1e-9
-            assert abs(part.centroid[1] - my) <= 1e-9
+            assert part.centroid == (mx, my)
             # Score is the log of the density at the centroid over all votes.
             expect = math.log(vote_density(part.centroid, votes, params))
             assert abs(part.score - expect) <= 1e-9
@@ -434,6 +445,48 @@ def test_cluster_matches_the_reference_bit_for_bit(case):
     # also tells -0.0 from 0.0.
     assert got == expect
     assert repr(got) == repr(expect)
+
+
+@st.composite
+def non_dyadic_vote_sets(draw):
+    """Votes at full-precision random points, so their sums round and show
+    the order they are added in, in up to three groups 60, 90 and 150 px
+    apart.  Points repeat, so equal distances (ties) occur.  As in
+    weighted_vote_sets, candidates of three joints have a canonical order
+    that is not the input order, weights are absent, zero or mixed, and
+    cutoffs reach past the group spacing (log-sum-exp scores)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = draw(st.lists(st.sampled_from([0.0, 60.0, 150.0]), min_size=8, max_size=8))
+    sites = [(x + dx, y) for (x, y), dx in zip(rng.uniform(0.0, 4.0, size=(8, 2)).tolist(), offsets)]
+    picks = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2)), min_size=1, max_size=16))
+    votes = [
+        vote_at(
+            sites[site],
+            joint_id=joint,
+            position=(i % 5, i // 5),
+            score=draw(st.sampled_from([0.5, 0.9])),
+        )
+        for i, (site, joint) in enumerate(picks)
+    ]
+    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    weights = draw(st.none() | st.tuples(weight, weight, weight))
+    threshold = draw(st.sampled_from([0.5, 1.0, 2.0, 70.0, 150.0]) | st.floats(0.1, 200.0))
+    return votes, ClusterParams(link_threshold=threshold, weights=weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(non_dyadic_vote_sets())
+def test_partitions_are_functions_of_their_member_sets(case):
+    votes, params = case
+    got = cluster_votes(votes, params)
+    canonical = sorted(votes, key=lambda v: v.source.sort_key())
+    clusters = oracle_cluster([v.point for v in canonical], params.link_threshold)
+    for expect in (
+        partitions_from_member_sets(canonical, clusters, params),
+        reference_cluster_votes(votes, params),
+    ):
+        assert got == expect
+        assert repr(got) == repr(expect)
 
 
 def test_score_keeps_the_last_term_that_does_not_underflow():

@@ -1,6 +1,8 @@
 """Stick-figure PPM rendering."""
 import numpy as np
+import pytest
 
+from posepartition.errors import DimensionError
 from posepartition.infer import JointEstimate, PersonPose, PoseSet
 from posepartition.render import PALETTE, render_poses, write_ppm
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
@@ -105,3 +107,13 @@ def test_write_ppm_matches_render(tmp_path):
     path = tmp_path / "out.ppm"
     write_ppm(one_pose(), scene, path)
     assert path.read_bytes() == render_poses(one_pose(), scene)
+
+
+def test_poses_with_the_wrong_joint_slot_count_are_rejected():
+    # One slot short used to raise IndexError; one slot over was ignored.
+    scene = tiny_scene()
+    good = one_pose().poses[0]
+    for slots in (good.joints[:1], good.joints + (None,)):
+        bad = PersonPose(joints=slots, final_centroid=(5.0, 5.0))
+        with pytest.raises(DimensionError, match="pose 1 has %d joint slots, scene has 2" % len(slots)):
+            render_poses(PoseSet(poses=(good, bad)), scene)
