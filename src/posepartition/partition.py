@@ -165,11 +165,14 @@ def _log_vote_densities(sq: np.ndarray, weights: Sequence[float]) -> list[float]
 def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partition]:
     """Group votes into person hypotheses by average-linkage clustering.
 
-    Merging continues while the minimum average linkage between clusters is
-    at or below params.link_threshold.  Equal-distance merges are broken by
-    the smallest (id, id) pair, where a cluster's id is the canonical rank of
-    its smallest member (candidates ordered by joint id, descending score,
-    row-major position), which makes the outcome independent of input order.
+    Merging runs in rounds.  Each round merges every pair of clusters that
+    are each other's nearest at an average linkage at or below
+    params.link_threshold; a round with no such pair ends it.  Average
+    linkage is reducible, so this is the hierarchy of merging the closest
+    pair one at a time.  A cluster's id is the canonical rank of its smallest
+    member (candidates ordered by joint id, descending score, row-major
+    position), so the outcome ignores input order.  Ties break toward the
+    smallest (id, id) pair only up to the rounding of the linkage recurrence.
     A partition depends on its member set alone: members in canonical order,
     centroid their votes' sum, added left to right in that order from 0.0,
     over their count.  A vote point that is not finite raises ParameterError.
@@ -189,8 +192,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     # Cluster state keyed by canonical id (the id of a merged cluster is its
     # smallest member id).  Linkage lives in a symmetric matrix updated with
     # the average-linkage recurrence; inactive rows and the diagonal are inf,
-    # so a row-major argmin lands on the smallest-distance pair with the
-    # smallest (id, id) tie-break for free.
+    # so a row argmin is a cluster's nearest with the smallest-id tie-break.
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     dx = pts[:, None, 0] - pts[None, :, 0]
     dy = pts[:, None, 1] - pts[None, :, 1]
@@ -199,26 +201,29 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     threshold = params.link_threshold
 
     cols = dist.T  # cols[i] is column i, a cheaper view than dist[:, i]
+    ids = np.arange(n)
     while True:
-        flat = int(dist.argmin())
-        if not (dist.item(flat) <= threshold):
+        # Linkage is reducible: each pair stays mutual as earlier pairs merge.
+        nn = dist.argmin(axis=1)
+        pairs = np.flatnonzero((nn[nn] == ids) & (ids < nn) & (dist[ids, nn] <= threshold))
+        if not pairs.size:
             break
-        a, b = divmod(flat, n)
-        ma = members[a]
-        mb = members.pop(b)
-        na, nb = len(ma), len(mb)
-        # Row a becomes (na * row a + nb * row b) / (na + nb), in place and
-        # with the same IEEE operations.  Its entries a and b come out inf,
-        # each the sum of an inf diagonal term and the finite d(a, b).
-        row_a, row_b = dist[a], dist[b]
-        row_a *= na
-        row_b *= nb
-        row_a += row_b
-        row_a /= na + nb
-        cols[a] = row_a
-        row_b.fill(np.inf)
-        cols[b] = np.inf
-        ma.extend(mb)
+        for a, b in zip(pairs.tolist(), nn[pairs].tolist()):
+            ma = members[a]
+            mb = members.pop(b)
+            na, nb = len(ma), len(mb)
+            # Row a becomes (na * row a + nb * row b) / (na + nb), in place and
+            # with the same IEEE operations.  Its entries a and b come out inf,
+            # each the sum of an inf diagonal term and the finite d(a, b).
+            row_a, row_b = dist[a], dist[b]
+            row_a *= na
+            row_b *= nb
+            row_a += row_b
+            row_a /= na + nb
+            cols[a] = row_a
+            row_b.fill(np.inf)
+            cols[b] = np.inf
+            ma.extend(mb)
 
     # bincount adds each partition's votes in vote (canonical) order from 0.0.
     groups = [sorted(members[cid]) for cid in sorted(members)]

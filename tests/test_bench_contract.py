@@ -5,8 +5,9 @@ workloads' CorpusSpecs at import, and catches only PipelineError around a
 decode.  A renamed or deleted name, or a decode failure of another kind,
 therefore ends every benchmark run with an exception.  These tests run the
 harness as a library on small copies of the gated workloads, untraced and
-traced, and require every output check to hold and every result metric to
-be reported.
+traced, and on one scene of the crowd workload, untraced, whose 700-900
+votes take clustering through many merge rounds; every output check must
+hold and every result metric must be reported.
 """
 import dataclasses
 import importlib
@@ -29,8 +30,21 @@ def bench():
         sys.path.remove(str(BENCH))
 
 
-@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("name, num_scenes", [("noisy-256", 4), ("files-256", 2)])
+CASES = [
+    ("noisy-256", 4, False),
+    ("noisy-256", 4, True),
+    ("files-256", 2, False),
+    ("files-256", 2, True),
+    # One crowd scene clusters 700-900 votes, the many-vote merge path.
+    ("crowd-1024", 1, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name, num_scenes, traced",
+    CASES,
+    ids=["%s-%d-%s" % (name, n, "traced" if traced else "untraced") for name, n, traced in CASES],
+)
 def test_harness_runs_a_reduced_workload(bench, tmp_path, name, num_scenes, traced):
     harness, tracing = bench
     full = harness.WORKLOADS[name]

@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
 from posepartition.errors import DimensionError, ParameterError, PartitionScoreError
-from posepartition.maps import RegressionMapSet, build_confidence_maps, build_regression_maps
+from posepartition.maps import (
+    ConfidenceMapSet,
+    RegressionMapSet,
+    build_confidence_maps,
+    build_regression_maps,
+)
 from posepartition.partition import (
     ClusterParams,
     Partition,
@@ -487,6 +493,60 @@ def test_partitions_are_functions_of_their_member_sets(case):
     ):
         assert got == expect
         assert repr(got) == repr(expect)
+
+
+def noisy_scene_votes(scene, rng):
+    """The votes a default decode clusters for the scene's maps under the
+    acceptance test's noise model (uniform +-0.05 on confidence, +-0.01 on
+    regression, drawn in float32), with its cluster parameters."""
+    cfg = PipelineConfig()
+    conf, reg = synth_maps(scene, cfg)
+
+    def noisy(values, amp):
+        return values + (rng.random(values.shape, dtype=np.float32) * 2 - 1) * np.float32(amp)
+
+    conf = ConfidenceMapSet(noisy(conf.values, 0.05))
+    reg = RegressionMapSet(noisy(reg.values, 0.01))
+    votes = embed(detect_candidates(conf, cfg.detector_params()), reg)
+    return votes, cfg.cluster_params(reg.norm_factor)
+
+
+def test_cluster_matches_the_reference_on_many_votes():
+    # The generated sets above hold at most 24 votes.  These noisy scenes
+    # hold 141-239 (256 px) and 679 (a 1024 px crowd of 15), so many pairs
+    # merge in one round and clusters grow through long runs of merges.
+    rng = np.random.default_rng(1)
+    scenes = generate_corpus(CorpusSpec(num_scenes=3), seed=1)
+    crowd = CorpusSpec(num_scenes=1, min_persons=10, max_persons=20, height=1024, width=1024)
+    scenes += generate_corpus(crowd, seed=1)
+    sizes = []
+    for scene in scenes:
+        votes, params = noisy_scene_votes(scene, rng)
+        got = cluster_votes(votes, params)
+        expect = reference_cluster_votes(votes, params)
+        assert got == expect
+        assert repr(got) == repr(expect)
+        sizes.append(len(votes))
+    assert min(sizes[:3]) >= 100 and sizes[3] >= 600, sizes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="exact-tie defect: where two linkages are equal in exact arithmetic, the "
+    "rounding of the linkage recurrence, not the smallest (id, id) pair, picks the merge",
+)
+def test_cluster_matches_the_oracle_on_exact_ties():
+    cases = [
+        ([(2, 0), (0, 2), (0, 0), (1, 1), (2, 2), (0, 0), (1, 1)], 2.0),
+        ([(2, 2), (2, 2), (0, 0), (1, 1), (2, 2), (2, 2), (1, 1)], math.sqrt(2)),
+    ]
+    got, expect = [], []
+    for pts, threshold in cases:
+        parts = cluster_votes(votes_at(pts), ClusterParams(link_threshold=threshold))
+        got.append(sorted(sorted(c.position[0] for c in p.members) for p in parts))
+        expect.append(sorted(sorted(cluster) for cluster in oracle_cluster(pts, threshold)))
+    # cluster_votes gives [[0, 1, 2, 3, 5, 6], [4]] and [[0, 1, 3, 4, 5, 6], [2]].
+    assert got == expect
 
 
 def test_score_keeps_the_last_term_that_does_not_underflow():
