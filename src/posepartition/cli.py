@@ -24,7 +24,6 @@ from .infer import PoseSet
 from .iojson import (
     candidates_from_doc,
     candidates_to_doc,
-    load_json,
     partitions_to_doc,
     poses_from_doc,
     poses_to_doc,
@@ -35,7 +34,7 @@ from .partition import cluster_votes, embed
 from .pipeline import decode_maps, synth_maps
 from .pmap import read_confidence, read_regression, write_map_set
 from .render import write_ppm
-from .scene import Scene, load_scene, save_scene
+from .scene import Scene, _load_doc, load_scene, save_scene
 from .detect import detect_candidates
 
 EXIT_OK = 0
@@ -112,7 +111,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_partition(args) -> int:
     cfg = _load_cli_config(args)
-    cands = candidates_from_doc(load_json(args.candidates))
+    cands = _load_doc(args.candidates, candidates_from_doc)
     reg = read_regression(args.reg)
     votes = embed(cands, reg)
     parts = cluster_votes(votes, cfg.cluster_params(reg.norm_factor))
@@ -138,7 +137,7 @@ def _cmd_decode(args) -> int:
 def _load_poses_for(path, scene: Scene) -> PoseSet:
     """A poses file whose canvas and per-pose joint slots match the scene,
     with every assigned joint on the canvas."""
-    poses, h, w = poses_from_doc(load_json(path))
+    poses, h, w = _load_doc(path, poses_from_doc)
     if (h, w) != (scene.height, scene.width):
         raise SchemaError(
             "%s canvas %dx%d does not match scene %dx%d" % (path, w, h, scene.width, scene.height)

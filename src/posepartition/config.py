@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .detect import DEFAULT_TAU, DetectorParams
-from .errors import ConfigurationError, ParameterError, SchemaError
+from .errors import AnnotationError, ConfigurationError, ParameterError, SchemaError
 from .maps import ForwardParams
 from .partition import ClusterParams, default_link_threshold
-from .scene import JointSpec, _is_num, layout_from_doc, layout_to_doc, mpii_joint_layout
+from .scene import JointSpec, _is_num, layout_from_doc, layout_to_doc, mpii_joint_layout, validate_joint_layout
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class PipelineConfig:
             self.forward_params()
             self.detector_params()
             self.cluster_params(1.0)  # a fixed cutoff; auto is always valid
-        except ParameterError as exc:
+            validate_joint_layout(self.joint_layout)
+        except (ParameterError, AnnotationError) as exc:
             raise ConfigurationError(str(exc)) from exc
 
     def forward_params(self) -> ForwardParams:

@@ -122,12 +122,7 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
                 continue
             centroids.append(centroid)
             persons.append(person)
-        scene = Scene(
-            height=spec.height,
-            width=spec.width,
-            joint_layout=layout,
-            persons=tuple(persons),
+        scenes.append(
+            Scene(height=spec.height, width=spec.width, joint_layout=layout, persons=tuple(persons))
         )
-        scene.validate()
-        scenes.append(scene)
     return scenes

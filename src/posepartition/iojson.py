@@ -17,7 +17,7 @@ from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import JointEstimate, PersonPose, PoseSet
 from .partition import Partition
-from .scene import _is_int, _is_num, _require
+from .scene import _is_int, _is_num, _load_doc, _require
 
 __all__ = [
     "candidates_to_doc",
@@ -37,11 +37,7 @@ def _is_finite(v) -> bool:
 
 
 def load_json(path) -> dict | list:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("%s is not valid JSON: %s" % (path, exc)) from exc
+    return _load_doc(path, lambda doc: doc)
 
 
 def save_json(doc, path) -> None:

@@ -139,7 +139,6 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
     the template holds the very values a per-bump evaluation would.
     """
     params = params or ForwardParams()
-    scene.validate()
     k, h, w = scene.num_joints, scene.height, scene.width
     out = np.zeros((k, h, w), dtype=np.float32)
     xs = np.arange(w, dtype=np.float32)
@@ -192,7 +191,6 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     order as a full-canvas accumulator would, and so the output is the same.
     """
     params = params or ForwardParams()
-    scene.validate()
     k, h, w = scene.num_joints, scene.height, scene.width
     z = scene.norm_factor
     r = params.radius

@@ -132,7 +132,11 @@ def person_centroid(person: PersonAnnotation) -> Position:
 
 @dataclass(frozen=True)
 class Scene:
-    """Canvas dimensions, joint layout, and person annotations."""
+    """Canvas dimensions, joint layout, and person annotations.
+
+    Construction, dataclasses.replace included, raises AnnotationError on a
+    broken structural invariant, so every Scene is valid.
+    """
 
     height: int
     width: int
@@ -148,8 +152,7 @@ class Scene:
         """Length of the canvas diagonal, used to normalize offsets."""
         return math.hypot(self.height, self.width)
 
-    def validate(self) -> None:
-        """Check all structural scene invariants, raising AnnotationError."""
+    def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:
             raise AnnotationError("canvas must be at least 1x1, got %dx%d" % (self.height, self.width))
         validate_joint_layout(self.joint_layout)
@@ -297,17 +300,15 @@ def scene_from_dict(doc: dict) -> Scene:
         cent = entry.get("centroid")
         centroid = None if cent is None else _parse_position(cent, "persons[%d].centroid" % i)
         persons.append(PersonAnnotation(joints=joints, centroid=centroid))
-    scene = Scene(
-        height=doc["height"],
-        width=doc["width"],
-        joint_layout=layout,
-        persons=tuple(persons),
-    )
     try:
-        scene.validate()
+        return Scene(
+            height=doc["height"],
+            width=doc["width"],
+            joint_layout=layout,
+            persons=tuple(persons),
+        )
     except AnnotationError as exc:
         raise SchemaError("invalid scene: %s" % exc) from exc
-    return scene
 
 
 def dump_scene(scene: Scene) -> str:
@@ -320,13 +321,18 @@ def save_scene(scene: Scene, path) -> None:
         fh.write("\n")
 
 
-def load_scene(path) -> Scene:
+def _load_doc(path, parse):
+    """parse applied to the JSON document at path; a SchemaError names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("%s is not valid JSON: %s" % (path, exc)) from exc
     try:
-        return scene_from_dict(doc)
+        return parse(doc)
     except SchemaError as exc:
         raise SchemaError("%s: %s" % (path, exc)) from exc
+
+
+def load_scene(path) -> Scene:
+    return _load_doc(path, scene_from_dict)

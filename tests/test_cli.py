@@ -215,6 +215,26 @@ def test_poses_with_a_joint_off_the_canvas_exit_two(tmp_path, capsys, command, j
     assert "%s pose 0 joint 5 lies outside the 256x256 canvas" % poses in err
 
 
+def test_document_errors_name_their_file(tmp_path, capsys):
+    scenes = make_corpus(tmp_path, n=2)
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    first, second = sorted(scenes.glob("*.json"))
+    good, bad = poses_dir / first.name, poses_dir / second.name
+    save_json(poses_to_doc(PoseSet(()), 256, 256), good)
+    save_json({"height": 256, "width": 256, "poses": [{"joints": [None] * 16, "scores": [None] * 16}]}, bad)
+    assert run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json") == EXIT_INPUT
+    assert "error: %s: poses[0] is missing 'centroid'" % bad in capsys.readouterr().err
+
+    reg = tmp_path / "m.reg.pmap"
+    assert run("synth", "--scene", first, "--out-conf", tmp_path / "m.conf.pmap", "--out-reg", reg) == EXIT_OK
+    cands = tmp_path / "cands.json"
+    save_json([{"joint": 0, "x": 3, "score": 0.9}], cands)
+    code = run("partition", "--candidates", cands, "--reg", reg, "--out", tmp_path / "parts.json")
+    assert code == EXIT_INPUT
+    assert "error: %s: candidates[0] is missing 'y'" % cands in capsys.readouterr().err
+
+
 def test_scene_coordinate_past_float_range_exits_two(tmp_path, capsys):
     scenes = make_corpus(tmp_path, n=1)
     scene = next(iter(scenes.glob("*.json")))

@@ -13,7 +13,7 @@ from posepartition.config import (
     load_config,
 )
 from posepartition.errors import ConfigurationError
-from posepartition.scene import mpii_joint_layout
+from posepartition.scene import JointGroup, mpii_joint_layout
 
 
 def test_defaults_round_trip():
@@ -99,6 +99,13 @@ def test_a_config_is_valid_once_built():
     with pytest.raises(ConfigurationError, match="link_threshold"):
         replace(PipelineConfig(), link_threshold=-1.0)
     assert replace(PipelineConfig(), link_threshold=4.0).link_threshold == 4.0
+    layout = mpii_joint_layout()
+    no_neck = tuple(replace(js, group=JointGroup.TORSO) if js.group is JointGroup.NECK else js for js in layout)
+    with pytest.raises(ConfigurationError, match="exactly one neck"):
+        PipelineConfig(joint_layout=no_neck)
+    duplicate_id = layout[:-1] + (replace(layout[-1], joint_id=0),)
+    with pytest.raises(ConfigurationError, match="joint ids"):
+        replace(PipelineConfig(), joint_layout=duplicate_id)
 
 
 @pytest.mark.parametrize(

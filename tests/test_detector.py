@@ -247,7 +247,6 @@ def test_detection_complete_on_separated_scenes():
             for i in range(n)
         )
         scene = Scene(height=56, width=56, joint_layout=layout, persons=persons)
-        scene.validate()
         cands = detect_candidates(build_confidence_maps(scene))
         expected = {
             (j, int(p[0]), int(p[1]))

@@ -37,14 +37,12 @@ def eval_layout():
 
 
 def make_scene(persons, height=128, width=128):
-    scene = Scene(
+    return Scene(
         height=height,
         width=width,
         joint_layout=eval_layout(),
         persons=tuple(persons),
     )
-    scene.validate()
-    return scene
 
 
 def person(neck=None, head=None, limbs=(None, None)):

@@ -51,9 +51,7 @@ def scene_of(person_joints, height=128, width=128):
     persons = tuple(
         PersonAnnotation(joints=tuple(joints)) for joints in person_joints
     )
-    scene = Scene(height=height, width=width, joint_layout=layout, persons=persons)
-    scene.validate()
-    return scene
+    return Scene(height=height, width=width, joint_layout=layout, persons=persons)
 
 
 def decode_scene(scene):
@@ -442,7 +440,6 @@ def test_energy_of_a_single_joint_is_its_negated_confidence():
         joint_layout=layout,
         persons=(PersonAnnotation(joints=((20.0, 20.0),)),),
     )
-    scene.validate()
     conf = build_confidence_maps(scene)
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)

@@ -36,9 +36,7 @@ def make_scene(person_joints, height=64, width=64, centroids=None, k=None):
         slots = list(joints) + [None] * (k - len(joints))
         cent = centroids[i] if centroids is not None else None
         persons.append(PersonAnnotation(joints=tuple(slots), centroid=cent))
-    scene = Scene(height=height, width=width, joint_layout=layout_k(k), persons=tuple(persons))
-    scene.validate()
-    return scene
+    return Scene(height=height, width=width, joint_layout=layout_k(k), persons=tuple(persons))
 
 
 def random_scene(rng, k=3, height=32, width=32, max_persons=3):
@@ -383,9 +381,7 @@ def regression_scenes(draw):
             | st.tuples(st.floats(-w, 2.0 * w), st.floats(-h, 2.0 * h))
         )
         persons.append(PersonAnnotation(joints=tuple(joints), centroid=centroid))
-    scene = Scene(height=h, width=w, joint_layout=layout_k(k), persons=tuple(persons))
-    scene.validate()
-    return scene, radius
+    return Scene(height=h, width=w, joint_layout=layout_k(k), persons=tuple(persons)), radius
 
 
 # Seven persons whose disks all cover (20, 20), summed in scene order.

@@ -203,7 +203,6 @@ def test_embed_votes_hit_single_person_centroid():
         joint_layout=layout,
         persons=(PersonAnnotation(joints=((30.0, 40.0), (36.0, 50.0))),),
     )
-    scene.validate()
     conf = build_confidence_maps(scene)
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)
@@ -596,7 +595,6 @@ def test_well_separated_scene_yields_one_partition_per_person():
         for ax, ay in anchors
     )
     scene = Scene(height=224, width=224, joint_layout=layout, persons=persons)
-    scene.validate()
     conf = build_confidence_maps(scene)
     reg = build_regression_maps(scene)
     cands = detect_candidates(conf)
@@ -637,7 +635,6 @@ def test_scaling_scene_and_threshold_preserves_memberships():
         scene = Scene(
             height=128 * scale, width=128 * scale, joint_layout=layout, persons=persons
         )
-        scene.validate()
         conf = build_confidence_maps(scene)
         reg = build_regression_maps(scene)
         votes = embed(detect_candidates(conf), reg)
@@ -708,7 +705,6 @@ def test_partition_score_matches_recomputation_on_scene():
         PersonAnnotation(joints=((90.0, 90.0), (94.0, 98.0))),
     )
     scene = Scene(height=128, width=128, joint_layout=layout, persons=persons)
-    scene.validate()
     conf = build_confidence_maps(scene)
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)

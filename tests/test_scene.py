@@ -1,12 +1,19 @@
 """Scene model: joint layouts, centroids, validation, JSON codec."""
 import json
+from contextlib import suppress
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from posepartition.errors import AnnotationError, SchemaError
+from posepartition.corpus import CorpusSpec, generate_corpus
+from posepartition.errors import AnnotationError, PipelineError, SchemaError
+from posepartition.evaluate import evaluate_corpus
+from posepartition.infer import PoseSet
+from posepartition.pipeline import synth_maps
+from posepartition.render import render_poses
 from posepartition.scene import (
     JointGroup,
     JointSpec,
@@ -40,9 +47,7 @@ def one_person_scene(positions, height=64, width=64, centroid=None):
     layout = tiny_layout()
     assert len(positions) == len(layout)
     person = PersonAnnotation(joints=tuple(positions), centroid=centroid)
-    scene = Scene(height=height, width=width, joint_layout=layout, persons=(person,))
-    scene.validate()
-    return scene
+    return Scene(height=height, width=width, joint_layout=layout, persons=(person,))
 
 
 # --- joint layouts ----------------------------------------------------------
@@ -142,36 +147,97 @@ def test_person_centroid_prefers_explicit_value():
 
 
 def test_scene_validation_rejects_out_of_canvas_joint():
-    scene = Scene(
-        height=32,
-        width=32,
-        joint_layout=tiny_layout(),
-        persons=(PersonAnnotation(joints=((0.0, 0.0), (32.0, 5.0), None, None)),),
-    )
     with pytest.raises(AnnotationError):
-        scene.validate()
+        Scene(
+            height=32,
+            width=32,
+            joint_layout=tiny_layout(),
+            persons=(PersonAnnotation(joints=((0.0, 0.0), (32.0, 5.0), None, None)),),
+        )
 
 
 def test_scene_validation_rejects_wrong_slot_count():
-    scene = Scene(
-        height=32,
-        width=32,
-        joint_layout=tiny_layout(),
-        persons=(PersonAnnotation(joints=((0.0, 0.0),)),),
-    )
     with pytest.raises(AnnotationError):
-        scene.validate()
+        Scene(
+            height=32,
+            width=32,
+            joint_layout=tiny_layout(),
+            persons=(PersonAnnotation(joints=((0.0, 0.0),)),),
+        )
 
 
 def test_scene_validation_rejects_jointless_person():
-    scene = Scene(
-        height=32,
-        width=32,
-        joint_layout=tiny_layout(),
-        persons=(PersonAnnotation(joints=(None, None, None, None)),),
-    )
     with pytest.raises(AnnotationError):
-        scene.validate()
+        Scene(
+            height=32,
+            width=32,
+            joint_layout=tiny_layout(),
+            persons=(PersonAnnotation(joints=(None, None, None, None)),),
+        )
+
+
+def test_scene_validation_rejects_layout_without_neck():
+    no_neck = (replace(tiny_layout()[0], group=JointGroup.TORSO),) + tiny_layout()[1:]
+    with pytest.raises(AnnotationError, match="exactly one neck"):
+        Scene(height=32, width=32, joint_layout=no_neck, persons=())
+
+
+def test_replace_checks_the_new_scene():
+    scene = generate_corpus(CorpusSpec(num_scenes=1), seed=0)[0]
+    with pytest.raises(AnnotationError, match="outside the canvas"):
+        replace(scene, height=50)
+
+
+@st.composite
+def scene_fields(draw):
+    """Scene keyword arguments that may break any rule: 1-64 px canvases,
+    layouts with a corrupted entry, joints off the canvas or non-finite,
+    wrong slot counts, and 0-3 persons."""
+    height, width = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    k = draw(st.integers(1, 6))
+    names = [js.name for js in sorted(mpii_joint_layout(), key=lambda js: js.inference_rank)]
+    torso = draw(st.integers(0, k - 1))
+    groups = [JointGroup.NECK] + [JointGroup.TORSO] * torso + [JointGroup.LIMB] * (k - 1 - torso)
+    ids = draw(st.permutations(range(k)))
+    layout = [JointSpec(ids[r], names[r], groups[r], r) for r in range(k)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        layout[i] = JointSpec(
+            draw(st.integers(-1, k)), names[i], draw(st.sampled_from(JointGroup)), draw(st.integers(-1, k))
+        )
+    # Half the scenes keep every person rule, so that many of them build.
+    broken = draw(st.booleans())
+    anywhere = st.tuples(st.floats(), st.floats())
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    inside = st.tuples(
+        st.floats(0.0, width, exclude_max=True), st.floats(0.0, height, exclude_max=True)
+    )
+    joint = inside | anywhere if broken else inside
+    centroid = anywhere if broken else st.tuples(finite, finite)
+    slot_count = st.integers(k - 1, k + 1) if broken else st.just(k)
+    persons = [
+        PersonAnnotation(
+            joints=tuple(draw(st.none() | joint) for _ in range(draw(slot_count))),
+            centroid=draw(st.none() | centroid),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return dict(height=height, width=width, joint_layout=tuple(layout), persons=tuple(persons))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=scene_fields())
+def test_a_scene_that_builds_is_safe_for_every_stage(fields):
+    try:
+        scene = Scene(**fields)
+    except AnnotationError:
+        return
+    with suppress(PipelineError):
+        synth_maps(scene)
+    with suppress(PipelineError):
+        evaluate_corpus([(PoseSet(()), scene)])
+    with suppress(PipelineError):
+        render_poses(PoseSet(()), scene)
 
 
 # --- JSON codec -------------------------------------------------------------
@@ -197,9 +263,7 @@ def seeded_scene():
                 centroid=(100.5, 90.25) if rng.random() < 0.5 else None,
             )
         )
-    scene = Scene(height=220, width=210, joint_layout=layout, persons=tuple(persons))
-    scene.validate()
-    return scene
+    return Scene(height=220, width=210, joint_layout=layout, persons=tuple(persons))
 
 
 @st.composite
