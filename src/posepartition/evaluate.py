@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -29,9 +31,9 @@ class MatchParams:
     the hit distance.  When a person offers no usable head size, fallback_px
     (an absolute pixel distance) is used instead if set, otherwise
     evaluation fails for that person.
-    Predicted poses with fewer than min_joints assigned joints, or whose mean
-    joint score falls below min_score, are discarded before matching and
-    scoring (the usual low-quality-assembly filter).
+    Predicted poses with fewer than min_joints (an int >= 1) assigned
+    joints, or whose mean joint score falls below min_score, are discarded
+    before matching and scoring (the usual low-quality-assembly filter).
     """
 
     pckh_fraction: float = 0.5
@@ -44,8 +46,10 @@ class MatchParams:
             raise ParameterError("pckh_fraction must be positive, got %g" % self.pckh_fraction)
         if self.fallback_px is not None and not (self.fallback_px > 0 and math.isfinite(self.fallback_px)):
             raise ParameterError("fallback_px must be positive and finite when set")
-        if self.min_joints < 1:
-            raise ParameterError("min_joints must be at least 1, got %d" % self.min_joints)
+        if isinstance(self.min_joints, bool) or not (
+            isinstance(self.min_joints, int) and self.min_joints >= 1
+        ):
+            raise ParameterError("min_joints must be an integer >= 1, got %r" % (self.min_joints,))
         if self.min_score is not None and not math.isfinite(self.min_score):
             raise ParameterError("min_score must be finite when set")
 
@@ -73,28 +77,93 @@ class PoseMatch:
     gt_count: int
 
 
-def _hit_distance(scene: Scene, person_idx: int, params: MatchParams) -> float:
-    """PCKh radius for one ground-truth person (see MatchParams)."""
-    person = scene.persons[person_idx]
-    size = None
-    neck_id = next(
-        js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK
-    )
+def _hit_distances(scene: Scene, params: MatchParams) -> list[float]:
+    """PCKh radius of each ground-truth person, in scene order (see MatchParams)."""
+    neck_id = next(js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK)
     head_id = next(
         (js.joint_id for js in scene.joint_layout if js.name == HEAD_TOP_NAME), None
     )
-    if head_id is not None:
-        a = person.joints[neck_id]
-        b = person.joints[head_id]
-        if a is not None and b is not None:
-            size = math.dist(a, b)
-    if size is not None and size > 0:
-        return params.pckh_fraction * size
-    if params.fallback_px is not None:
-        return params.fallback_px
-    raise EvaluationError(
-        "person %d has no usable head size (neck to head top) and no fallback distance is set"
-        % person_idx
+    radii = []
+    for gi, person in enumerate(scene.persons):
+        size = None
+        if head_id is not None:
+            a = person.joints[neck_id]
+            b = person.joints[head_id]
+            if a is not None and b is not None:
+                size = math.dist(a, b)
+        if size is not None and size > 0:
+            radii.append(params.pckh_fraction * size)
+        elif params.fallback_px is not None:
+            radii.append(params.fallback_px)
+        else:
+            raise EvaluationError(
+                "person %d has no usable head size (neck to head top) and no fallback distance is set"
+                % gi
+            )
+    return radii
+
+
+def _match_scene(
+    pred: PoseSet, gt: Scene, params: MatchParams
+) -> tuple[list[tuple[int, tuple]], dict[int, int], list[list[int]]]:
+    """The matcher behind match_poses and evaluate_corpus.
+
+    Returns the kept poses as (index in pred, joint slots), the greedy
+    pairing {kept-pose index: person index}, and for every kept pose the
+    ids of its correct joints: the hit list of its pair, or none when it
+    is unmatched.  Raises DimensionError for the first pose whose slot
+    count differs from the scene's, then EvaluationError for the first
+    person without a hit distance.
+    """
+    k = gt.num_joints
+    min_joints, min_score = params.min_joints, params.min_score
+    kept: list[tuple[int, tuple]] = []
+    for i, pose in enumerate(pred.poses):
+        joints = pose.joints
+        if len(joints) != k:
+            raise DimensionError("pose %d has %d joint slots, scene has %d" % (i, len(joints), k))
+        scores = [e.score for e in joints if e is not None]
+        if len(scores) < min_joints:
+            continue
+        if min_score is not None and not sum(scores) / len(scores) >= min_score:
+            continue
+        kept.append((i, joints))
+    radii = _hit_distances(gt, params)
+
+    # hit[pi, gi]: the joints j of kept pose pi within person gi's hit
+    # distance of gi's joint j, for every pair with at least one.
+    refs = [
+        [(j, ref) for j, ref in enumerate(person.joints) if ref is not None]
+        for person in gt.persons
+    ]
+    dist = math.dist
+    hit: dict[tuple[int, int], list[int]] = {}
+    for pi, (_, joints) in enumerate(kept):
+        for gi, (person_refs, r) in enumerate(zip(refs, radii)):
+            js = [
+                j
+                for j, ref in person_refs
+                if (est := joints[j]) is not None and dist(est.position, ref) <= r
+            ]
+            if js:
+                hit[pi, gi] = js
+    matched: dict[int, int] = {}
+    used_gt: set[int] = set()
+    for _, pi, gi in sorted((-len(js), pi, gi) for (pi, gi), js in hit.items()):
+        if pi in matched or gi in used_gt:
+            continue
+        matched[pi] = gi
+        used_gt.add(gi)
+    correct = [hit[pi, matched[pi]] if pi in matched else [] for pi in range(len(kept))]
+    return kept, matched, correct
+
+
+def _gt_joint_counts(scene: Scene) -> tuple[int, ...]:
+    """Annotated joints of each category in the scene."""
+    if not scene.persons:
+        return (0,) * scene.num_joints
+    return tuple(
+        len(refs) - refs.count(None) for refs in zip(*(person.joints for person in scene.persons))
     )
 
 
@@ -106,64 +175,47 @@ def match_poses(pred: PoseSet, gt: Scene, params: MatchParams | None = None) -> 
     Remaining predictions count as false positives downstream.  A pose
     whose joint slots do not match the scene's layout raises DimensionError.
     """
-    params = params or MatchParams()
-    k = gt.num_joints
-    for i, pose in enumerate(pred.poses):
-        if len(pose.joints) != k:
-            raise DimensionError("pose %d has %d joint slots, scene has %d" % (i, len(pose.joints), k))
-
-    def keep(pose) -> bool:
-        scores = [e.score for e in pose.joints if e is not None]
-        if len(scores) < params.min_joints:
-            return False
-        if params.min_score is not None:
-            return sum(scores) / len(scores) >= params.min_score
-        return True
-
-    poses = [(i, pose) for i, pose in enumerate(pred.poses) if keep(pose)]
+    kept, matched, correct = _match_scene(pred, gt, params or MatchParams())
     n_gt = len(gt.persons)
-    radii = [_hit_distance(gt, gi, params) for gi in range(n_gt)]
-
-    # hit[pi, gi]: the joints j of kept pose pi within person gi's hit
-    # distance of gi's joint j, for every pair with at least one.
-    hit: dict[tuple[int, int], list[int]] = {}
-    for pi, (_, pose) in enumerate(poses):
-        for gi, person in enumerate(gt.persons):
-            for j in range(k):
-                est, ref = pose.joints[j], person.joints[j]
-                if est is not None and ref is not None and math.dist(est.position, ref) <= radii[gi]:
-                    hit.setdefault((pi, gi), []).append(j)
-    scored_pairs = sorted((-len(js), pi, gi) for (pi, gi), js in hit.items())
-    matched: dict[int, int] = {}  # kept-pose index -> ground-truth person
-    used_gt: set[int] = set()
-    for _, pi, gi in scored_pairs:
-        if pi in matched or gi in used_gt:
-            continue
-        matched[pi] = gi
-        used_gt.add(gi)
-
-    predictions: list[JointPrediction] = []
-    for pi, (orig_idx, pose) in enumerate(poses):
-        for j in range(k):
-            est = pose.joints[j]
-            if est is not None:
-                correct = pi in matched and j in hit[pi, matched[pi]]
-                predictions.append(
-                    JointPrediction(joint_id=j, score=est.score, correct=correct, pose_index=orig_idx)
-                )
-
-    gt_joint_counts = tuple(
-        sum(1 for person in gt.persons if person.joints[j] is not None) for j in range(k)
-    )
+    used_gt = set(matched.values())
     return PoseMatch(
-        pairs=tuple((poses[pi][0], gi) for pi, gi in matched.items()),
-        unmatched_poses=tuple(i for pi, (i, _) in enumerate(poses) if pi not in matched),
+        pairs=tuple((kept[pi][0], gi) for pi, gi in matched.items()),
+        unmatched_poses=tuple(i for pi, (i, _) in enumerate(kept) if pi not in matched),
         unmatched_persons=tuple(g for g in range(n_gt) if g not in used_gt),
-        predictions=tuple(predictions),
-        gt_joint_counts=gt_joint_counts,
-        pred_count=len(poses),
+        predictions=tuple(
+            JointPrediction(joint_id=j, score=est.score, correct=j in hits, pose_index=i)
+            for (i, joints), hits in zip(kept, correct)
+            for j, est in enumerate(joints)
+            if est is not None
+        ),
+        gt_joint_counts=_gt_joint_counts(gt),
+        pred_count=len(kept),
         gt_count=n_gt,
     )
+
+
+_SWEEP_ORDER = itemgetter(0, 1, 2)
+
+
+def _sweep_ap(records: list[tuple[float, int, int, bool]], total_gt: int) -> float:
+    """Interpolated AP, in [0, 100], of one joint category's records.
+
+    Each record is (-score, scene index, pose index, correct); a stable
+    sort on the first three sweeps the predictions in descending score
+    order with ties broken by scene and pose order.  Precision is
+    interpolated to its running maximum from the right, and recall
+    advances by exactly 1/total_gt at each true positive.
+    """
+    if not records:
+        return 0.0
+    records.sort(key=_SWEEP_ORDER)
+    flags = [r[3] for r in records]
+    precisions = [tp / i for i, tp in enumerate(accumulate(flags), start=1)]
+    # The envelope from the right, summed at the true positives from the
+    # right.
+    envelope = accumulate(reversed(precisions), max)
+    ap = sum(compress(envelope, reversed(flags))) / total_gt
+    return 100.0 * ap
 
 
 def average_precision(matches: Sequence[PoseMatch], joint_id: int) -> float | None:
@@ -177,31 +229,13 @@ def average_precision(matches: Sequence[PoseMatch], joint_id: int) -> float | No
     total_gt = sum(m.gt_joint_counts[joint_id] for m in matches)
     if total_gt == 0:
         return None
-    records = []
-    for si, m in enumerate(matches):
-        for p in m.predictions:
-            if p.joint_id == joint_id:
-                records.append((-p.score, si, p.pose_index, p.correct))
-    if not records:
-        return 0.0
-    records.sort(key=lambda r: r[:3])
-    correct_flags = [r[3] for r in records]
-    tp = 0
-    precisions = []
-    for i, flag in enumerate(correct_flags, start=1):
-        if flag:
-            tp += 1
-        precisions.append(tp / i)
-    # Interpolate: precision envelope from the right; recall advances by
-    # exactly 1/total_gt at each true positive.
-    best = 0.0
-    envelope_at_tp = []
-    for i in range(len(records) - 1, -1, -1):
-        best = max(best, precisions[i])
-        if correct_flags[i]:
-            envelope_at_tp.append(best)
-    ap = sum(envelope_at_tp) / total_gt
-    return 100.0 * ap
+    records = [
+        (-p.score, si, p.pose_index, p.correct)
+        for si, m in enumerate(matches)
+        for p in m.predictions
+        if p.joint_id == joint_id
+    ]
+    return _sweep_ap(records, total_gt)
 
 
 @dataclass(frozen=True)
@@ -264,11 +298,25 @@ def evaluate_corpus(
     for _, scene in pairs:
         if scene.num_joints != k:
             raise DimensionError("scenes disagree on joint count")
-    matches = [match_poses(poses, scene, params) for poses, scene in pairs]
-    per_joint = tuple(average_precision(matches, j) for j in range(k))
+    records: list[list[tuple[float, int, int, bool]]] = [[] for _ in range(k)]
+    total_gt = [0] * k
+    pred_counts, gt_counts = [], []
+    for si, (poses, scene) in enumerate(pairs):
+        kept, _, correct = _match_scene(poses, scene, params)
+        for (i, joints), hits in zip(kept, correct):
+            for j, est in enumerate(joints):
+                if est is not None:
+                    records[j].append((-est.score, si, i, j in hits))
+        for j, n in enumerate(_gt_joint_counts(scene)):
+            total_gt[j] += n
+        pred_counts.append(len(kept))
+        gt_counts.append(len(scene.persons))
+    per_joint = tuple(
+        _sweep_ap(recs, n) if n else None for recs, n in zip(records, total_gt)
+    )
     evaluated = [ap for ap in per_joint if ap is not None]
     total = sum(evaluated) / len(evaluated) if evaluated else 0.0
-    counts = count_metrics([m.pred_count for m in matches], [m.gt_count for m in matches])
+    counts = count_metrics(pred_counts, gt_counts)
     return EvalReport(
         per_joint_ap=per_joint,
         total_ap=total,

@@ -159,6 +159,9 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
     span = min(reach, max(h, w) - 1)
     offsets = np.arange(-span, span + 2, dtype=np.float32)
     template = bump(offsets, offsets)
+    # A plane's first bump is stored as is: the plane is still zero there,
+    # and max(+0, b) == b for the non-negative bumps.
+    touched = [False] * k
     for person in scene.persons:
         for j, pos in enumerate(person.joints):
             if pos is None:
@@ -172,8 +175,15 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
                 b = template[ty, tx]
             else:
                 b = bump(xs[sx] - np.float32(pos[0]), ys[sy] - np.float32(pos[1]))
-            np.maximum(out[j, sy, sx], b, out=out[j, sy, sx])
+            if touched[j]:
+                np.maximum(out[j, sy, sx], b, out=out[j, sy, sx])
+            else:
+                out[j, sy, sx] = b
+                touched[j] = True
     return ConfidenceMapSet(out)
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> RegressionMapSet:
@@ -197,12 +207,12 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     out = np.zeros((k, h, w, 2), dtype=np.float32)
     centroids = [person_centroid(person) for person in scene.persons]
     rows = [
-        (j, *person.joints[j], *centroid)
+        (j, gi, *person.joints[j], *centroid)
         for j in range(k)
-        for person, centroid in zip(scene.persons, centroids)
+        for gi, (person, centroid) in enumerate(zip(scene.persons, centroids))
         if person.joints[j] is not None
     ]
-    j, x0, y0, cx, cy = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    j, person_idx, x0, y0, cx, cy = np.array(rows, dtype=np.float64).reshape(-1, 6).T
     # Window bounds: integer joints span floor(radius) pixels each way, the
     # others the pixels within radius along each axis; both are clipped to
     # the canvas, so no array outgrows it whatever the radius.
@@ -225,13 +235,24 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     win, iy, ix = np.nonzero(keep)
     corner = ((j * h + ylo) * w + xlo).astype(np.intp)
     cell = corner[win] + iy * w + ix
+    vx, vy = offx[win, ix], offy[win, iy]
+    # A finite centroid far off the canvas can give offsets past float32.
+    # A pixel's mean never exceeds its largest contribution, so checking
+    # the contributions keeps the float32 store below from overflowing.
+    too_big = np.maximum(np.abs(vx), np.abs(vy)) > _FLOAT32_MAX
+    if too_big.any():
+        i = win[too_big.argmax()]
+        raise ParameterError(
+            "regression offset of person %d joint %d toward centroid (%g, %g) exceeds float32"
+            % (person_idx[i], j[i], cx[i], cy[i])
+        )
     pixels, inverse = np.unique(cell, return_inverse=True)
     # Dividing by a count of 1 is exact, so single-contributor pixels keep
     # their sum.
     counts = np.bincount(inverse)
     flat = out.reshape(-1, 2)
-    flat[pixels, 0] = np.bincount(inverse, weights=offx[win, ix]) / counts
-    flat[pixels, 1] = np.bincount(inverse, weights=offy[win, iy]) / counts
+    flat[pixels, 0] = np.bincount(inverse, weights=vx) / counts
+    flat[pixels, 1] = np.bincount(inverse, weights=vy) / counts
     return RegressionMapSet(out)
 
 

@@ -1,14 +1,21 @@
 """Matching, average precision, count metrics, and the report renderer."""
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from posepartition.config import PipelineConfig
+from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.errors import DimensionError, EvaluationError, ParameterError
 from posepartition.evaluate import (
     CSV_GROUPS,
     EvalReport,
+    JointPrediction,
     MatchParams,
+    PoseMatch,
     average_precision,
     count_metrics,
     evaluate_corpus,
@@ -16,6 +23,8 @@ from posepartition.evaluate import (
     report_csv,
 )
 from posepartition.infer import JointEstimate, PersonPose, PoseSet
+from posepartition.maps import ConfidenceMapSet, RegressionMapSet
+from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import (
     JointGroup,
     JointSpec,
@@ -179,6 +188,15 @@ def test_match_params_validation():
     with pytest.raises(ParameterError):
         MatchParams(min_score=math.inf)
     MatchParams(min_score=None)
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5, True, 0.5, 0, -1, "3"])
+def test_min_joints_must_be_an_integer_of_at_least_one(value):
+    # NaN used to turn the filter off, 2.5 and True were accepted, and 0.5
+    # was rejected as "got 0".
+    expect = "min_joints must be an integer >= 1, got %s$" % re.escape(repr(value))
+    with pytest.raises(ParameterError, match=expect):
+        MatchParams(min_joints=value)
 
 
 # --- average precision ------------------------------------------------------
@@ -379,6 +397,227 @@ def test_poses_with_the_wrong_joint_slot_count_are_rejected():
             match_poses(PoseSet(poses=(good, bad)), scene)
         with pytest.raises(DimensionError, match="pose 1 has"):
             evaluate_corpus([(PoseSet(poses=(good, bad)), scene)])
+
+
+def test_errors_come_from_the_first_failing_scene_dimension_errors_first():
+    good = neck_pose(20, 20, 0.9)
+    bad_slots = PoseSet(poses=(good, PersonPose(joints=good.joints[:-1], final_centroid=(0.0, 0.0))))
+    headless = make_scene([person(neck=(20.0, 20.0))])  # no head size, no fallback
+    fine = make_scene([person(neck=(20.0, 20.0), head=(20.0, 40.0))])
+    # One scene failing both ways: the slot count is checked first.
+    with pytest.raises(DimensionError, match="pose 1 has 3 joint slots"):
+        match_poses(bad_slots, headless)
+    with pytest.raises(DimensionError, match="pose 1 has 3 joint slots"):
+        evaluate_corpus([(bad_slots, headless)])
+    # Across scenes, the first failing scene decides.
+    with pytest.raises(EvaluationError, match="person 0 has no usable head size"):
+        evaluate_corpus([(PoseSet(poses=(good,)), fine), (PoseSet(()), headless), (bad_slots, fine)])
+    with pytest.raises(DimensionError, match="pose 1 has 3 joint slots"):
+        evaluate_corpus([(PoseSet(poses=(good,)), fine), (bad_slots, fine), (PoseSet(()), headless)])
+
+
+# --- one-pass corpus scoring against the per-scene composition ---------------
+
+
+def oracle_match(pred, gt, params):
+    """match_poses as it stood before corpus scoring became one pass."""
+    k = gt.num_joints
+    for i, p in enumerate(pred.poses):
+        if len(p.joints) != k:
+            raise DimensionError("pose %d has %d joint slots, scene has %d" % (i, len(p.joints), k))
+
+    def keep(p) -> bool:
+        scores = [e.score for e in p.joints if e is not None]
+        if len(scores) < params.min_joints:
+            return False
+        if params.min_score is not None:
+            return sum(scores) / len(scores) >= params.min_score
+        return True
+
+    def hit_distance(gi):
+        pers = gt.persons[gi]
+        size = None
+        neck_id = next(js.joint_id for js in gt.joint_layout if js.group is JointGroup.NECK)
+        head_id = next((js.joint_id for js in gt.joint_layout if js.name == "head_top"), None)
+        if head_id is not None:
+            a, b = pers.joints[neck_id], pers.joints[head_id]
+            if a is not None and b is not None:
+                size = math.dist(a, b)
+        if size is not None and size > 0:
+            return params.pckh_fraction * size
+        if params.fallback_px is not None:
+            return params.fallback_px
+        raise EvaluationError(
+            "person %d has no usable head size (neck to head top) and no fallback distance is set"
+            % gi
+        )
+
+    poses = [(i, p) for i, p in enumerate(pred.poses) if keep(p)]
+    n_gt = len(gt.persons)
+    radii = [hit_distance(gi) for gi in range(n_gt)]
+    hit = {}
+    for pi, (_, p) in enumerate(poses):
+        for gi, pers in enumerate(gt.persons):
+            for j in range(k):
+                est, ref = p.joints[j], pers.joints[j]
+                if est is not None and ref is not None and math.dist(est.position, ref) <= radii[gi]:
+                    hit.setdefault((pi, gi), []).append(j)
+    matched, used_gt = {}, set()
+    for _, pi, gi in sorted((-len(js), pi, gi) for (pi, gi), js in hit.items()):
+        if pi in matched or gi in used_gt:
+            continue
+        matched[pi] = gi
+        used_gt.add(gi)
+    predictions = []
+    for pi, (orig_idx, p) in enumerate(poses):
+        for j in range(k):
+            est = p.joints[j]
+            if est is not None:
+                correct = pi in matched and j in hit[pi, matched[pi]]
+                predictions.append(
+                    JointPrediction(joint_id=j, score=est.score, correct=correct, pose_index=orig_idx)
+                )
+    return PoseMatch(
+        pairs=tuple((poses[pi][0], gi) for pi, gi in matched.items()),
+        unmatched_poses=tuple(i for pi, (i, _) in enumerate(poses) if pi not in matched),
+        unmatched_persons=tuple(g for g in range(n_gt) if g not in used_gt),
+        predictions=tuple(predictions),
+        gt_joint_counts=tuple(
+            sum(1 for pers in gt.persons if pers.joints[j] is not None) for j in range(k)
+        ),
+        pred_count=len(poses),
+        gt_count=n_gt,
+    )
+
+
+def oracle_average_precision(matches, joint_id):
+    """average_precision as it stood before corpus scoring became one pass."""
+    total_gt = sum(m.gt_joint_counts[joint_id] for m in matches)
+    if total_gt == 0:
+        return None
+    records = []
+    for si, m in enumerate(matches):
+        for p in m.predictions:
+            if p.joint_id == joint_id:
+                records.append((-p.score, si, p.pose_index, p.correct))
+    if not records:
+        return 0.0
+    records.sort(key=lambda r: r[:3])
+    flags = [r[3] for r in records]
+    tp = 0
+    precisions = []
+    for i, flag in enumerate(flags, start=1):
+        if flag:
+            tp += 1
+        precisions.append(tp / i)
+    best = 0.0
+    envelope_at_tp = []
+    for i in range(len(records) - 1, -1, -1):
+        best = max(best, precisions[i])
+        if flags[i]:
+            envelope_at_tp.append(best)
+    return 100.0 * (sum(envelope_at_tp) / total_gt)
+
+
+def oracle_report(pairs, params):
+    """(per-joint APs, total, confusion, MSE) by the per-scene composition,
+    with every float as float.hex so equality is bit for bit."""
+    matches = [oracle_match(poses, scene, params) for poses, scene in pairs]
+    per_joint = [oracle_average_precision(matches, j) for j in range(pairs[0][1].num_joints)]
+    evaluated = [ap for ap in per_joint if ap is not None]
+    total = sum(evaluated) / len(evaluated) if evaluated else 0.0
+    counts = count_metrics([m.pred_count for m in matches], [m.gt_count for m in matches])
+    return (
+        [None if ap is None else ap.hex() for ap in per_joint],
+        total.hex(),
+        counts.confusion.tolist(),
+        counts.mse.hex(),
+    )
+
+
+def report_bits(report):
+    return (
+        [None if ap is None else ap.hex() for ap in report.per_joint_ap],
+        report.total_ap.hex(),
+        report.count_confusion.tolist(),
+        report.count_mse.hex(),
+    )
+
+
+def assert_matches_oracle(pairs, params):
+    try:
+        expect = oracle_report(pairs, params)
+    except (DimensionError, EvaluationError) as exc:
+        with pytest.raises(type(exc), match="^%s$" % re.escape(str(exc))):
+            evaluate_corpus(pairs, params)
+        return
+    assert report_bits(evaluate_corpus(pairs, params)) == expect
+    for poses, scene in pairs:
+        assert match_poses(poses, scene, params) == oracle_match(poses, scene, params)
+
+
+# Half-pixel ground truth on a small canvas puts predictions on hit-radius
+# boundaries; few score values give ties.
+gt_point = st.tuples(st.integers(0, 31), st.integers(0, 31)).map(lambda p: (p[0] / 2, p[1] / 2))
+scores = st.sampled_from([0.1, 0.25, 0.5, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def scored_corpora(draw):
+    """1-4 scenes of 0-3 persons, each with 0-5 poses that mostly trace a
+    person's joints within a few pixels, plus the matching parameters."""
+
+    def gt_person():
+        slots = draw(st.lists(st.none() | gt_point, min_size=K, max_size=K))
+        if all(slot is None for slot in slots):
+            slots[0] = draw(gt_point)
+        return PersonAnnotation(joints=tuple(slots))
+
+    def predicted_pose(persons):
+        target = draw(st.sampled_from(persons)).joints if persons and draw(st.booleans()) else (None,) * K
+        slots = []
+        for ref in target:
+            if draw(st.integers(0, 3)) == 0:
+                slots.append(None)
+                continue
+            if ref is None:
+                x, y = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+            else:
+                x, y = int(ref[0]) + draw(st.integers(-2, 2)), int(ref[1]) + draw(st.integers(-2, 2))
+            slots.append(JointEstimate(position=(x, y), score=draw(scores)))
+        return PersonPose(joints=tuple(slots), final_centroid=(0.0, 0.0))
+
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        persons = [gt_person() for _ in range(draw(st.integers(0, 3)))]
+        poses = tuple(predicted_pose(persons) for _ in range(draw(st.integers(0, 5))))
+        pairs.append((PoseSet(poses), make_scene(persons, height=16, width=16)))
+    params = MatchParams(
+        pckh_fraction=draw(st.sampled_from([0.5, 1.0])),
+        fallback_px=draw(st.sampled_from([None, 1.0, 2.5, 4.0])),
+        min_joints=draw(st.integers(1, 3)),
+        min_score=draw(st.none() | st.sampled_from([0.25, 0.5, 0.6])),
+    )
+    return pairs, params
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_corpora())
+def test_evaluate_corpus_equals_the_per_scene_composition_bit_for_bit(case):
+    assert_matches_oracle(*case)
+
+
+def test_evaluate_corpus_equals_the_per_scene_composition_on_noisy_scenes():
+    cfg = PipelineConfig()
+    rng = np.random.default_rng(1)
+    pairs = []
+    for scene in generate_corpus(CorpusSpec(), seed=1)[:40]:
+        conf, reg = synth_maps(scene, cfg)
+        conf = ConfidenceMapSet(conf.values + rng.uniform(-0.05, 0.05, size=conf.values.shape))
+        reg = RegressionMapSet(reg.values + rng.uniform(-0.01, 0.01, size=reg.values.shape))
+        pairs.append((decode_maps(conf, reg, cfg).poses, scene))
+    for params in (MatchParams(), MatchParams(min_joints=3, min_score=0.5)):
+        assert_matches_oracle(pairs, params)
 
 
 def test_report_csv_groups_standard_joints():

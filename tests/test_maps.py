@@ -1,6 +1,7 @@
 """Forward model: confidence maps, regression maps, and the map losses."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -454,6 +455,25 @@ def test_regression_vector_magnitudes_bounded_by_one():
         reg = build_regression_maps(random_scene(rng))
         mags = np.hypot(reg.values[..., 0], reg.values[..., 1])
         assert float(mags.max()) <= 1.0
+
+
+def test_regression_offset_past_float32_is_rejected_naming_person_and_joint():
+    # The Scene rule asks only for a finite centroid; a centroid at 1e300
+    # used to warn "overflow encountered in cast" and store inf offsets.
+    far = make_scene(
+        [[(10.0, 10.0)], [(30.0, 30.0), (31.0, 30.0)]],
+        height=64,
+        width=64,
+        centroids=[None, (1e300, 30.0)],
+        k=2,
+    )
+    with pytest.raises(ParameterError, match=r"person 1 joint 0 toward centroid \(1e\+300, 30\)"):
+        build_regression_maps(far)
+    # The largest centroid whose offsets still fit is kept, not rejected.
+    edge = float(np.finfo(np.float32).max) * far.norm_factor / 2
+    near = replace(far.persons[1], centroid=(edge, 30.0))
+    reg = build_regression_maps(replace(far, persons=(far.persons[0], near)))
+    assert np.isfinite(reg.values).all()
 
 
 # --- parameters and container invariants ------------------------------------
