@@ -19,7 +19,15 @@ from .detect import DEFAULT_TAU, DetectorParams
 from .errors import AnnotationError, ConfigurationError, ParameterError, SchemaError
 from .maps import ForwardParams
 from .partition import ClusterParams, default_link_threshold
-from .scene import JointSpec, _is_num, layout_from_doc, layout_to_doc, mpii_joint_layout, validate_joint_layout
+from .scene import (
+    JointSpec,
+    _is_num,
+    _load_doc,
+    layout_from_doc,
+    layout_to_doc,
+    mpii_joint_layout,
+    validate_joint_layout,
+)
 
 
 @dataclass(frozen=True)
@@ -131,15 +139,7 @@ def config_from_dict(doc: Any) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError("%s is not valid JSON: %s" % (path, exc)) from exc
-    try:
-        return config_from_dict(doc)
-    except ConfigurationError as exc:
-        raise ConfigurationError("%s: %s" % (path, exc)) from exc
+    return _load_doc(path, config_from_dict, ConfigurationError)
 
 
 def dump_config(cfg: PipelineConfig) -> str:

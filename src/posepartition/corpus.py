@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .scene import PersonAnnotation, Scene, mpii_joint_layout, person_centroid
+from .scene import PersonAnnotation, Scene, _is_int, mpii_joint_layout, person_centroid
 
 # Joint offsets (dx, dy) in pixels relative to the placement anchor, loosely
 # matching frontal standing proportions.  Keys follow the default layout
@@ -53,6 +53,9 @@ class CorpusSpec:
     jitter: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("num_scenes", "min_persons", "max_persons", "height", "width", "jitter"):
+            if not _is_int(getattr(self, name)):
+                raise ParameterError("%s must be an integer, got %r" % (name, getattr(self, name)))
         if self.num_scenes < 0:
             raise ParameterError("num_scenes must be non-negative")
         if not 1 <= self.min_persons <= self.max_persons:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .maps import ConfidenceMapSet
+from .scene import _is_int
 
 DEFAULT_TAU = 0.1  # score threshold shared by detection and greedy assembly
 
@@ -43,7 +44,7 @@ class DetectorParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise ParameterError("tau must lie in (0, 1), got %g" % self.tau)
-        if not (isinstance(self.nms_radius, int) and self.nms_radius >= 1):
+        if not (_is_int(self.nms_radius) and self.nms_radius >= 1):
             raise ParameterError("nms_radius must be an integer >= 1, got %r" % (self.nms_radius,))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, EvaluationError, ParameterError
 from .infer import PoseSet
-from .scene import Scene, JointGroup
+from .scene import JointGroup, Scene, _is_int
 
 HEAD_TOP_NAME = "head_top"
 
@@ -46,9 +46,7 @@ class MatchParams:
             raise ParameterError("pckh_fraction must be positive, got %g" % self.pckh_fraction)
         if self.fallback_px is not None and not (self.fallback_px > 0 and math.isfinite(self.fallback_px)):
             raise ParameterError("fallback_px must be positive and finite when set")
-        if isinstance(self.min_joints, bool) or not (
-            isinstance(self.min_joints, int) and self.min_joints >= 1
-        ):
+        if not (_is_int(self.min_joints) and self.min_joints >= 1):
             raise ParameterError("min_joints must be an integer >= 1, got %r" % (self.min_joints,))
         if self.min_score is not None and not math.isfinite(self.min_score):
             raise ParameterError("min_score must be finite when set")

@@ -19,17 +19,6 @@ from .infer import JointEstimate, PersonPose, PoseSet
 from .partition import Partition
 from .scene import _is_int, _is_num, _load_doc, _require
 
-__all__ = [
-    "candidates_to_doc",
-    "candidates_from_doc",
-    "partitions_to_doc",
-    "poses_to_doc",
-    "poses_from_doc",
-    "report_to_doc",
-    "load_json",
-    "save_json",
-]
-
 
 def _is_finite(v) -> bool:
     """A JSON number within float range (json reads NaN and Infinity)."""

@@ -65,13 +65,14 @@ def _freeze(values, shape_tail: tuple[int, ...], what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConfidenceMapSet:
-    """Per-joint confidence maps, shape (K, H, W) float32, read-only."""
+class _MapSet:
+    """A read-only float32 array of shape (K, H, W) + _tail; errors call it _what."""
 
     values: np.ndarray
+    _tail = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values, (), "confidence maps"))
+        object.__setattr__(self, "values", _freeze(self.values, self._tail, self._what))
 
     @property
     def num_joints(self) -> int:
@@ -87,29 +88,22 @@ class ConfidenceMapSet:
 
 
 @dataclass(frozen=True)
-class RegressionMapSet:
+class ConfidenceMapSet(_MapSet):
+    """Per-joint confidence maps, shape (K, H, W) float32, read-only."""
+
+    _what = "confidence maps"
+
+
+@dataclass(frozen=True)
+class RegressionMapSet(_MapSet):
     """Per-joint centroid offset maps, shape (K, H, W, 2) float32, read-only.
 
     The last axis holds (x, y) offset components, already divided by the
     canvas diagonal so magnitudes stay within 1 for in-canvas centroids.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(self.values, (2,), "regression maps"))
-
-    @property
-    def num_joints(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
+    _tail = (2,)
+    _what = "regression maps"
 
     @property
     def norm_factor(self) -> float:
@@ -213,15 +207,12 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
         if person.joints[j] is not None
     ]
     j, person_idx, x0, y0, cx, cy = np.array(rows, dtype=np.float64).reshape(-1, 6).T
-    # Window bounds: integer joints span floor(radius) pixels each way, the
-    # others the pixels within radius along each axis; both are clipped to
-    # the canvas, so no array outgrows it whatever the radius.
-    ri = math.floor(r)
-    integral = (x0 == np.floor(x0)) & (y0 == np.floor(y0))
-    xlo = np.maximum(np.where(integral, x0 - ri, np.ceil(x0 - r)), 0.0)
-    xhi = np.minimum(np.where(integral, x0 + ri, np.floor(x0 + r)), w - 1.0)
-    ylo = np.maximum(np.where(integral, y0 - ri, np.ceil(y0 - r)), 0.0)
-    yhi = np.minimum(np.where(integral, y0 + ri, np.floor(y0 + r)), h - 1.0)
+    # Window bounds: the pixels within radius along each axis, clipped to the
+    # canvas, so no array outgrows it whatever the radius.
+    xlo = np.maximum(np.ceil(x0 - r), 0.0)
+    xhi = np.minimum(np.floor(x0 + r), w - 1.0)
+    ylo = np.maximum(np.ceil(y0 - r), 0.0)
+    yhi = np.minimum(np.floor(y0 + r), h - 1.0)
     # Window i's columns are xs[i, :] and its rows ys[i, :], padded to the
     # widest window; the padding fails the bounds test below.
     xs = xlo[:, None] + np.arange(max(0.0, (xhi - xlo).max(initial=-1.0) + 1.0))

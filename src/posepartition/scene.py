@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -51,6 +52,8 @@ def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
     k = len(layout)
     if k == 0:
         raise AnnotationError("joint layout is empty")
+    if not all(_is_int(js.joint_id) and _is_int(js.inference_rank) for js in layout):
+        raise AnnotationError("joint ids and inference ranks must be integers")
     ids = sorted(js.joint_id for js in layout)
     if ids != list(range(k)):
         raise AnnotationError("joint ids must be a permutation of 0..K-1, got %s" % ids)
@@ -153,6 +156,8 @@ class Scene:
         return math.hypot(self.height, self.width)
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.height) and _is_int(self.width)):
+            raise AnnotationError("canvas size must be integers, got %r x %r" % (self.height, self.width))
         if self.height < 1 or self.width < 1:
             raise AnnotationError("canvas must be at least 1x1, got %dx%d" % (self.height, self.width))
         validate_joint_layout(self.joint_layout)
@@ -199,8 +204,9 @@ def _is_num(v) -> bool:
 
 
 def _is_int(v) -> bool:
-    """A JSON integer: Python parses true/false as bools, which are ints."""
-    return isinstance(v, int) and not isinstance(v, bool)
+    """An integer, numpy's included, but not a bool (JSON true/false parse as
+    bools); the exact-type test spares readers a 1 us ABC check per value."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def layout_to_doc(layout: Sequence[JointSpec]) -> list:
@@ -321,17 +327,17 @@ def save_scene(scene: Scene, path) -> None:
         fh.write("\n")
 
 
-def _load_doc(path, parse):
-    """parse applied to the JSON document at path; a SchemaError names the file."""
+def _load_doc(path, parse, error: type[Exception] = SchemaError):
+    """parse applied to the JSON document at path; an error (of class error) names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SchemaError("%s is not valid JSON: %s" % (path, exc)) from exc
+            raise error("%s is not valid JSON: %s" % (path, exc)) from exc
     try:
         return parse(doc)
-    except SchemaError as exc:
-        raise SchemaError("%s: %s" % (path, exc)) from exc
+    except error as exc:
+        raise error("%s: %s" % (path, exc)) from exc
 
 
 def load_scene(path) -> Scene:

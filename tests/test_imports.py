@@ -8,7 +8,6 @@ import pytest
 import posepartition
 
 SOURCES = sorted(Path(posepartition.__file__).parent.glob("*.py"))
-MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +38,7 @@ def test_the_scan_finds_unused_imports():
     assert unused_imports(source) == ["np (line 3)", "ParameterError (line 5)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -400,9 +400,23 @@ CROWDED_PIXEL = make_scene(
 )
 
 
+# Integer joints on all four canvas edges.  Their windows come from the
+# same rule as other joints: one ulp under radius 7, x0 - r rounds to
+# x0 - 7, so a window grows by a pixel that the disk test then drops.
+EDGE_JOINTS = make_scene(
+    [[(0.0, 0.0), (23.0, 12.0)], [(23.0, 23.0), (0.0, 17.0)], [(12.0, 23.0), (9.0, 0.0)]],
+    height=24,
+    width=24,
+    centroids=[(11.0, 11.0), None, (30.5, -4.0)],
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(regression_scenes())
 @example((CROWDED_PIXEL, 5.0))
+@example((EDGE_JOINTS, math.nextafter(7.0, 0.0)))
+@example((EDGE_JOINTS, math.nextafter(7.0, 8.0)))
+@example((EDGE_JOINTS, 6.5))
 def test_window_local_regression_matches_full_canvas_bytes(case):
     scene, radius = case
     got = build_regression_maps(scene, ForwardParams(radius=radius)).values

@@ -8,8 +8,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
-from posepartition.errors import AnnotationError, PipelineError, SchemaError
+from posepartition.detect import DetectorParams
+from posepartition.errors import (
+    AnnotationError,
+    ConfigurationError,
+    ParameterError,
+    PipelineError,
+    SchemaError,
+)
 from posepartition.evaluate import evaluate_corpus
 from posepartition.infer import PoseSet
 from posepartition.pipeline import synth_maps
@@ -186,6 +194,34 @@ def test_replace_checks_the_new_scene():
     scene = generate_corpus(CorpusSpec(num_scenes=1), seed=0)[0]
     with pytest.raises(AnnotationError, match="outside the canvas"):
         replace(scene, height=50)
+
+
+def bool_id_layout():
+    return (replace(tiny_layout()[0], joint_id=False),) + tiny_layout()[1:]
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: DetectorParams(nms_radius=True), ParameterError, id="nms_radius-bool"),
+        pytest.param(lambda: DetectorParams(nms_radius=2.0), ParameterError, id="nms_radius-float"),
+        pytest.param(lambda: PipelineConfig(nms_radius=True), ConfigurationError, id="config-nms_radius-bool"),
+        pytest.param(lambda: Scene(64.5, 64, tiny_layout(), ()), AnnotationError, id="scene-height-float"),
+        pytest.param(lambda: Scene(64, True, tiny_layout(), ()), AnnotationError, id="scene-width-bool"),
+        pytest.param(lambda: Scene(8, 8, bool_id_layout(), ()), AnnotationError, id="scene-joint_id-bool"),
+        pytest.param(lambda: CorpusSpec(num_scenes=2.5), ParameterError, id="corpus-num_scenes-float"),
+        pytest.param(lambda: CorpusSpec(jitter=True), ParameterError, id="corpus-jitter-bool"),
+    ],
+)
+def test_integer_fields_reject_bools_and_non_integers(build, error):
+    with pytest.raises(error, match="integer"):
+        build()
+
+
+def test_integer_fields_take_numpy_integers():
+    assert DetectorParams(nms_radius=np.int64(2)).nms_radius == 2
+    scenes = generate_corpus(CorpusSpec(num_scenes=np.int64(2), height=np.int32(256)), seed=0)
+    assert [s.height for s in scenes] == [256, 256]
 
 
 @st.composite
