@@ -17,7 +17,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import PipelineConfig, dump_config, load_config
+from .config import PipelineConfig, config_to_dict, dump_config, load_config
 from .errors import ConfigurationError, ParameterError, PipelineError, SchemaError
 from .evaluate import MatchParams, evaluate_corpus, report_csv
 from .infer import PoseSet
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
     def load_pair(scene_path: Path):
         poses_path = poses_dir / scene_path.name
         if not poses_path.exists():
-            raise SchemaError("no poses file %s for scene %s" % (poses_path, scene_path.name))
+            raise SchemaError("%s is missing: each scene needs a poses file of the same name" % poses_path)
         scene = load_scene(scene_path)
         return _load_poses_for(poses_path, scene), scene
 
@@ -198,13 +198,10 @@ def _cmd_config(args) -> int:
         load_config(args.check)
         print("ok")
         return EXIT_OK
-    text = dump_config(PipelineConfig())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+        save_json(config_to_dict(PipelineConfig()), args.out)
     else:
-        print(text)
+        print(dump_config(PipelineConfig()))
     return EXIT_OK
 
 
@@ -310,10 +307,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except PipelineError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (PipelineError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
 

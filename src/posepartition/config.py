@@ -77,65 +77,48 @@ def _reject_unknown(doc: dict, schema: dict, what: str) -> None:
         raise ConfigurationError("unknown %s keys: %s" % (what, ", ".join(sorted(unknown))))
 
 
+def _setting(value, name: str, default):
+    """One config value: "auto" where the default is None, else a number,
+    an integer where the default is an int."""
+    if default is None and value == "auto":
+        return None
+    if not _is_num(value):
+        raise ConfigurationError("%s must be a number%s" % (name, " or 'auto'" if default is None else ""))
+    if isinstance(default, int):
+        if not (isinstance(value, int) or value.is_integer()):
+            raise ConfigurationError("%s must be an integer" % name)
+        return int(value)
+    # JSON integers are unbounded; past float's range they cannot be read.
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigurationError("%s is too large" % name) from None
+
+
 def config_from_dict(doc: Any) -> PipelineConfig:
+    """Read a document against the dump of the defaults: its keys other than
+    joint_spec, and its sections' keys, are PipelineConfig field names."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
     defaults = PipelineConfig()
     schema = config_to_dict(defaults)
     _reject_unknown(doc, schema, "config")
-
-    def section(name: str) -> dict:
-        sec = doc.get(name, {})
-        if not isinstance(sec, dict):
-            raise ConfigurationError("config section %r must be an object" % name)
-        _reject_unknown(sec, schema[name], name)
-        return sec
-
-    def real(value, name: str) -> float:
-        # JSON integers are unbounded; past float's range they cannot be read.
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigurationError("%s is too large" % name) from None
-
-    def number(sec: dict, key: str, name: str, integral: bool = False):
-        value = sec.get(key)
-        if value is None:
-            return getattr(defaults, key)
-        if not _is_num(value):
-            raise ConfigurationError("%s must be a number" % name)
-        if integral:
-            if not (isinstance(value, int) or value.is_integer()):
-                raise ConfigurationError("%s must be an integer" % name)
-            return int(value)
-        return real(value, name)
-
-    fwd = section("forward")
-    det = section("detector")
-    clu = section("cluster")
-    link = clu.get("link_threshold", "auto")
-    if link == "auto":
-        link_threshold = None
-    elif _is_num(link):
-        link_threshold = real(link, "cluster.link_threshold")
-    else:
-        raise ConfigurationError("cluster.link_threshold must be a number or 'auto'")
-
-    layout = defaults.joint_layout
-    if "joint_spec" in doc:
-        try:
-            layout = layout_from_doc(doc["joint_spec"])
-        except SchemaError as exc:
-            raise ConfigurationError(str(exc)) from exc
-
-    return PipelineConfig(
-        tau=number(doc, "tau", "tau"),
-        sigma=number(fwd, "sigma", "forward.sigma"),
-        radius=number(fwd, "radius", "forward.radius"),
-        nms_radius=number(det, "nms_radius", "detector.nms_radius", integral=True),
-        link_threshold=link_threshold,
-        joint_layout=layout,
-    )
+    values = {}
+    for key, entry in doc.items():
+        if key == "joint_spec":
+            try:
+                values["joint_layout"] = layout_from_doc(entry)
+            except SchemaError as exc:
+                raise ConfigurationError(str(exc)) from exc
+        elif isinstance(schema[key], dict):
+            if not isinstance(entry, dict):
+                raise ConfigurationError("config section %r must be an object" % key)
+            _reject_unknown(entry, schema[key], key)
+            for name, value in entry.items():
+                values[name] = _setting(value, "%s.%s" % (key, name), getattr(defaults, name))
+        else:
+            values[key] = _setting(entry, key, getattr(defaults, key))
+    return PipelineConfig(**values)
 
 
 def load_config(path) -> PipelineConfig:

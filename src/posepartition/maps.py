@@ -24,12 +24,19 @@ integer pixel centers:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .scene import Scene, person_centroid
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Synthesis scales bumps by float32 -1/sigma^2 and reaches sigma*sqrt(104)
+# pixels (see _bump_reach): below the first bound the scale overflows, above
+# the second the reach does.
+_SIGMA_RANGE = (1.0 / math.sqrt(_FLOAT32_MAX), sys.float_info.max / math.sqrt(104.0))
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,8 @@ class ForwardParams:
     radius: float = 7.0
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ParameterError("sigma must be positive, got %g" % self.sigma)
+        if not _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]:
+            raise ParameterError("sigma must be in [%.3g, %.3g], got %g" % (*_SIGMA_RANGE, self.sigma))
         if not (self.radius >= 0 and math.isfinite(self.radius)):
             raise ParameterError("radius must be non-negative, got %g" % self.radius)
 
@@ -140,6 +147,9 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
     neg_inv = np.float32(-1.0 / (params.sigma * params.sigma))
     reach = _bump_reach(params.sigma)
 
+    # Near the smallest sigma, d^2 * neg_inv can pass float32's range; it
+    # becomes -inf, whose exp is the exact 0.
+    @np.errstate(over="ignore")
     def bump(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
         dx2 = np.square(dx)
         dy2 = np.square(dy)
@@ -175,9 +185,6 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
                 out[j, sy, sx] = b
                 touched[j] = True
     return ConfidenceMapSet(out)
-
-
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> RegressionMapSet:

@@ -24,6 +24,7 @@ that cannot be mapped (empty files, pipes) are read instead.
 """
 from __future__ import annotations
 
+import math
 import mmap
 import struct
 
@@ -37,16 +38,15 @@ KIND_CONFIDENCE = 0
 KIND_REGRESSION = 1
 _HEADER = struct.Struct("<5sBIII")
 HEADER_SIZE = _HEADER.size  # 18 bytes
+# The class a kind byte decodes to; its _tail is the per-cell payload shape.
+_KINDS = {KIND_CONFIDENCE: ConfidenceMapSet, KIND_REGRESSION: RegressionMapSet}
 
 
 def _header(maps: ConfidenceMapSet | RegressionMapSet) -> bytes:
-    if isinstance(maps, ConfidenceMapSet):
-        kind = KIND_CONFIDENCE
-    elif isinstance(maps, RegressionMapSet):
-        kind = KIND_REGRESSION
-    else:
-        raise MapFormatError("cannot encode %r as a map set" % type(maps).__name__)
-    return _HEADER.pack(MAGIC, kind, maps.num_joints, maps.height, maps.width)
+    for kind, cls in _KINDS.items():
+        if isinstance(maps, cls):
+            return _HEADER.pack(MAGIC, kind, maps.num_joints, maps.height, maps.width)
+    raise MapFormatError("cannot encode %r as a map set" % type(maps).__name__)
 
 
 def _payload(maps: ConfidenceMapSet | RegressionMapSet) -> memoryview:
@@ -70,22 +70,20 @@ def decode_map_set(data: bytes) -> ConfidenceMapSet | RegressionMapSet:
     magic, kind, k, h, w = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise MapFormatError("bad magic %r at offset 0, expected %r" % (magic, MAGIC))
-    if kind not in (KIND_CONFIDENCE, KIND_REGRESSION):
+    cls = _KINDS.get(kind)
+    if cls is None:
         raise MapFormatError("unknown map kind %d at offset 5" % kind)
     if k < 1 or h < 1 or w < 1:
         raise MapFormatError("degenerate dimensions K=%d H=%d W=%d in header" % (k, h, w))
-    per_cell = 1 if kind == KIND_CONFIDENCE else 2
-    expected = k * h * w * per_cell * 4
+    shape = (k, h, w) + cls._tail
+    expected = math.prod(shape) * 4
     actual = len(data) - HEADER_SIZE
     if actual != expected:
         raise MapFormatError(
             "payload is %d bytes, expected %d for K=%d H=%d W=%d (offset %d)"
             % (actual, expected, k, h, w, len(data))
         )
-    flat = np.frombuffer(data, dtype="<f4", offset=HEADER_SIZE)
-    if kind == KIND_CONFIDENCE:
-        return ConfidenceMapSet(flat.reshape(k, h, w))
-    return RegressionMapSet(flat.reshape(k, h, w, 2))
+    return cls(np.frombuffer(data, dtype="<f4", offset=HEADER_SIZE).reshape(shape))
 
 
 def write_map_set(maps: ConfidenceMapSet | RegressionMapSet, path) -> None:
@@ -108,15 +106,16 @@ def read_map_set(path) -> ConfidenceMapSet | RegressionMapSet:
         raise MapFormatError("%s: %s" % (path, exc)) from exc
 
 
-def read_confidence(path) -> ConfidenceMapSet:
+def _read_kind(path, cls):
     maps = read_map_set(path)
-    if not isinstance(maps, ConfidenceMapSet):
-        raise MapFormatError("%s holds regression maps, expected confidence maps" % path)
+    if not isinstance(maps, cls):
+        raise MapFormatError("%s holds %s, expected %s" % (path, maps._what, cls._what))
     return maps
+
+
+def read_confidence(path) -> ConfidenceMapSet:
+    return _read_kind(path, ConfidenceMapSet)
 
 
 def read_regression(path) -> RegressionMapSet:
-    maps = read_map_set(path)
-    if not isinstance(maps, RegressionMapSet):
-        raise MapFormatError("%s holds confidence maps, expected regression maps" % path)
-    return maps
+    return _read_kind(path, RegressionMapSet)

@@ -289,10 +289,6 @@ def scene_from_dict(doc: dict) -> Scene:
     _require(isinstance(doc, dict), "scene document must be a JSON object")
     for key in ("height", "width", "joint_spec", "persons"):
         _require(key in doc, "scene document is missing %r" % key)
-    _require(
-        _is_int(doc["height"]) and _is_int(doc["width"]),
-        "height and width must be integers",
-    )
     layout = layout_from_doc(doc["joint_spec"])
     _require(isinstance(doc["persons"], list), "persons must be a list")
     persons = []

@@ -151,11 +151,23 @@ def test_bad_config_file_exits_three(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_eval_requires_scene_files(tmp_path):
+def test_eval_requires_scene_files(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     code = run("eval", "--poses", tmp_path, "--scenes", empty, "--out", tmp_path / "r.json")
     assert code == EXIT_INPUT
+    # Each scene needs a poses file of its name, on the scene's canvas.
+    scenes = make_corpus(tmp_path, n=1)
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    poses = poses_dir / next(scenes.glob("*.json")).name
+    argv = ("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
+    capsys.readouterr()
+    assert run(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: %s is missing" % poses)
+    save_json(poses_to_doc(PoseSet(()), 128, 256), poses)
+    assert run(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: %s canvas 256x128 does not match scene 256x256" % poses)
 
 
 def test_invalid_eval_filter_exits_three(tmp_path):
@@ -282,6 +294,20 @@ def test_config_dump_with_mirror_ids_passes_the_check(tmp_path, capsys):
     assert load_config(old) == PipelineConfig()
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-20", "1e308"])
+def test_sigma_synthesis_cannot_evaluate_exits_three(tmp_path, capsys, sigma):
+    # Before ForwardParams checked the range, 1e-200 raised ZeroDivisionError
+    # in synthesis, 1e-20 wrote NaN confidence maps and 1e308 overflowed the
+    # bump reach.
+    scene = next(iter(make_corpus(tmp_path, n=1).glob("*.json")))
+    code = run(
+        "synth", "--scene", scene, "--sigma", sigma,
+        "--out-conf", tmp_path / "c.pmap", "--out-reg", tmp_path / "r.pmap",
+    )
+    assert code == EXIT_CONFIG
+    assert "configuration error: sigma must be in" in capsys.readouterr().err
+
+
 def test_config_number_beyond_float_range_exits_three(tmp_path, capsys):
     cfg = tmp_path / "huge.json"
     cfg.write_text(json.dumps({"forward": {"sigma": 10**400}}))
@@ -378,7 +404,7 @@ def test_malformed_joint_spec_exits_two_or_three(tmp_path):
     assert run("config", "--check", bad_cfg) == EXIT_CONFIG
 
 
-def test_stage_flags_override_the_config_file_only_when_given(tmp_path):
+def test_stage_flags_override_the_config_file_only_when_given(tmp_path, capsys):
     scenes = make_corpus(tmp_path, n=1)
     scene = next(iter(scenes.glob("*.json")))
     conf = tmp_path / "m.conf.pmap"
@@ -400,6 +426,11 @@ def test_stage_flags_override_the_config_file_only_when_given(tmp_path):
     assert partition_count() == persons
     assert partition_count("--config", cfg) == len(load_json(cands))
     assert partition_count("--config", cfg, "--link-threshold", "auto") == persons
+    assert partition_count("--link-threshold", "1e-9") == len(load_json(cands))
+    with pytest.raises(SystemExit) as exc:
+        partition_count("--link-threshold", "far")
+    assert exc.value.code == 2
+    assert "expected a number or 'auto', got 'far'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,40 @@ def test_integers_beyond_float_range_are_configuration_errors(doc):
         config_from_dict(doc)
 
 
+def setting_names(doc):
+    """Dotted names of the settings in a config dump: every key but joint_spec."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from ("%s.%s" % (key, name) for name in value)
+        elif key != "joint_spec":
+            yield key
+
+
+NON_DEFAULT = {
+    "tau": 0.25,
+    "forward.sigma": 5.5,
+    "forward.radius": 6.0,
+    "detector.nms_radius": 2,
+    "cluster.link_threshold": 12.5,
+}
+
+
+def with_setting(name, value):
+    *section, key = name.split(".")
+    return {section[0]: {key: value}} if section else {key: value}
+
+
+@pytest.mark.parametrize("name", list(setting_names(config_to_dict(PipelineConfig()))))
+def test_each_setting_round_trips_and_rejects_null(name):
+    # null is not "use the default": the dump never writes it, and an absent
+    # entry already means the default.
+    cfg = config_from_dict(with_setting(name, NON_DEFAULT[name]))
+    assert cfg != PipelineConfig()
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    with pytest.raises(ConfigurationError, match="^%s must be a number" % name):
+        config_from_dict(with_setting(name, None))
+
+
 def test_cluster_params_resolve_auto_threshold():
     auto = PipelineConfig()
     assert auto.cluster_params(100.0).link_threshold == 10.0

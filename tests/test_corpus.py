@@ -105,3 +105,6 @@ def test_corpus_spec_validation():
             CorpusSpec(min_separation=separation)
     with pytest.raises(ParameterError):
         CorpusSpec(jitter=-1)
+    for size in ({"height": 0}, {"width": 0}):
+        with pytest.raises(ParameterError, match="at least 1x1"):
+            CorpusSpec(**size)

@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import DetectorParams, JointCandidate, detect_candidates
-from posepartition.errors import ParameterError
-from posepartition.maps import ConfidenceMapSet, build_confidence_maps
+from posepartition.errors import DimensionError, ParameterError
+from posepartition.maps import ConfidenceMapSet, RegressionMapSet, build_confidence_maps
 from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
@@ -169,6 +169,15 @@ def test_nan_beside_a_neck_fails_the_decode():
     values[8, y, x + 1] = np.nan
     with pytest.raises(ParameterError, match=r"joint 8 is NaN at \(%d, %d\)" % (x + 1, y)):
         decode_maps(ConfidenceMapSet(values), reg)
+
+
+def test_decode_rejects_maps_that_disagree_with_each_other_or_the_layout():
+    scene = generate_corpus(CorpusSpec(num_scenes=1), 0)[0]
+    conf, reg = synth_maps(scene)
+    with pytest.raises(DimensionError, match="disagree"):
+        decode_maps(ConfidenceMapSet(conf.values[:, :-1]), reg)
+    with pytest.raises(DimensionError, match="maps carry 4 joints but the configured layout has 16"):
+        decode_maps(ConfidenceMapSet(conf.values[:4]), RegressionMapSet(reg.values[:4]))
 
 
 @st.composite

@@ -500,6 +500,19 @@ def test_forward_params_validation():
         ForwardParams(radius=-1.0)
 
 
+def test_sigma_at_either_end_of_its_range_gives_finite_maps():
+    lo, hi = 5.421011023986243e-20, 1.762783148868218e307
+    for out in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        with pytest.raises(ParameterError, match="sigma"):
+            ForwardParams(sigma=out)
+    scene = make_scene([[(30.0, 40.0), (10.5, 3.25)]], height=64, width=64)
+    narrow = build_confidence_maps(scene, ForwardParams(sigma=lo)).values
+    wide = build_confidence_maps(scene, ForwardParams(sigma=hi)).values
+    assert narrow[0].sum() == narrow[0, 40, 30] == 1.0
+    assert not narrow[1].any()
+    assert (wide == 1.0).all()
+
+
 def test_map_sets_are_read_only_and_shape_checked():
     conf = ConfidenceMapSet(np.zeros((2, 4, 4), dtype=np.float32))
     with pytest.raises(ValueError):

@@ -43,6 +43,8 @@ def test_header_layout():
     assert (k, h, w) == (2, 3, 4)
     assert len(data) == HEADER_SIZE + 2 * 3 * 4 * 4
     assert HEADER_SIZE == 18
+    with pytest.raises(MapFormatError, match="cannot encode 'ndarray' as a map set"):
+        encode_map_set(conf.values)
 
 
 def test_regression_header_and_payload_size():

@@ -87,6 +87,9 @@ def test_layout_validation_rejects_bad_tables():
     # Two necks.
     with pytest.raises(AnnotationError):
         validate_joint_layout((good[0], JointSpec(1, "neck2", JointGroup.NECK, 1), good[2], good[3]))
+    # Duplicate rank.
+    with pytest.raises(AnnotationError, match="inference ranks must be a permutation"):
+        validate_joint_layout(good[:3] + (replace(good[3], inference_rank=2),))
     # Limb ranked before a torso joint.
     with pytest.raises(AnnotationError):
         validate_joint_layout(
@@ -194,6 +197,8 @@ def test_replace_checks_the_new_scene():
     scene = generate_corpus(CorpusSpec(num_scenes=1), seed=0)[0]
     with pytest.raises(AnnotationError, match="outside the canvas"):
         replace(scene, height=50)
+    with pytest.raises(AnnotationError, match="at least 1x1"):
+        replace(scene, width=0)
 
 
 def bool_id_layout():
@@ -397,6 +402,10 @@ def test_scene_json_schema_errors():
     for token in ("Infinity", "NaN"):
         text = json.dumps(dict(good, persons=[dict(good["persons"][0], centroid=[0, "X"])]))
         with pytest.raises(SchemaError, match="person 0 centroid is not finite"):
+            scene_from_dict(json.loads(text.replace('"X"', token)))
+        joints = [[1, 1], [0, "X"]] + good["persons"][0]["joints"][2:]
+        text = json.dumps(dict(good, persons=[dict(good["persons"][0], joints=joints)]))
+        with pytest.raises(SchemaError, match="person 0 joint 1 is not finite"):
             scene_from_dict(json.loads(text.replace('"X"', token)))
 
 
