@@ -237,36 +237,6 @@ def average_precision(matches: Sequence[PoseMatch], joint_id: int) -> float | No
 
 
 @dataclass(frozen=True)
-class CountMetrics:
-    """Person-count confusion matrix (rows = truth) and mean squared error."""
-
-    confusion: np.ndarray
-    mse: float
-
-
-def count_metrics(pred_counts: Sequence[int], gt_counts: Sequence[int]) -> CountMetrics:
-    """Compare per-scene person counts against the ground truth."""
-    if len(pred_counts) != len(gt_counts):
-        raise DimensionError(
-            "count lists differ in length: %d vs %d" % (len(pred_counts), len(gt_counts))
-        )
-    if len(gt_counts) == 0:
-        conf = np.zeros((1, 1), dtype=np.int64)
-        conf.flags.writeable = False
-        return CountMetrics(confusion=conf, mse=0.0)
-    side = max(max(pred_counts), max(gt_counts)) + 1
-    conf = np.zeros((side, side), dtype=np.int64)
-    sq = 0.0
-    for p, g in zip(pred_counts, gt_counts):
-        if p < 0 or g < 0:
-            raise ParameterError("person counts must be non-negative")
-        conf[g, p] += 1
-        sq += float(p - g) ** 2
-    conf.flags.writeable = False
-    return CountMetrics(confusion=conf, mse=sq / len(gt_counts))
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """Corpus-level evaluation summary."""
 
@@ -314,12 +284,19 @@ def evaluate_corpus(
     )
     evaluated = [ap for ap in per_joint if ap is not None]
     total = sum(evaluated) / len(evaluated) if evaluated else 0.0
-    counts = count_metrics(pred_counts, gt_counts)
+    # Person-count confusion matrix (rows = truth) and mean squared error.
+    side = max(max(pred_counts), max(gt_counts)) + 1
+    confusion = np.zeros((side, side), dtype=np.int64)
+    sq = 0.0
+    for p, g in zip(pred_counts, gt_counts):
+        confusion[g, p] += 1
+        sq += float(p - g) ** 2
+    confusion.flags.writeable = False
     return EvalReport(
         per_joint_ap=per_joint,
         total_ap=total,
-        count_confusion=counts.confusion,
-        count_mse=counts.mse,
+        count_confusion=confusion,
+        count_mse=sq / len(gt_counts),
         joint_names=names,
     )
 

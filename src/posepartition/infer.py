@@ -1,11 +1,14 @@
 """Greedy per-partition pose assembly and the decode energy.
 
 Within one partition, poses are grown joint by joint: the root is the
-highest-confidence candidate of the earliest joint category still present
+highest-scoring candidate of the earliest joint category still present
 (neck first, torso and limb categories as fallbacks), and every later
 category contributes its candidate whose centroid vote lies closest to the
 running mean of the accepted votes.  Accepting a candidate always lowers
 the decode energy, so the recorded energy trace is strictly decreasing.
+
+The energy's per-joint term is each candidate's detection score, so assembly
+reads only the partitions and the joint layout, never a map.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from typing import Sequence
 
 from .detect import DEFAULT_TAU, JointCandidate
 from .errors import ParameterError
-from .maps import ConfidenceMapSet, RegressionMapSet
+from .maps import RegressionMapSet
 from .partition import Partition, embed, partition_score
 from .scene import JointSpec
 
@@ -46,16 +49,6 @@ class PoseSet:
     poses: tuple[PersonPose, ...]
 
 
-def unary(candidate: JointCandidate, conf: ConfidenceMapSet) -> float:
-    """Confidence map value at the candidate's position."""
-    x, y = candidate.position
-    if not (0 <= candidate.joint_id < conf.num_joints):
-        raise ParameterError("candidate joint id %d outside confidence maps" % candidate.joint_id)
-    if not (0 <= x < conf.width and 0 <= y < conf.height):
-        raise ParameterError("candidate position (%d, %d) outside the grid" % (x, y))
-    return float(conf.values[candidate.joint_id, y, x])
-
-
 def _sq_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
     dx = p[0] - q[0]
     dy = p[1] - q[1]
@@ -81,7 +74,6 @@ def pairwise(
 
 def _greedy_one_partition(
     partition: Partition,
-    conf: ConfidenceMapSet,
     by_rank: Sequence[JointSpec],
     tau: float,
 ) -> tuple[list[PersonPose], list[float]]:
@@ -128,7 +120,7 @@ def _greedy_one_partition(
         sx = sy = 0
         sx += center[0]
         sy += center[1]
-        deltas.append(-unary(root, conf))
+        deltas.append(-root.score)
 
         for js in by_rank:
             if js.inference_rank <= root_js.inference_rank:
@@ -148,7 +140,7 @@ def _greedy_one_partition(
                     best, best_d = i, d
             chosen, h = pool.pop(best)
             hx, hy = h
-            delta = -unary(chosen, conf)
+            delta = -chosen.score
             # pairwise(chosen, prev) for every accepted prev, from the votes
             # already at hand: all members reach tau (checked above).
             for ex, ey in embeds:
@@ -171,7 +163,6 @@ def _greedy_one_partition(
 
 def infer_all(
     partitions: Sequence[Partition],
-    conf: ConfidenceMapSet,
     layout: Sequence[JointSpec],
     tau: float = DEFAULT_TAU,
 ) -> tuple[PoseSet, list[float]]:
@@ -180,12 +171,13 @@ def infer_all(
     Returns the concatenated poses plus the energy trace: the decode energy
     before any assignment followed by its value after each accepted joint.
     """
-    base = -partition_score(partitions)
+    # 0.0 - x, not -x: an empty decode's energy is 0.0, not -0.0.
+    base = 0.0 - partition_score(partitions)
     trace = [base]
     poses: list[PersonPose] = []
     by_rank = sorted(layout, key=lambda js: js.inference_rank)
     for part in partitions:
-        part_poses, deltas = _greedy_one_partition(part, conf, by_rank, tau)
+        part_poses, deltas = _greedy_one_partition(part, by_rank, tau)
         poses.extend(part_poses)
         for d in deltas:
             trace.append(trace[-1] + d)
@@ -195,17 +187,16 @@ def infer_all(
 def energy(
     poses: PoseSet,
     partitions: Sequence[Partition],
-    conf: ConfidenceMapSet,
     reg: RegressionMapSet,
     tau: float = DEFAULT_TAU,
 ) -> float:
     """Decode energy of a finished assignment.
 
-    Negative partition score, minus every assigned joint's confidence, minus
-    the pairwise vote agreement over unordered joint pairs within each pose.
+    Negative partition score, minus every assigned joint's score, minus the
+    pairwise vote agreement over unordered joint pairs within each pose.
     Lower is better; each greedy acceptance strictly lowers it.
     """
-    total = -partition_score(partitions)
+    total = 0.0 - partition_score(partitions)
     for pose in poses.poses:
         present = [
             JointCandidate(joint_id=j, position=est.position, score=est.score)
@@ -213,7 +204,7 @@ def energy(
             if est is not None
         ]
         for cand in present:
-            total -= unary(cand, conf)
+            total -= cand.score
         for i in range(len(present)):
             for j in range(i + 1, len(present)):
                 total -= pairwise(present[i], present[j], reg, tau)

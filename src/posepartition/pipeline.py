@@ -51,7 +51,7 @@ def decode_maps(
     candidates = detect_candidates(conf, cfg.detector_params())
     votes = embed(candidates, reg)
     partitions = cluster_votes(votes, cfg.cluster_params(reg.norm_factor))
-    poses, trace = infer_all(partitions, conf, cfg.joint_layout, cfg.tau)
+    poses, trace = infer_all(partitions, cfg.joint_layout, cfg.tau)
     return DecodeResult(
         candidates=tuple(candidates),
         partitions=tuple(partitions),

@@ -112,11 +112,13 @@ class PersonAnnotation:
     centroid: Position | None = None
 
 
-def derive_centroid(person: PersonAnnotation) -> Position:
-    """Arithmetic mean of the annotated joint positions.
+def person_centroid(person: PersonAnnotation) -> Position:
+    """Explicit centroid if stored, else the mean of the annotated joints.
 
-    Raises AnnotationError when the person has no annotated joints.
+    Raises AnnotationError when neither a centroid nor a joint is given.
     """
+    if person.centroid is not None:
+        return person.centroid
     pts = [p for p in person.joints if p is not None]
     if not pts:
         raise AnnotationError("person has no annotated joints")
@@ -124,13 +126,6 @@ def derive_centroid(person: PersonAnnotation) -> Position:
     sy = sum(p[1] for p in pts)
     n = len(pts)
     return (sx / n, sy / n)
-
-
-def person_centroid(person: PersonAnnotation) -> Position:
-    """Explicit centroid if stored, else the derived joint mean."""
-    if person.centroid is not None:
-        return person.centroid
-    return derive_centroid(person)
 
 
 @dataclass(frozen=True)

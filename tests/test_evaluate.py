@@ -17,7 +17,6 @@ from posepartition.evaluate import (
     MatchParams,
     PoseMatch,
     average_precision,
-    count_metrics,
     evaluate_corpus,
     match_poses,
     report_csv,
@@ -300,45 +299,6 @@ def test_average_precision_aggregates_across_scenes():
     assert abs(average_precision(matches, 0) - 50.0) <= 1e-9
 
 
-# --- count metrics ----------------------------------------------------------
-
-
-def test_count_metrics_single_scene():
-    got = count_metrics([2], [3])
-    assert got.mse == 1.0
-    assert got.confusion.shape == (4, 4)
-    assert got.confusion[3, 2] == 1
-    assert got.confusion.sum() == 1
-    assert not got.confusion.flags.writeable
-
-
-def test_count_metrics_mean_squared_error():
-    got = count_metrics([1, 2, 3], [1, 3, 3])
-    assert abs(got.mse - 1.0 / 3.0) <= 1e-12
-    assert got.confusion[1, 1] == 1
-    assert got.confusion[3, 2] == 1
-    assert got.confusion[3, 3] == 1
-
-
-def test_count_metrics_perfect_counts_are_diagonal():
-    got = count_metrics([1, 2, 2, 4], [1, 2, 2, 4])
-    assert got.mse == 0.0
-    assert int(np.trace(got.confusion)) == 4
-    assert got.confusion.sum() == 4
-    # Rows are indexed by the true count.
-    assert list(got.confusion.sum(axis=1)) == [0, 1, 2, 0, 1]
-
-
-def test_count_metrics_rejects_bad_input():
-    with pytest.raises(DimensionError):
-        count_metrics([1, 2], [1])
-    with pytest.raises(ParameterError):
-        count_metrics([-1], [0])
-    empty = count_metrics([], [])
-    assert empty.mse == 0.0
-    assert empty.confusion.shape == (1, 1)
-
-
 # --- corpus evaluation and the report ---------------------------------------
 
 
@@ -360,6 +320,30 @@ def test_evaluate_corpus_perfect_run():
     assert report.count_mse == 0.0
     assert report.count_confusion[2, 2] == 1
     assert report.joint_names == ("neck", "head_top", "r_limb", "l_limb")
+
+
+def test_evaluate_corpus_counts_persons_per_scene():
+    # (predicted, true) person counts per scene: (2, 3), (1, 1), (4, 3), (0, 1).
+    def scene_and_poses(n_pred, n_gt):
+        persons = [
+            person(neck=(20.0 + 20 * i, 20.0), head=(20.0 + 20 * i, 40.0)) for i in range(n_gt)
+        ]
+        poses = PoseSet(poses=tuple(neck_pose(20 + 20 * i, 20, 0.9) for i in range(n_pred)))
+        return poses, make_scene(persons)
+
+    report = evaluate_corpus([scene_and_poses(p, g) for p, g in ((2, 3), (1, 1), (4, 3), (0, 1))])
+    confusion = report.count_confusion
+    # One row and column per count up to the largest, rows indexed by the truth.
+    assert confusion.shape == (5, 5)
+    assert confusion.tolist() == [
+        [0, 0, 0, 0, 0],
+        [1, 1, 0, 0, 0],
+        [0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 1],
+        [0, 0, 0, 0, 0],
+    ]
+    assert not confusion.flags.writeable
+    assert report.count_mse == 0.75
 
 
 def test_evaluate_corpus_skips_absent_categories():
@@ -526,12 +510,17 @@ def oracle_report(pairs, params):
     per_joint = [oracle_average_precision(matches, j) for j in range(pairs[0][1].num_joints)]
     evaluated = [ap for ap in per_joint if ap is not None]
     total = sum(evaluated) / len(evaluated) if evaluated else 0.0
-    counts = count_metrics([m.pred_count for m in matches], [m.gt_count for m in matches])
+    counts = [(m.pred_count, m.gt_count) for m in matches]
+    side = max(max(pair) for pair in counts) + 1
+    confusion = [[0] * side for _ in range(side)]
+    for p, g in counts:
+        confusion[g][p] += 1
+    mse = sum(float(p - g) ** 2 for p, g in counts) / len(counts)
     return (
         [None if ap is None else ap.hex() for ap in per_joint],
         total.hex(),
-        counts.confusion.tolist(),
-        counts.mse.hex(),
+        confusion,
+        mse.hex(),
     )
 
 

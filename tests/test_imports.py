@@ -1,5 +1,6 @@
-"""Source hygiene: every module uses each name it imports, and every
-private top-level name is used somewhere in the package."""
+"""Source hygiene: every module uses each name it imports, every private
+top-level name is used somewhere in the package, and the public API stays
+within its counted size."""
 import ast
 from pathlib import Path
 
@@ -43,6 +44,16 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def bound_names(stmt: ast.stmt) -> list[str]:
+    """Names a top-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
     """Private top-level names (a leading underscore, not a dunder) bound by
     a def, class or assignment that no module references outside the
@@ -56,14 +67,7 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
             used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
             used |= {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
             refs.append((stmt, used))
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound = [stmt.name]
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                bound = []
-            for name in bound:
+            for name in bound_names(stmt):
                 if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
                     defined.append((module, name, stmt))
     return [
@@ -103,3 +107,32 @@ def test_the_scan_finds_unused_private_names():
 def test_package_has_no_unused_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unused_private_names(sources) == []
+
+
+def public_names(sources: dict[str, str]) -> list[str]:
+    """Top-level names without a leading underscore bound by a def, class
+    or assignment, as "module.name"."""
+    return [
+        "%s.%s" % (module, name)
+        for module, source in sources.items()
+        for stmt in ast.parse(source).body
+        for name in bound_names(stmt)
+        if not name.startswith("_")
+    ]
+
+
+def test_the_scan_counts_public_names():
+    sources = {
+        "a": "__version__ = '1'\n_LIMIT = 3\nLIMIT, _spare = 3, 4\ndef f():\n    g = 1\nclass C:\n    x = 1\n",
+        "b": "from .a import f\nimport math\nif True:\n    HIDDEN = 1\n",
+    }
+    assert public_names(sources) == ["a.LIMIT", "a.f", "a.C"]
+
+
+# The public API surface: raise this bound only with a reason in CHANGES.md.
+MAX_PUBLIC_NAMES = 97
+
+
+def test_public_api_stays_within_its_bound():
+    names = public_names({p.stem: p.read_text(encoding="utf-8") for p in SOURCES})
+    assert len(names) <= MAX_PUBLIC_NAMES, names

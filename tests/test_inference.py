@@ -17,7 +17,6 @@ from posepartition.infer import (
     energy,
     infer_all,
     pairwise,
-    unary,
 )
 from posepartition.maps import (
     ConfidenceMapSet,
@@ -60,19 +59,13 @@ def decode_scene(scene):
     votes = embed(detect_candidates(conf), reg)
     params = ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
     parts = cluster_votes(votes, params)
-    poses, trace = infer_all(parts, conf, scene.joint_layout)
+    poses, trace = infer_all(parts, scene.joint_layout)
     return conf, reg, parts, poses, trace
 
 
-def flat_maps(k=4, h=32, w=32, conf_cells=(), reg_cells=()):
-    """Synthetic map sets: confidence spikes plus optional regression offsets."""
-    cv = np.zeros((k, h, w), dtype=np.float32)
-    for joint_id, (x, y), value in conf_cells:
-        cv[joint_id, y, x] = value
-    rv = np.zeros((k, h, w, 2), dtype=np.float32)
-    for joint_id, (x, y), (tx, ty) in reg_cells:
-        rv[joint_id, y, x] = (tx, ty)
-    return ConfidenceMapSet(cv), RegressionMapSet(rv)
+def flat_reg(k=4, h=32, w=32):
+    """Zero regression maps: every candidate votes for its own pixel."""
+    return RegressionMapSet(np.zeros((k, h, w, 2), dtype=np.float32))
 
 
 def cand(joint_id, position, score):
@@ -99,7 +92,7 @@ def _sq_dist(p, q):
     return dx * dx + dy * dy
 
 
-def reference_greedy_one_partition(partition, conf, layout, tau):
+def reference_greedy_one_partition(partition, layout, tau):
     """Greedy assembly before per-category pools: one pool of (candidate,
     vote) pairs scanned per category with min() and list.remove(), and the
     center recomputed with sum() after every acceptance."""
@@ -125,7 +118,7 @@ def reference_greedy_one_partition(partition, conf, layout, tau):
         accepted = [root[0]]
         embeds = [root[1]]
         center = embeds[0]
-        deltas.append(-unary(root[0], conf))
+        deltas.append(-root[0].score)
         for js in by_rank:
             if js.inference_rank <= root_rank:
                 continue
@@ -135,7 +128,7 @@ def reference_greedy_one_partition(partition, conf, layout, tau):
             picked = min(group, key=lambda m: (_sq_dist(m[1], center), m[0].sort_key()))
             pool.remove(picked)
             chosen, h = picked
-            delta = -unary(chosen, conf)
+            delta = -chosen.score
             for e in embeds:
                 delta -= math.exp(-_sq_dist(h, e))
             deltas.append(delta)
@@ -152,49 +145,27 @@ def reference_greedy_one_partition(partition, conf, layout, tau):
     return poses, deltas
 
 
-def reference_infer_all(partitions, conf, layout, tau=0.1):
-    trace = [-partition_score(partitions)]
+def reference_infer_all(partitions, layout, tau=0.1):
+    trace = [0.0 - partition_score(partitions)]
     poses = []
     for part in partitions:
-        part_poses, deltas = reference_greedy_one_partition(part, conf, layout, tau)
+        part_poses, deltas = reference_greedy_one_partition(part, layout, tau)
         poses.extend(part_poses)
         for d in deltas:
             trace.append(trace[-1] + d)
     return PoseSet(poses=tuple(poses)), trace
 
 
-# --- unary and pairwise -----------------------------------------------------
-
-
-def test_unary_reads_the_confidence_value():
-    conf, _ = flat_maps(conf_cells=[(1, (4, 9), 0.73)])
-    got = unary(cand(1, (4, 9), 0.73), conf)
-    assert got == float(np.float32(0.73))
-
-
-def test_unary_is_one_at_an_annotated_peak_and_decays():
-    scene = scene_of([[(40.0, 40.0), (40.0, 60.0), (30.0, 70.0), (50.0, 70.0)]])
-    conf = build_confidence_maps(scene)
-    assert unary(cand(0, (40, 40), 1.0), conf) == 1.0
-    seven = unary(cand(0, (47, 40), 0.0), conf)
-    assert abs(seven - math.exp(-1.0)) <= 1e-6
-
-
-def test_unary_validates_the_candidate():
-    conf, _ = flat_maps(k=2, h=8, w=8)
-    with pytest.raises(ParameterError):
-        unary(cand(2, (0, 0), 1.0), conf)
-    with pytest.raises(ParameterError):
-        unary(cand(0, (0, 8), 1.0), conf)
+# --- pairwise ---------------------------------------------------------------
 
 
 def test_pairwise_is_one_for_agreeing_votes():
-    _, reg = flat_maps()
+    reg = flat_reg()
     assert pairwise(cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.8), reg) == 1.0
 
 
 def test_pairwise_gates_on_both_scores():
-    _, reg = flat_maps()
+    reg = flat_reg()
     assert pairwise(cand(0, (5, 5), 0.09), cand(1, (5, 5), 0.9), reg) == 0.0
     assert pairwise(cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.09), reg) == 0.0
     # The gate is inclusive at the threshold itself.
@@ -203,13 +174,13 @@ def test_pairwise_gates_on_both_scores():
 
 
 def test_pairwise_decays_with_vote_distance():
-    _, reg = flat_maps()
+    reg = flat_reg()
     got = pairwise(cand(0, (5, 5), 0.9), cand(1, (6, 5), 0.8), reg)
     assert abs(got - math.exp(-1.0)) <= 1e-15
 
 
 def test_pairwise_rejects_out_of_grid_candidates():
-    _, reg = flat_maps(k=2, h=8, w=8)
+    reg = flat_reg(k=2, h=8, w=8)
     inside = cand(0, (3, 3), 0.9)
     for outside in (cand(1, (-1, 3), 0.9), cand(1, (3, 8), 0.9), cand(2, (3, 3), 0.9)):
         with pytest.raises(ParameterError):
@@ -250,15 +221,14 @@ def test_two_merged_persons_are_split_into_two_poses():
 
 
 def test_root_falls_back_to_the_earliest_present_category():
-    conf, reg = flat_maps(conf_cells=[(1, (5, 5), 0.8), (2, (9, 9), 0.7)])
+    reg = flat_reg()
     part = partition_of((cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)), reg, (7.0, 7.0))
-    poses = infer_all([part], conf, four_joint_layout())[0].poses
+    poses = infer_all([part], four_joint_layout())[0].poses
     assert len(poses) == 1
     assert pose_positions(poses[0]) == {1: (5, 5), 2: (9, 9)}
 
-    conf2, reg2 = flat_maps(conf_cells=[(3, (2, 2), 0.5)])
-    solo = partition_of((cand(3, (2, 2), 0.5),), reg2, (2.0, 2.0))
-    poses2 = infer_all([solo], conf2, four_joint_layout())[0].poses
+    solo = partition_of((cand(3, (2, 2), 0.5),), reg, (2.0, 2.0))
+    poses2 = infer_all([solo], four_joint_layout())[0].poses
     assert len(poses2) == 1
     assert pose_positions(poses2[0]) == {3: (2, 2)}
 
@@ -267,18 +237,18 @@ def test_one_candidate_per_category_yields_one_pose():
     # Votes disagree wildly, but with a single candidate per category the
     # greedy sweep still assembles everything into one pose.
     cells = [(0, (1, 1), 0.9), (1, (30, 1), 0.8), (2, (1, 30), 0.7), (3, (30, 30), 0.6)]
-    conf, reg = flat_maps(conf_cells=cells)
+    reg = flat_reg()
     part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (15.0, 15.0))
-    poses = infer_all([part], conf, four_joint_layout())[0].poses
+    poses = infer_all([part], four_joint_layout())[0].poses
     assert len(poses) == 1
     assert poses[0].present_count() == 4
 
 
 def test_greedy_rejects_below_threshold_members():
-    conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.05)])
+    reg = flat_reg()
     part = partition_of((cand(0, (5, 5), 0.05),), reg, (5.0, 5.0))
     with pytest.raises(ParameterError):
-        infer_all([part], conf, four_joint_layout())[0].poses
+        infer_all([part], four_joint_layout())[0].poses
 
 
 def test_every_member_is_assigned_exactly_once():
@@ -290,9 +260,9 @@ def test_every_member_is_assigned_exactly_once():
         (1, (22, 6), 0.65),
         (2, (8, 8), 0.6),
     ]
-    conf, reg = flat_maps(conf_cells=cells)
+    reg = flat_reg()
     part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (10.0, 10.0))
-    poses, trace = infer_all([part], conf, four_joint_layout())
+    poses, trace = infer_all([part], four_joint_layout())
     assigned = sorted(
         (j, est.position)
         for pose in poses.poses
@@ -304,17 +274,15 @@ def test_every_member_is_assigned_exactly_once():
     assert len(poses.poses) == 3
     assert len(trace) == 1 + len(cells)
     assert all(b < a for a, b in zip(trace, trace[1:]))
-    assert abs(trace[-1] - energy(poses, [part], conf, reg)) <= 1e-9
+    assert abs(trace[-1] - energy(poses, [part], reg)) <= 1e-9
 
 
 def test_ties_resolve_to_the_row_major_candidate():
-    conf, reg = flat_maps(
-        conf_cells=[(0, (5, 5), 0.9), (1, (4, 5), 0.6), (1, (6, 5), 0.6)]
-    )
+    reg = flat_reg()
     part = partition_of(
         (cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)), reg, (5.0, 5.0)
     )
-    poses = infer_all([part], conf, four_joint_layout())[0].poses
+    poses = infer_all([part], four_joint_layout())[0].poses
     # Both torso candidates lie one pixel from the root's vote with equal
     # scores; the smaller x wins, the loser roots a second pose.
     assert pose_positions(poses[0]) == {0: (5, 5), 1: (4, 5)}
@@ -322,32 +290,26 @@ def test_ties_resolve_to_the_row_major_candidate():
 
 
 def test_assembly_follows_the_votes_the_partition_carries():
-    # The maps are flat, so map votes would pick the torso at (4, 5); the
-    # carried votes put the torso at (6, 5) on the root's vote instead.
-    conf, reg = flat_maps(
-        conf_cells=[(0, (5, 5), 0.9), (1, (4, 5), 0.6), (1, (6, 5), 0.6)]
-    )
+    # On flat maps, map votes would pick the torso at (4, 5); the carried
+    # votes put the torso at (6, 5) on the root's vote instead.
     part = Partition(
         members=(cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)),
         votes=((5.0, 5.0), (9.0, 5.0), (5.0, 5.0)),
         centroid=(5.0, 5.0),
         score=0.0,
     )
-    poses, trace = infer_all([part], conf, four_joint_layout())
+    poses, trace = infer_all([part], four_joint_layout())
     assert pose_positions(poses.poses[0]) == {0: (5, 5), 1: (6, 5)}
     assert pose_positions(poses.poses[1]) == {1: (4, 5)}
     # Accepting the torso adds exp(0) = 1 of carried-vote agreement.
-    assert abs((trace[2] - trace[1]) + float(np.float32(0.6)) + 1.0) <= 1e-12
+    assert abs((trace[2] - trace[1]) + 0.6 + 1.0) <= 1e-12
 
 
 @st.composite
 def assembly_cases(draw):
     """Partitions of candidates on an 8x8 grid, several per category, with
     votes on a half-pixel grid near the origin (so equal vote distances
-    and coincident votes are common), members in any order, and the
-    confidence maps the unary terms read."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    conf = ConfidenceMapSet(rng.random((4, 8, 8), dtype=np.float32))
+    and coincident votes are common), and members in any order."""
     cell = st.tuples(
         st.integers(0, 3),
         st.integers(0, 7),
@@ -367,15 +329,14 @@ def assembly_cases(draw):
                 score=draw(st.sampled_from([0.0, -1.5]) | st.floats(-50.0, 5.0)),
             )
         )
-    return partitions, conf
+    return partitions
 
 
 @settings(max_examples=300, deadline=None)
 @given(assembly_cases())
-def test_assembly_matches_the_reference(case):
-    partitions, conf = case
-    poses, trace = infer_all(partitions, conf, four_joint_layout())
-    expect_poses, expect_trace = reference_infer_all(partitions, conf, four_joint_layout())
+def test_assembly_matches_the_reference(partitions):
+    poses, trace = infer_all(partitions, four_joint_layout())
+    expect_poses, expect_trace = reference_infer_all(partitions, four_joint_layout())
     assert poses == expect_poses
     assert repr(poses) == repr(expect_poses)
     assert repr(trace) == repr(expect_trace)
@@ -384,33 +345,31 @@ def test_assembly_matches_the_reference(case):
 def test_negative_zero_votes_center_like_sum():
     # sum() starts at int 0, so a center summed from -0.0 votes is 0.0; a
     # root-only pose keeps its root's vote, -0.0 included.
-    conf, _ = flat_maps(conf_cells=[(0, (1, 1), 0.9), (1, (2, 1), 0.8), (0, (5, 5), 0.7)])
     part = Partition(
         members=(cand(0, (1, 1), 0.9), cand(1, (2, 1), 0.8), cand(0, (5, 5), 0.7)),
         votes=((-0.0, -0.0), (-0.0, -0.0), (-0.0, 3.0)),
         centroid=(0.0, 0.0),
         score=0.0,
     )
-    poses = infer_all([part], conf, four_joint_layout())[0].poses
+    poses = infer_all([part], four_joint_layout())[0].poses
     assert repr(poses[0].final_centroid) == "(0.0, 0.0)"
     assert repr(poses[1].final_centroid) == "(-0.0, 3.0)"
 
 
 def test_greedy_rejects_nan_scores_and_foreign_joints():
-    conf, reg = flat_maps(conf_cells=[(0, (5, 5), 0.9)])
+    reg = flat_reg()
     nan_member = partition_of((cand(0, (5, 5), math.nan),), reg, (5.0, 5.0))
     with pytest.raises(ParameterError, match="below tau"):
-        infer_all([nan_member], conf, four_joint_layout())[0].poses
+        infer_all([nan_member], four_joint_layout())[0].poses
     foreign = partition_of((cand(0, (5, 5), 0.9), cand(3, (5, 5), 0.9)), reg, (5.0, 5.0))
     with pytest.raises(ParameterError, match="joint id 3 is not in the layout"):
-        infer_all([foreign], conf, four_joint_layout()[:3])[0].poses
+        infer_all([foreign], four_joint_layout()[:3])[0].poses
 
 
 def test_decoding_no_partitions_is_empty():
-    conf, reg = flat_maps()
-    poses, trace = infer_all([], conf, four_joint_layout())
+    poses, trace = infer_all([], four_joint_layout())
     assert poses == PoseSet(poses=())
-    assert trace == [0.0]
+    assert repr(trace) == "[0.0]"
 
 
 # --- the energy and its trace -----------------------------------------------
@@ -420,16 +379,16 @@ def test_trace_starts_at_the_partition_score_and_ends_at_the_energy():
     a = [(30.0, 30.0), (26.0, 40.0), (20.0, 50.0), (38.0, 50.0)]
     b = [(x + 60.0, y + 40.0) for x, y in a]
     scene = scene_of([a, b])
-    conf, reg, parts, poses, trace = decode_scene(scene)
+    _, reg, parts, poses, trace = decode_scene(scene)
     assert trace[0] == -partition_score(parts)
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
     assert len(trace) == 1 + sum(len(p.members) for p in parts)
-    assert abs(trace[-1] - energy(poses, parts, conf, reg)) <= 1e-9
+    assert abs(trace[-1] - energy(poses, parts, reg)) <= 1e-9
 
 
 def test_energy_of_an_empty_decode_is_zero():
-    conf, reg = flat_maps()
-    assert energy(PoseSet(poses=()), [], conf, reg) == 0.0
+    got = energy(PoseSet(poses=()), [], flat_reg())
+    assert repr(got) == "0.0"
 
 
 def test_energy_of_a_single_joint_is_its_negated_confidence():
@@ -444,10 +403,10 @@ def test_energy_of_a_single_joint_is_its_negated_confidence():
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)
     parts = cluster_votes(votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor)))
-    poses, trace = infer_all(parts, conf, layout)
+    poses, trace = infer_all(parts, layout)
     # The lone vote lands on its own centroid, so the partition score is 0.
     assert partition_score(parts) == 0.0
-    assert energy(poses, parts, conf, reg) == -1.0
+    assert energy(poses, parts, reg) == -1.0
     assert trace == [0.0, -1.0]
 
 
@@ -456,7 +415,7 @@ def test_energy_matches_term_enumeration():
     b = [(x + 55.0, y + 35.0) for x, y in a]
     scene = scene_of([a, b])
     conf, reg, parts, poses, _ = decode_scene(scene)
-    got = energy(poses, parts, conf, reg)
+    got = energy(poses, parts, reg)
 
     z = math.hypot(scene.height, scene.width)
 
@@ -524,7 +483,13 @@ def test_noisy_decode_trace_decreases_to_the_energy(height, width, persons, sepa
     result = decode_maps(conf, reg, cfg)
     trace = result.energy_trace
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
-    assert abs(trace[-1] - energy(result.poses, result.partitions, conf, reg)) <= 1e-9
+    assert abs(trace[-1] - energy(result.poses, result.partitions, reg)) <= 1e-9
+    # The energy's per-joint term is each joint's score: the confidence there.
+    for pose in result.poses.poses:
+        for j, est in enumerate(pose.joints):
+            if est is not None:
+                x, y = est.position
+                assert est.score == float(conf.values[j, y, x])
 
 
 def test_decode_is_translation_equivariant():

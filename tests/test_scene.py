@@ -27,7 +27,6 @@ from posepartition.scene import (
     JointSpec,
     PersonAnnotation,
     Scene,
-    derive_centroid,
     dump_scene,
     layout_from_doc,
     layout_to_doc,
@@ -105,40 +104,40 @@ def test_layout_validation_rejects_bad_tables():
 # --- centroids --------------------------------------------------------------
 
 
-def test_derive_centroid_mean_of_two():
+def test_person_centroid_mean_of_two():
     person = PersonAnnotation(joints=((10.0, 10.0), (20.0, 30.0), None, None))
-    assert derive_centroid(person) == (15.0, 20.0)
+    assert person_centroid(person) == (15.0, 20.0)
 
 
-def test_derive_centroid_single_joint_identity():
+def test_person_centroid_single_joint_identity():
     person = PersonAnnotation(joints=(None, (5.0, 5.0), None, None))
-    assert derive_centroid(person) == (5.0, 5.0)
+    assert person_centroid(person) == (5.0, 5.0)
 
 
-def test_derive_centroid_three_joints():
+def test_person_centroid_three_joints():
     pts = [(0.0, 0.0), (0.0, 10.0), (30.0, 20.0)]
     person = PersonAnnotation(joints=(pts[0], pts[1], pts[2], None))
-    got = derive_centroid(person)
+    got = person_centroid(person)
     # Independent summation.
     ex = sum(p[0] for p in pts) / 3.0
     ey = sum(p[1] for p in pts) / 3.0
     assert got == (ex, ey) == (10.0, 10.0)
 
 
-def test_derive_centroid_requires_a_joint():
+def test_person_centroid_requires_a_joint():
     with pytest.raises(AnnotationError):
-        derive_centroid(PersonAnnotation(joints=(None, None, None, None)))
+        person_centroid(PersonAnnotation(joints=(None, None, None, None)))
 
 
-def test_derive_centroid_translation_equivariance():
+def test_person_centroid_translation_equivariance():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(1, 5))
         pts = [tuple(float(v) for v in rng.integers(0, 50, size=2)) for _ in range(n)]
         slots = list(pts) + [None] * (4 - n)
         tx, ty = (float(v) for v in rng.integers(-30, 30, size=2))
-        base = derive_centroid(PersonAnnotation(joints=tuple(slots)))
-        shifted = derive_centroid(
+        base = person_centroid(PersonAnnotation(joints=tuple(slots)))
+        shifted = person_centroid(
             PersonAnnotation(
                 joints=tuple(None if p is None else (p[0] + tx, p[1] + ty) for p in slots)
             )
@@ -151,7 +150,7 @@ def test_person_centroid_prefers_explicit_value():
     person = PersonAnnotation(joints=((10.0, 10.0), (20.0, 30.0), None, None), centroid=(1.0, 2.0))
     assert person_centroid(person) == (1.0, 2.0)
     bare = PersonAnnotation(joints=((10.0, 10.0), (20.0, 30.0), None, None))
-    assert person_centroid(bare) == derive_centroid(bare)
+    assert person_centroid(bare) == (15.0, 20.0)
 
 
 # --- scene validation -------------------------------------------------------
