@@ -183,8 +183,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    spec = _params(corpus_mod.CorpusSpec, args)
-    scenes = corpus_mod.generate_corpus(spec, args.seed)
+    try:
+        scenes = corpus_mod.generate_corpus(_params(corpus_mod.CorpusSpec, args), args.seed)
+    except ParameterError as exc:
+        raise ConfigurationError(str(exc)) from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     width = max(4, len(str(max(len(scenes) - 1, 0))))

@@ -89,11 +89,13 @@ def _anchor_box(spec: CorpusSpec) -> tuple[int, int, int, int]:
 
 
 def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
-    """Generate the corpus deterministically from one seed.
+    """Generate the corpus deterministically from one seed, an integer >= 0.
 
     Raises ConfigurationError when a scene's MAX_ATTEMPTS placements run
     out, which signals an infeasible crowding/separation combination.
     """
+    if not (_is_int(seed) and seed >= 0):
+        raise ParameterError("seed must be a non-negative integer, got %r" % (seed,))
     layout = mpii_joint_layout()
     rng = np.random.default_rng(seed)
     xlo, xhi, ylo, yhi = _anchor_box(spec)

@@ -36,7 +36,3 @@ class ConfigurationError(PipelineError, ValueError):
 
 class EvaluationError(PipelineError, RuntimeError):
     """Evaluation cannot proceed, e.g. no usable head size for a person."""
-
-
-class PartitionScoreError(PipelineError, ArithmeticError):
-    """A partition has zero vote density so its log score is undefined."""

@@ -53,6 +53,7 @@ def candidates_to_doc(candidates: Sequence[JointCandidate]) -> list:
 def candidates_from_doc(doc) -> list[JointCandidate]:
     _require(isinstance(doc, list), "candidates document must be a list")
     out = []
+    seen = {}
     for i, entry in enumerate(doc):
         _require(isinstance(entry, dict), "candidates[%d] must be an object" % i)
         for key in ("joint", "x", "y", "score"):
@@ -62,6 +63,11 @@ def candidates_from_doc(doc) -> list[JointCandidate]:
             "candidates[%d] joint and position must be integers" % i,
         )
         _require(_is_finite(entry["score"]), "candidates[%d].score must be a finite number" % i)
+        site = (entry["joint"], entry["x"], entry["y"])
+        if seen.setdefault(site, i) != i:
+            raise SchemaError(
+                "candidates[%d] repeats the joint and position of candidates[%d]" % (i, seen[site])
+            )
         out.append(
             JointCandidate(
                 joint_id=entry["joint"],

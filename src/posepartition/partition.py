@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .detect import JointCandidate
-from .errors import DimensionError, ParameterError, PartitionScoreError
+from .errors import DimensionError, ParameterError
 from .maps import RegressionMapSet
 
 
@@ -33,7 +33,8 @@ class ClusterParams:
 
     link_threshold is an absolute pixel distance: clusters merge while the
     smallest average linkage stays at or below it.  weights optionally
-    rescales each joint category's contribution to vote densities.
+    rescales each joint category's contribution to vote densities; every
+    weight is positive, so every partition's log density is finite.
     """
 
     link_threshold: float
@@ -42,9 +43,8 @@ class ClusterParams:
     def __post_init__(self) -> None:
         if not (self.link_threshold > 0 and math.isfinite(self.link_threshold)):
             raise ParameterError("link_threshold must be positive, got %g" % self.link_threshold)
-        if self.weights is not None:
-            if any(w < 0 or not math.isfinite(w) for w in self.weights):
-                raise ParameterError("vote weights must be finite and non-negative")
+        if self.weights is not None and not all(w > 0 and math.isfinite(w) for w in self.weights):
+            raise ParameterError("vote weights must be finite and positive")
 
     def weight_of(self, joint_id: int) -> float:
         if self.weights is None:
@@ -62,7 +62,8 @@ def default_link_threshold(norm_factor: float) -> float:
 @dataclass(frozen=True)
 class Partition:
     """One person hypothesis: member candidates with their centroid votes
-    (votes[i] is the point members[i] voted for), vote center, log density."""
+    (votes[i] is the point members[i] voted for), vote center, and log
+    density, which must be finite."""
 
     members: tuple[JointCandidate, ...]
     votes: tuple[tuple[float, float], ...]
@@ -74,6 +75,8 @@ class Partition:
             raise DimensionError(
                 "partition has %d votes for %d members" % (len(self.votes), len(self.members))
             )
+        if not math.isfinite(self.score):
+            raise ParameterError("partition score must be finite, got %r" % self.score)
 
 
 def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[Vote]:
@@ -126,37 +129,32 @@ def _squared_distances(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def _density_sums(sq: np.ndarray, weights: Sequence[float]) -> list[float]:
     """vote_density at each center for votes at squared distances sq (one row
-    per center) with per-vote weights: each row's sum runs in the votes'
-    order and skips only terms that are exactly 0 (zero weight, or 746 or
-    more squared pixels away)."""
+    per center) with positive per-vote weights: each row's sum runs in the
+    votes' order and skips only terms that are exactly 0 (746 or more
+    squared pixels away)."""
     densities = [0.0] * len(sq)
     # "not >=" keeps NaN distances, whose NaN terms the sum must carry.
     rows, cols = np.nonzero(~(sq >= _EXP_UNDERFLOW_SQ_DIST))
     for p, i, d2 in zip(rows.tolist(), cols.tolist(), sq[rows, cols].tolist()):
-        w = weights[i]
-        if w != 0.0:
-            densities[p] += w * math.exp(-d2)
+        densities[p] += weights[i] * math.exp(-d2)
     return densities
 
 
 def _log_vote_densities(sq: np.ndarray, weights: Sequence[float]) -> list[float]:
     """log(vote_density) at each center for votes at squared distances sq
-    (one row per center, votes in canonical order) with per-vote weights,
-    finite whenever some vote has a positive weight.
+    (one row per center, votes in canonical order) with positive per-vote
+    weights; every score is finite.
 
     Wherever the direct sum is positive this is its log.  When it is 0
     (every term underflows), the log-sum-exp form over every vote gives the
-    value instead.  Only votes that all weigh 0 (or no votes) score -inf.
+    value instead.
     """
     scores = []
     for density, row in zip(_density_sums(sq, weights), sq):
         if density > 0.0:
             scores.append(math.log(density))
             continue
-        terms = [math.log(w) - d2 for w, d2 in zip(weights, row.tolist()) if w > 0.0]
-        if not terms:
-            scores.append(-math.inf)
-            continue
+        terms = [math.log(w) - d2 for w, d2 in zip(weights, row.tolist())]
         top = max(terms)
         scores.append(top + math.log(sum(math.exp(t - top) for t in terms)))
     return scores
@@ -247,13 +245,10 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
 def partition_score(partitions: Sequence[Partition]) -> float:
     """Total log vote density over partitions.
 
-    This is the assignment-independent part of the decode energy.  A
-    partition whose votes all weigh zero carries a -inf score, which is
-    rejected here because downstream energies would be meaningless.
+    This is the assignment-independent part of the decode energy.  The loop,
+    not sum(), keeps plain left-to-right float addition.
     """
     total = 0.0
-    for i, part in enumerate(partitions):
-        if not math.isfinite(part.score):
-            raise PartitionScoreError("partition %d has zero vote density" % i)
+    for part in partitions:
         total += part.score
     return total

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .detect import JointCandidate, detect_candidates
+from .detect import detect_candidates
 from .errors import DimensionError
 from .infer import PoseSet, infer_all
 from .maps import ConfidenceMapSet, RegressionMapSet, build_confidence_maps, build_regression_maps
@@ -16,7 +16,6 @@ from .scene import Scene
 class DecodeResult:
     """Everything a decode produces, for inspection and serialization."""
 
-    candidates: tuple[JointCandidate, ...]
     partitions: tuple[Partition, ...]
     poses: PoseSet
     energy_trace: tuple[float, ...]
@@ -53,7 +52,6 @@ def decode_maps(
     partitions = cluster_votes(votes, cfg.cluster_params(reg.norm_factor))
     poses, trace = infer_all(partitions, cfg.joint_layout, cfg.tau)
     return DecodeResult(
-        candidates=tuple(candidates),
         partitions=tuple(partitions),
         poses=poses,
         energy_trace=tuple(trace),

@@ -96,6 +96,25 @@ def test_staged_detect_and_partition(tmp_path):
     assert used == list(range(len(cands)))
 
 
+def test_repeated_candidate_exits_two(tmp_path, capsys):
+    # Partitions list members as candidate indices, so a candidate that
+    # appears twice would have one index listed twice and the other never.
+    scene = next(iter(make_corpus(tmp_path, n=1).glob("*.json")))
+    conf, reg = tmp_path / "m.conf.pmap", tmp_path / "m.reg.pmap"
+    assert run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg) == EXIT_OK
+    cands_path = tmp_path / "cands.json"
+    assert run("detect", "--conf", conf, "--out", cands_path) == EXIT_OK
+    cands = load_json(cands_path)
+    save_json(cands + cands[:1], cands_path)
+    parts_path = tmp_path / "parts.json"
+    code = run("partition", "--candidates", cands_path, "--reg", reg, "--out", parts_path)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(cands_path) in err
+    assert "candidates[%d] repeats the joint and position of candidates[0]" % len(cands) in err
+    assert not parts_path.exists()
+
+
 def test_corpus_generation_is_deterministic(tmp_path):
     a = make_corpus(tmp_path, seed=9, name="a")
     b = make_corpus(tmp_path, seed=9, name="b")
@@ -362,6 +381,13 @@ def test_non_finite_separation_exits_three(tmp_path, capsys):
     code = run("corpus", "--out-dir", tmp_path, "--num-scenes", 1, "--separation", "nan")
     assert code == EXIT_CONFIG
     assert "min_separation must be finite" in capsys.readouterr().err
+
+
+def test_negative_corpus_seed_exits_three(tmp_path, capsys):
+    code = run("corpus", "--out-dir", tmp_path / "scenes", "--num-scenes", 1, "--seed", -1)
+    assert code == EXIT_CONFIG
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "scenes").exists()
 
 
 def test_non_finite_pose_score_exits_two(tmp_path, capsys):

@@ -71,6 +71,12 @@ def test_joints_follow_the_template_up_to_jitter():
                 assert abs(pos[1] - (ay + dy)) <= 8.0
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "1", None])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        generate_corpus(CorpusSpec(num_scenes=1), seed)
+
+
 def test_zero_scenes_is_allowed():
     assert generate_corpus(CorpusSpec(num_scenes=0), seed=1) == []
 

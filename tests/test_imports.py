@@ -1,6 +1,6 @@
 """Source hygiene: every module uses each name it imports, every private
-top-level name is used somewhere in the package, and the public API stays
-within its counted size."""
+top-level name is used somewhere in the package, and the public API and the
+source stay within their counted sizes."""
 import ast
 from pathlib import Path
 
@@ -130,9 +130,19 @@ def test_the_scan_counts_public_names():
 
 
 # The public API surface: raise this bound only with a reason in CHANGES.md.
-MAX_PUBLIC_NAMES = 97
+MAX_PUBLIC_NAMES = 96
 
 
 def test_public_api_stays_within_its_bound():
     names = public_names({p.stem: p.read_text(encoding="utf-8") for p in SOURCES})
     assert len(names) <= MAX_PUBLIC_NAMES, names
+
+
+# Lines in the package's modules, as `wc -l` counts them: raise this bound
+# only with a reason in CHANGES.md.
+MAX_SRC_LINES = 2638
+
+
+def test_source_stays_within_its_line_bound():
+    counts = {p.name: p.read_bytes().count(b"\n") for p in SOURCES}
+    assert sum(counts.values()) <= MAX_SRC_LINES, counts

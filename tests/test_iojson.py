@@ -94,6 +94,16 @@ def test_candidates_schema_errors():
             candidates_from_doc(json.loads(text))
 
 
+def test_candidates_reject_a_repeated_joint_and_position():
+    doc = candidates_to_doc(sample_candidates())
+    repeat = dict(doc[0], score=0.1)
+    with pytest.raises(SchemaError, match=r"candidates\[%d\] repeats .* of candidates\[0\]" % len(doc)):
+        candidates_from_doc(doc + [repeat])
+    # Another joint at the same pixel, or the same joint elsewhere, is fine.
+    others = [dict(doc[0], joint=doc[0]["joint"] + 1), dict(doc[0], x=doc[0]["x"] + 1)]
+    assert len(candidates_from_doc(doc + others)) == len(doc) + 2
+
+
 @pytest.mark.parametrize("key", ["joint", "x", "y"])
 def test_candidates_reject_json_booleans(key):
     entry = {"joint": 0, "x": 1, "y": 2, "score": 0.5}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
-from posepartition.errors import DimensionError, ParameterError, PartitionScoreError
+from posepartition.errors import DimensionError, ParameterError
 from posepartition.maps import (
     ConfidenceMapSet,
     RegressionMapSet,
@@ -97,13 +97,9 @@ def reference_log_vote_density(point, votes, params):
         return math.log(density)
     terms = []
     for vote in votes:
-        w = params.weight_of(vote.source.joint_id)
-        if w > 0.0:
-            dx = vote.point[0] - px
-            dy = vote.point[1] - py
-            terms.append(math.log(w) - (dx * dx + dy * dy))
-    if not terms:
-        return -math.inf
+        dx = vote.point[0] - px
+        dy = vote.point[1] - py
+        terms.append(math.log(params.weight_of(vote.source.joint_id)) - (dx * dx + dy * dy))
     top = max(terms)
     return top + math.log(sum(math.exp(t - top) for t in terms))
 
@@ -286,8 +282,9 @@ def test_density_random_inputs_match_oracle():
 
 
 def test_density_weights_validated():
-    with pytest.raises(ParameterError):
-        ClusterParams(link_threshold=1.0, weights=(1.0, -0.5))
+    for weights in ((1.0, -0.5), (1.0, 0.0), (math.nan,), (math.inf,)):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            ClusterParams(link_threshold=1.0, weights=weights)
     params = ClusterParams(link_threshold=1.0, weights=(1.0,))
     with pytest.raises(ParameterError):
         vote_density((0.0, 0.0), [vote_at((0.0, 0.0), joint_id=3)], params)
@@ -415,7 +412,7 @@ def test_cluster_invariant_to_vote_order(case):
 def weighted_vote_sets(draw):
     """Votes on a half-pixel grid (equal distances, coincident votes), in
     up to three groups 60 px apart, from candidates of three joints whose
-    canonical order is not the input order; no weights, zero or mixed
+    canonical order is not the input order; no weights or mixed positive
     weights, and cutoffs from a pixel to past the group spacing, so merged
     far groups score by the log-sum-exp fallback."""
     cells = draw(
@@ -434,7 +431,7 @@ def weighted_vote_sets(draw):
         )
         for i, (x, y, group, joint) in enumerate(cells)
     ]
-    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    weight = st.sampled_from([0.5, 1.0]) | st.floats(0.0, 2.0, exclude_min=True)
     weights = draw(st.none() | st.tuples(weight, weight, weight))
     threshold = draw(st.sampled_from([0.5, 1.0, 2.0, 70.0, 150.0]) | st.floats(0.1, 150.0))
     return votes, ClusterParams(link_threshold=threshold, weights=weights)
@@ -458,7 +455,7 @@ def non_dyadic_vote_sets(draw):
     the order they are added in, in up to three groups 60, 90 and 150 px
     apart.  Points repeat, so equal distances (ties) occur.  As in
     weighted_vote_sets, candidates of three joints have a canonical order
-    that is not the input order, weights are absent, zero or mixed, and
+    that is not the input order, weights are absent or mixed positive, and
     cutoffs reach past the group spacing (log-sum-exp scores)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offsets = draw(st.lists(st.sampled_from([0.0, 60.0, 150.0]), min_size=8, max_size=8))
@@ -473,7 +470,7 @@ def non_dyadic_vote_sets(draw):
         )
         for i, (site, joint) in enumerate(picks)
     ]
-    weight = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    weight = st.sampled_from([0.5, 1.0]) | st.floats(0.0, 2.0, exclude_min=True)
     weights = draw(st.none() | st.tuples(weight, weight, weight))
     threshold = draw(st.sampled_from([0.5, 1.0, 2.0, 70.0, 150.0]) | st.floats(0.1, 200.0))
     return votes, ClusterParams(link_threshold=threshold, weights=weights)
@@ -549,18 +546,19 @@ def test_cluster_matches_the_oracle_on_exact_ties():
 
 
 def test_score_keeps_the_last_term_that_does_not_underflow():
-    # A joint-0 vote of weight 0 and a joint-1 vote of weight 1 at squared
-    # distance 745.13 from it: exp(-745.13) is the smallest subnormal,
-    # 5e-324, so the joint-0 partition scores log(5e-324) ~ -744.44.  A sum
-    # that dropped that term would fall back to log-sum-exp, -745.13.
+    # Two unit-weight votes at far and -far merge into one partition
+    # centered exactly on the origin, each at squared distance 745.13 from
+    # it: exp(-745.13) is the smallest subnormal, 5e-324, so the partition
+    # scores log(1e-323) ~ -743.75.  A sum that dropped those terms would
+    # fall back to log-sum-exp, -745.13 + log(2) ~ -744.44.
     far = (27.0, math.sqrt(745.13 - 27.0 * 27.0))
     sq = far[0] * far[0] + far[1] * far[1]
     assert math.exp(-sq) == 5e-324
-    votes = [vote_at((0.0, 0.0), joint_id=0), vote_at(far, joint_id=1, position=(1, 0))]
-    parts = cluster_votes(votes, ClusterParams(link_threshold=1.0, weights=(0.0, 1.0)))
-    assert [p.centroid for p in parts] == [(0.0, 0.0), far]
-    assert parts[0].score == math.log(5e-324)
-    assert parts[1].score == 0.0
+    votes = votes_at([far, (-far[0], -far[1])])
+    parts = cluster_votes(votes, ClusterParams(link_threshold=100.0))
+    assert [p.centroid for p in parts] == [(0.0, 0.0)]
+    assert parts[0].score == math.log(1e-323)
+    assert parts[0].score != -sq + math.log(2.0)
 
 
 def test_votes_without_a_weight_are_rejected():
@@ -733,14 +731,11 @@ def test_underflowed_density_scores_by_log_sum_exp():
     assert partition_score(parts) == parts[0].score
 
 
-def test_partition_score_rejects_zero_weight_partitions():
-    # Votes that all weigh zero carry no density at all, in any form.
-    votes = votes_at([(0.0, 0.0), (80.0, 0.0)])
-    parts = cluster_votes(votes, ClusterParams(link_threshold=100.0, weights=(0.0,)))
-    assert len(parts) == 1
-    assert parts[0].score == -math.inf
-    with pytest.raises(PartitionScoreError):
-        partition_score(parts)
+@pytest.mark.parametrize("score", [-math.inf, math.inf, math.nan])
+def test_partition_score_must_be_finite(score):
+    src = vote_at((0, 0)).source
+    with pytest.raises(ParameterError, match="partition score must be finite"):
+        Partition(members=(src,), votes=((0.0, 0.0),), centroid=(0.0, 0.0), score=score)
 
 
 def test_merged_crowds_on_large_canvases_decode():

@@ -224,8 +224,9 @@ def test_integer_fields_reject_bools_and_non_integers(build, error):
 
 def test_integer_fields_take_numpy_integers():
     assert DetectorParams(nms_radius=np.int64(2)).nms_radius == 2
-    scenes = generate_corpus(CorpusSpec(num_scenes=np.int64(2), height=np.int32(256)), seed=0)
+    scenes = generate_corpus(CorpusSpec(num_scenes=np.int64(2), height=np.int32(256)), seed=np.int64(0))
     assert [s.height for s in scenes] == [256, 256]
+    assert scenes == generate_corpus(CorpusSpec(num_scenes=2), seed=0)
 
 
 @st.composite
