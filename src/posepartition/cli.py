@@ -155,6 +155,7 @@ def _load_poses_for(path, scene: Scene) -> PoseSet:
 
 
 def _cmd_eval(args) -> int:
+    params = _params(MatchParams, args)  # flags are checked before any file is read
     scene_paths = sorted(Path(args.scenes).glob("*.json"))
     if not scene_paths:
         raise SchemaError("no scene files (*.json) found in %s" % args.scenes)
@@ -168,7 +169,7 @@ def _cmd_eval(args) -> int:
         return _load_poses_for(poses_path, scene), scene
 
     pairs = [load_pair(p) for p in scene_paths]
-    report = evaluate_corpus(pairs, _params(MatchParams, args))
+    report = evaluate_corpus(pairs, params)
     save_json(report_to_doc(report), args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

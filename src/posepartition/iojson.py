@@ -55,14 +55,14 @@ def candidates_from_doc(doc) -> list[JointCandidate]:
     out = []
     seen = {}
     for i, entry in enumerate(doc):
-        _require(isinstance(entry, dict), "candidates[%d] must be an object" % i)
+        _require(isinstance(entry, dict), "candidates[%d] must be an object", i)
         for key in ("joint", "x", "y", "score"):
-            _require(key in entry, "candidates[%d] is missing %r" % (i, key))
+            _require(key in entry, "candidates[%d] is missing %r", i, key)
         _require(
             _is_int(entry["joint"]) and _is_int(entry["x"]) and _is_int(entry["y"]),
-            "candidates[%d] joint and position must be integers" % i,
+            "candidates[%d] joint and position must be integers", i,
         )
-        _require(_is_finite(entry["score"]), "candidates[%d].score must be a finite number" % i)
+        _require(_is_finite(entry["score"]), "candidates[%d].score must be a finite number", i)
         site = (entry["joint"], entry["x"], entry["y"])
         if seen.setdefault(site, i) != i:
             raise SchemaError(
@@ -119,7 +119,7 @@ def poses_to_doc(poses: PoseSet, height: int, width: int) -> dict:
 def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
     _require(isinstance(doc, dict), "poses document must be an object")
     for key in ("height", "width", "poses"):
-        _require(key in doc, "poses document is missing %r" % key)
+        _require(key in doc, "poses document is missing %r", key)
     _require(
         _is_int(doc["height"]) and _is_int(doc["width"]),
         "height and width must be integers",
@@ -127,31 +127,31 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
     _require(isinstance(doc["poses"], list), "'poses' must be a list")
     poses = []
     for pi, entry in enumerate(doc["poses"]):
-        _require(isinstance(entry, dict), "poses[%d] must be an object" % pi)
+        _require(isinstance(entry, dict), "poses[%d] must be an object", pi)
         for key in ("joints", "scores", "centroid"):
-            _require(key in entry, "poses[%d] is missing %r" % (pi, key))
+            _require(key in entry, "poses[%d] is missing %r", pi, key)
         joints = entry["joints"]
         scores = entry["scores"]
         _require(
             isinstance(joints, list) and isinstance(scores, list) and len(joints) == len(scores),
-            "poses[%d] joints and scores must be lists of equal length" % pi,
+            "poses[%d] joints and scores must be lists of equal length", pi,
         )
         slots = []
         for j, (pos, sc) in enumerate(zip(joints, scores)):
             if pos is None:
-                _require(sc is None, "poses[%d].scores[%d] must be null for an absent joint" % (pi, j))
+                _require(sc is None, "poses[%d].scores[%d] must be null for an absent joint", pi, j)
                 slots.append(None)
                 continue
             _require(
                 isinstance(pos, list) and len(pos) == 2
-                and all(_is_int(v) for v in pos) and _is_finite(sc),
-                "poses[%d].joints[%d] must be [x, y] integers with a finite score" % (pi, j),
+                and _is_int(pos[0]) and _is_int(pos[1]) and _is_finite(sc),
+                "poses[%d].joints[%d] must be [x, y] integers with a finite score", pi, j,
             )
-            slots.append(JointEstimate(position=(pos[0], pos[1]), score=float(sc)))
+            slots.append(JointEstimate((pos[0], pos[1]), float(sc)))
         cent = entry["centroid"]
         _require(
-            isinstance(cent, list) and len(cent) == 2 and all(_is_finite(v) for v in cent),
-            "poses[%d].centroid must be finite [x, y]" % pi,
+            isinstance(cent, list) and len(cent) == 2 and _is_finite(cent[0]) and _is_finite(cent[1]),
+            "poses[%d].centroid must be finite [x, y]", pi,
         )
         poses.append(
             PersonPose(joints=tuple(slots), final_centroid=(float(cent[0]), float(cent[1])))

@@ -155,7 +155,8 @@ class Scene:
             raise AnnotationError("canvas size must be integers, got %r x %r" % (self.height, self.width))
         if self.height < 1 or self.width < 1:
             raise AnnotationError("canvas must be at least 1x1, got %dx%d" % (self.height, self.width))
-        validate_joint_layout(self.joint_layout)
+        if self.joint_layout is not _last_layout[1]:  # layout_from_doc validated that one
+            validate_joint_layout(self.joint_layout)
         k = self.num_joints
         for i, person in enumerate(self.persons):
             if len(person.joints) != k:
@@ -189,13 +190,14 @@ def _num(value: float) -> float | int:
     return int(f) if f.is_integer() else f
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, fmt: str, *args) -> None:
+    """Raise SchemaError(fmt % args) if cond is false; only then is it formatted."""
     if not cond:
-        raise SchemaError(msg)
+        raise SchemaError(fmt % args)
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return type(v) is float or type(v) is int or (isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
 def _is_int(v) -> bool:
@@ -217,34 +219,42 @@ def layout_to_doc(layout: Sequence[JointSpec]) -> list:
     ]
 
 
+# (entries as (key, value type, value) triples, layout) of the last joint_spec
+# accepted: the scene files of one directory share one.
+_last_layout: tuple = (None, object())  # a fresh object, unlike (), is no Scene's layout
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
 def layout_from_doc(doc) -> tuple[JointSpec, ...]:
-    """Parse and validate a "joint_spec" list, raising SchemaError on misuse."""
+    """Parse and validate a "joint_spec" list, raising SchemaError on misuse.
+    A list equal, type for type, to the last accepted one returns its layout."""
+    global _last_layout
     _require(isinstance(doc, list), "joint_spec must be a list")
+    exact = [[(k, type(v), v) for k, v in e.items()] if type(e) is dict else None for e in doc]
+    last_exact, last_layout = _last_layout
+    if exact == last_exact:
+        return last_layout
     layout = []
     for i, entry in enumerate(doc):
-        _require(isinstance(entry, dict), "joint_spec[%d] must be an object" % i)
+        _require(isinstance(entry, dict), "joint_spec[%d] must be an object", i)
         for key in ("id", "name", "group", "rank"):
-            _require(key in entry, "joint_spec[%d] is missing %r" % (i, key))
+            _require(key in entry, "joint_spec[%d] is missing %r", i, key)
         for key in ("id", "rank"):
-            _require(_is_int(entry[key]), "joint_spec[%d].%s must be an integer" % (i, key))
-        _require(isinstance(entry["name"], str), "joint_spec[%d].name must be a string" % i)
+            _require(_is_int(entry[key]), "joint_spec[%d].%s must be an integer", i, key)
+        _require(isinstance(entry["name"], str), "joint_spec[%d].name must be a string", i)
         _require(
             isinstance(entry["group"], str) and entry["group"] in _GROUP_NAMES,
-            "joint_spec[%d].group must be one of %s, got %r" % (i, ", ".join(_GROUP_NAMES), entry["group"]),
+            "joint_spec[%d].group must be one of %s, got %r", i, ", ".join(_GROUP_NAMES), entry["group"],
         )
-        layout.append(
-            JointSpec(
-                joint_id=entry["id"],
-                name=entry["name"],
-                group=_GROUP_NAMES[entry["group"]],
-                inference_rank=entry["rank"],
-            )
-        )
+        layout.append(JointSpec(entry["id"], entry["name"], _GROUP_NAMES[entry["group"]], entry["rank"]))
     try:
         validate_joint_layout(layout)
     except AnnotationError as exc:
         raise SchemaError("invalid joint_spec: %s" % exc) from exc
-    return tuple(layout)
+    layout = tuple(layout)
+    if None not in exact and {t for row in exact for _, t, _ in row} <= _JSON_SCALARS:
+        _last_layout = (exact, layout)  # plain JSON values only: their == is exact
+    return layout
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -267,36 +277,37 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _parse_position(obj, what: str) -> Position:
+def _parse_position(obj, what: str, *args) -> Position:
+    """obj as an (x, y) float pair; what % args names it in an error."""
     _require(
-        isinstance(obj, (list, tuple)) and len(obj) == 2 and all(_is_num(v) for v in obj),
-        "%s must be a [x, y] number pair" % what,
+        isinstance(obj, (list, tuple)) and len(obj) == 2 and _is_num(obj[0]) and _is_num(obj[1]),
+        what + " must be a [x, y] number pair", *args,
     )
     # JSON integers are unbounded; past float's range they cannot be read.
     try:
         return (float(obj[0]), float(obj[1]))
     except OverflowError:
-        raise SchemaError("%s is too large" % what) from None
+        raise SchemaError(what % args + " is too large") from None
 
 
 def scene_from_dict(doc: dict) -> Scene:
     """Parse and validate a scene document, raising SchemaError on misuse."""
     _require(isinstance(doc, dict), "scene document must be a JSON object")
     for key in ("height", "width", "joint_spec", "persons"):
-        _require(key in doc, "scene document is missing %r" % key)
+        _require(key in doc, "scene document is missing %r", key)
     layout = layout_from_doc(doc["joint_spec"])
     _require(isinstance(doc["persons"], list), "persons must be a list")
     persons = []
     for i, entry in enumerate(doc["persons"]):
-        _require(isinstance(entry, dict) and "joints" in entry, "persons[%d] must have joints" % i)
-        _require(isinstance(entry["joints"], list), "persons[%d].joints must be a list" % i)
+        _require(isinstance(entry, dict) and "joints" in entry, "persons[%d] must have joints", i)
+        _require(isinstance(entry["joints"], list), "persons[%d].joints must be a list", i)
         joints = tuple(
-            None if p is None else _parse_position(p, "persons[%d].joints[%d]" % (i, j))
+            None if p is None else _parse_position(p, "persons[%d].joints[%d]", i, j)
             for j, p in enumerate(entry["joints"])
         )
         cent = entry.get("centroid")
-        centroid = None if cent is None else _parse_position(cent, "persons[%d].centroid" % i)
-        persons.append(PersonAnnotation(joints=joints, centroid=centroid))
+        centroid = None if cent is None else _parse_position(cent, "persons[%d].centroid", i)
+        persons.append(PersonAnnotation(joints, centroid))
     try:
         return Scene(
             height=doc["height"],

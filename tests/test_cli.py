@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline runs and exit codes."""
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -202,6 +203,48 @@ def test_invalid_eval_filter_exits_three(tmp_path):
             "eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json", *flags
         )
         assert code == EXIT_CONFIG
+
+
+def test_eval_checks_its_flags_before_reading_any_file(tmp_path, capsys):
+    scenes = make_corpus(tmp_path, n=1)
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    (poses_dir / next(scenes.glob("*.json")).name).write_text("{broken")
+    for scenes_dir in (scenes, tmp_path / "absent"):
+        capsys.readouterr()
+        code = run(
+            "eval", "--poses", poses_dir, "--scenes", scenes_dir, "--out", tmp_path / "r.json",
+            "--min-joints", "0",
+        )
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: min_joints must be an integer >= 1, got 0\n"
+
+
+def test_eval_reads_scenes_whose_layouts_alternate(tmp_path):
+    # Every other scene lists the same joint_spec entries in reverse order.
+    scenes_dir, poses_dir = tmp_path / "scenes", tmp_path / "poses"
+    scenes_dir.mkdir()
+    poses_dir.mkdir()
+    pairs = []
+    for i, scene in enumerate(generate_corpus(CorpusSpec(num_scenes=4, max_persons=3), 7)):
+        if i % 2:
+            scene = replace(scene, joint_layout=scene.joint_layout[::-1])
+        poses = PoseSet(tuple(
+            PersonPose(
+                joints=tuple(
+                    None if j == (k + i) % 5 else JointEstimate((int(x) + k, int(y)), 0.9 - 0.1 * k)
+                    for j, (x, y) in enumerate(person.joints)
+                ),
+                final_centroid=(0.0, 0.0),
+            )
+            for k, person in enumerate(scene.persons)
+        ))
+        save_scene(scene, scenes_dir / ("scene_%04d.json" % i))
+        save_json(poses_to_doc(poses, scene.height, scene.width), poses_dir / ("scene_%04d.json" % i))
+        pairs.append((poses, scene))
+    report = tmp_path / "report.json"
+    assert run("eval", "--poses", poses_dir, "--scenes", scenes_dir, "--out", report) == EXIT_OK
+    assert load_json(report) == json.loads(json.dumps(report_to_doc(evaluate_corpus(pairs, MatchParams()))))
 
 
 @pytest.mark.parametrize("command", ["eval", "render"])

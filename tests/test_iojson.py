@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from posepartition.config import load_config
 from posepartition.detect import JointCandidate
-from posepartition.errors import SchemaError
+from posepartition.errors import ConfigurationError, SchemaError
 from posepartition.evaluate import EvalReport
 from posepartition.infer import JointEstimate, PersonPose, PoseSet
 from posepartition.iojson import (
@@ -22,6 +23,7 @@ from posepartition.iojson import (
 )
 from posepartition.maps import RegressionMapSet
 from posepartition.partition import Partition
+from posepartition.scene import PersonAnnotation, Scene, _load_doc, load_scene, mpii_joint_layout, scene_to_dict
 
 
 def sample_reg():
@@ -228,3 +230,114 @@ def test_save_and_load_json(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(SchemaError, match="bad.json"):
         load_json(bad)
+
+
+# --- every document check, message text pinned --------------------------------
+
+_DROP = object()
+
+
+def _pinned_scene_doc() -> dict:
+    persons = tuple(
+        PersonAnnotation(joints=tuple((10.0 + j, 5.0 + 20 * p) for j in range(16)))
+        for p in range(2)
+    )
+    return scene_to_dict(Scene(64, 64, mpii_joint_layout(), persons))
+
+
+# kind -> (file reader, valid document, error class)
+_READERS = {
+    "scene": (load_scene, _pinned_scene_doc, SchemaError),
+    "config": (load_config, lambda: {"joint_spec": _pinned_scene_doc()["joint_spec"]}, ConfigurationError),
+    "poses": (
+        lambda path: _load_doc(path, poses_from_doc),
+        lambda: poses_to_doc(sample_poses(), height=64, width=48),
+        SchemaError,
+    ),
+    "candidates": (
+        lambda path: _load_doc(path, candidates_from_doc),
+        lambda: candidates_to_doc(sample_candidates()),
+        SchemaError,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, where, value, message",
+    [
+        ("scene", (), [], "scene document must be a JSON object"),
+        ("scene", ("height",), _DROP, "scene document is missing 'height'"),
+        ("scene", ("persons",), _DROP, "scene document is missing 'persons'"),
+        ("scene", ("joint_spec",), {}, "joint_spec must be a list"),
+        ("scene", ("joint_spec", 2), 5, "joint_spec[2] must be an object"),
+        ("scene", ("joint_spec", 1, "rank"), _DROP, "joint_spec[1] is missing 'rank'"),
+        ("scene", ("joint_spec", 3, "id"), 1.0, "joint_spec[3].id must be an integer"),
+        ("scene", ("joint_spec", 0, "rank"), True, "joint_spec[0].rank must be an integer"),
+        ("scene", ("joint_spec", 4, "name"), 7, "joint_spec[4].name must be a string"),
+        (
+            "scene", ("joint_spec", 5, "group"), "spine",
+            "joint_spec[5].group must be one of neck, torso, limb, got 'spine'",
+        ),
+        (
+            "scene", ("joint_spec", 8, "group"), "limb",
+            "invalid joint_spec: layout must contain exactly one neck joint, got 0",
+        ),
+        ("scene", ("persons",), {}, "persons must be a list"),
+        ("scene", ("persons", 1), [], "persons[1] must have joints"),
+        ("scene", ("persons", 1, "joints"), _DROP, "persons[1] must have joints"),
+        ("scene", ("persons", 0, "joints"), "x", "persons[0].joints must be a list"),
+        ("scene", ("persons", 1, "joints", 2), [1], "persons[1].joints[2] must be a [x, y] number pair"),
+        ("scene", ("persons", 0, "joints", 3), [1, True], "persons[0].joints[3] must be a [x, y] number pair"),
+        ("scene", ("persons", 0, "joints", 4), {"x": 1}, "persons[0].joints[4] must be a [x, y] number pair"),
+        ("scene", ("persons", 1, "centroid"), [1, "a"], "persons[1].centroid must be a [x, y] number pair"),
+        ("scene", ("persons", 0, "joints", 1), [10**400, 3], "persons[0].joints[1] is too large"),
+        ("scene", ("persons", 1, "centroid"), [2, -(10**400)], "persons[1].centroid is too large"),
+        ("scene", ("persons", 1, "joints", 6), [64, 3], "invalid scene: person 1 joint 6 at (64, 3) is outside the canvas"),
+        ("config", ("joint_spec", 0, "id"), "x", "joint_spec[0].id must be an integer"),
+        ("config", ("joint_spec", 2, "group"), None, "joint_spec[2].group must be one of neck, torso, limb, got None"),
+        ("poses", (), [], "poses document must be an object"),
+        ("poses", ("width",), _DROP, "poses document is missing 'width'"),
+        ("poses", ("height",), 64.0, "height and width must be integers"),
+        ("poses", ("poses",), {}, "'poses' must be a list"),
+        ("poses", ("poses", 1), 3, "poses[1] must be an object"),
+        ("poses", ("poses", 0, "scores"), _DROP, "poses[0] is missing 'scores'"),
+        ("poses", ("poses", 1, "joints"), [None], "poses[1] joints and scores must be lists of equal length"),
+        ("poses", ("poses", 0, "scores", 1), 0.5, "poses[0].scores[1] must be null for an absent joint"),
+        (
+            "poses", ("poses", 0, "joints", 2), [1.5, 2],
+            "poses[0].joints[2] must be [x, y] integers with a finite score",
+        ),
+        (
+            "poses", ("poses", 1, "scores", 1), float("nan"),
+            "poses[1].joints[1] must be [x, y] integers with a finite score",
+        ),
+        ("poses", ("poses", 1, "centroid"), [1], "poses[1].centroid must be finite [x, y]"),
+        ("poses", ("poses", 0, "centroid"), [1, float("inf")], "poses[0].centroid must be finite [x, y]"),
+        ("candidates", (), {}, "candidates document must be a list"),
+        ("candidates", (1,), 3, "candidates[1] must be an object"),
+        ("candidates", (0, "y"), _DROP, "candidates[0] is missing 'y'"),
+        ("candidates", (2, "x"), 1.5, "candidates[2] joint and position must be integers"),
+        ("candidates", (0, "score"), "a", "candidates[0].score must be a finite number"),
+    ],
+)
+def test_every_document_check_names_its_file(tmp_path, kind, where, value, message):
+    read, valid, error = _READERS[kind]
+    doc = valid()
+    path = tmp_path / ("%s.json" % kind)
+    path.write_text(json.dumps(doc))
+    read(path)  # the document is valid before the edit
+    if not where:
+        doc = value
+    else:
+        *parents, last = where
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as info:
+        read(path)
+    assert str(info.value) == "%s: %s" % (path, message)

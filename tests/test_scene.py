@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from posepartition.config import PipelineConfig
+from posepartition.config import PipelineConfig, config_from_dict
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import DetectorParams
 from posepartition.errors import (
@@ -190,6 +190,8 @@ def test_scene_validation_rejects_layout_without_neck():
     no_neck = (replace(tiny_layout()[0], group=JointGroup.TORSO),) + tiny_layout()[1:]
     with pytest.raises(AnnotationError, match="exactly one neck"):
         Scene(height=32, width=32, joint_layout=no_neck, persons=())
+    with pytest.raises(AnnotationError, match="joint layout is empty"):
+        Scene(height=32, width=32, joint_layout=(), persons=())
 
 
 def test_replace_checks_the_new_scene():
@@ -457,6 +459,44 @@ def test_layout_codec_round_trips_and_validates():
     swapped[0]["group"] = "limb"  # no neck left
     with pytest.raises(SchemaError, match="neck"):
         layout_from_doc(swapped)
+
+
+def test_a_repeated_layout_is_still_checked_type_for_type():
+    # A joint_spec equal to the last accepted one returns its layout, but
+    # 1.0 and true equal 1 in Python, so each must still be rejected.
+    good = scene_to_dict(seeded_scene())
+    first = scene_from_dict(good)
+    assert first == seeded_scene()
+    assert scene_from_dict(json.loads(json.dumps(good))).joint_layout is first.joint_layout
+    for index, key, value, message in (
+        (1, "id", 1.0, "joint_spec[1].id must be an integer"),
+        (7, "rank", True, "joint_spec[7].rank must be an integer"),
+        (8, "group", "Neck", "joint_spec[8].group must be one of neck, torso, limb, got 'Neck'"),
+        (9, "group", "neck", "invalid joint_spec: layout must contain exactly one neck joint, got 2"),
+    ):
+        bad = json.loads(json.dumps(good))
+        bad["joint_spec"][index][key] = value
+        with pytest.raises(SchemaError) as info:
+            scene_from_dict(bad)
+        assert str(info.value) == message
+        with pytest.raises(ConfigurationError) as info:
+            config_from_dict({"joint_spec": bad["joint_spec"]})
+        assert str(info.value) == message
+        assert scene_from_dict(good) == first
+
+
+def test_layouts_with_extra_keys_or_another_order_load():
+    good = scene_to_dict(seeded_scene())
+    scene = scene_from_dict(good)
+    for make in (str, np.arange, np.arange):  # an array's == compares elementwise
+        doc = json.loads(json.dumps(good))
+        doc["joint_spec"][3]["extra"] = make(3)
+        assert scene_from_dict(doc) == scene
+    flipped = json.loads(json.dumps(good))
+    flipped["joint_spec"].reverse()
+    reversed_scene = replace(scene, joint_layout=scene.joint_layout[::-1])
+    for doc, expected in [(good, scene), (flipped, reversed_scene)] * 2:
+        assert scene_from_dict(doc) == expected
 
 
 def test_load_scene_rejects_invalid_json(tmp_path):
