@@ -208,7 +208,9 @@ def _cmd_config(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later main() call."""
     parser = argparse.ArgumentParser(
         prog="posepartition",
         description="Synthesize, decode, and evaluate joint confidence plus centroid regression maps.",
@@ -295,12 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_config)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and reused by every later main() call."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

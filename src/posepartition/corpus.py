@@ -37,7 +37,7 @@ HUMANOID_TEMPLATE: dict[str, tuple[float, float]] = {
     "l_ankle": (15.0, 60.0),
 }
 
-MAX_ATTEMPTS = 2000  # placements tried per scene before giving up
+_MAX_ATTEMPTS = 2000  # placements tried per scene before giving up
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def _anchor_box(spec: CorpusSpec) -> tuple[int, int, int, int]:
 def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
     """Generate the corpus deterministically from one seed, an integer >= 0.
 
-    Raises ConfigurationError when a scene's MAX_ATTEMPTS placements run
-    out, which signals an infeasible crowding/separation combination.
+    Raises ConfigurationError when a scene runs out of placement attempts,
+    which signals an infeasible crowding/separation combination.
     """
     if not (_is_int(seed) and seed >= 0):
         raise ParameterError("seed must be a non-negative integer, got %r" % (seed,))
@@ -108,10 +108,10 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
         centroids: list[tuple[float, float]] = []
         attempts = 0
         while len(persons) < n_persons:
-            if attempts >= MAX_ATTEMPTS:
+            if attempts >= _MAX_ATTEMPTS:
                 raise ConfigurationError(
                     "failed to place %d persons with separation %g after %d attempts"
-                    % (n_persons, spec.min_separation, MAX_ATTEMPTS)
+                    % (n_persons, spec.min_separation, _MAX_ATTEMPTS)
                 )
             attempts += 1
             ax = int(rng.integers(xlo, xhi + 1))

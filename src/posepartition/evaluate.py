@@ -20,7 +20,7 @@ from .errors import DimensionError, EvaluationError, ParameterError
 from .infer import PoseSet
 from .scene import JointGroup, Scene, _is_int
 
-HEAD_TOP_NAME = "head_top"
+_HEAD_TOP_NAME = "head_top"
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def _hit_distances(scene: Scene, params: MatchParams) -> list[float]:
     """PCKh radius of each ground-truth person, in scene order (see MatchParams)."""
     neck_id = next(js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK)
     head_id = next(
-        (js.joint_id for js in scene.joint_layout if js.name == HEAD_TOP_NAME), None
+        (js.joint_id for js in scene.joint_layout if js.name == _HEAD_TOP_NAME), None
     )
     radii = []
     for gi, person in enumerate(scene.persons):
@@ -303,7 +303,7 @@ def evaluate_corpus(
 
 # Column layout used by the CSV report: MPII-style joint groups.
 CSV_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("Head", (HEAD_TOP_NAME,)),
+    ("Head", (_HEAD_TOP_NAME,)),
     ("Sho.", ("r_shoulder", "l_shoulder")),
     ("Elb.", ("r_elbow", "l_elbow")),
     ("Wri.", ("r_wrist", "l_wrist")),

@@ -8,7 +8,8 @@ running mean of the accepted votes.  Accepting a candidate always lowers
 the decode energy, so the recorded energy trace is strictly decreasing.
 
 The energy's per-joint term is each candidate's detection score, so assembly
-reads only the partitions and the joint layout, never a map.
+reads only the partitions and the joint layout, never a map.  A decoded pose
+holds the candidates assembly chose: slot j holds a joint-j candidate.
 """
 from __future__ import annotations
 
@@ -24,18 +25,11 @@ from .scene import JointSpec
 
 
 @dataclass(frozen=True)
-class JointEstimate:
-    """A decoded joint: grid position (x, y) and its confidence score."""
-
-    position: tuple[int, int]
-    score: float
-
-
-@dataclass(frozen=True)
 class PersonPose:
-    """One decoded person: an optional estimate per joint category."""
+    """One decoded person: per joint category j, the joint-j candidate
+    assembly chose, or None."""
 
-    joints: tuple[JointEstimate | None, ...]
+    joints: tuple[JointCandidate | None, ...]
     final_centroid: tuple[float, float]
 
     def present_count(self) -> int:
@@ -154,9 +148,9 @@ def _greedy_one_partition(
             sy += hy
             center = (sx / len(embeds), sy / len(embeds))
 
-        slots: list[JointEstimate | None] = [None] * k
+        slots: list[JointCandidate | None] = [None] * k
         for cand in accepted:
-            slots[cand.joint_id] = JointEstimate(position=cand.position, score=cand.score)
+            slots[cand.joint_id] = cand
         poses.append(PersonPose(joints=tuple(slots), final_centroid=center))
     return poses, deltas
 
@@ -198,11 +192,7 @@ def energy(
     """
     total = 0.0 - partition_score(partitions)
     for pose in poses.poses:
-        present = [
-            JointCandidate(joint_id=j, position=est.position, score=est.score)
-            for j, est in enumerate(pose.joints)
-            if est is not None
-        ]
+        present = [cand for cand in pose.joints if cand is not None]
         for cand in present:
             total -= cand.score
         for i in range(len(present)):

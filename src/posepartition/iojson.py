@@ -15,7 +15,7 @@ import numpy as np
 from .detect import JointCandidate
 from .errors import SchemaError
 from .evaluate import EvalReport
-from .infer import JointEstimate, PersonPose, PoseSet
+from .infer import PersonPose, PoseSet
 from .partition import Partition
 from .scene import _is_int, _is_num, _load_doc, _require
 
@@ -147,7 +147,7 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
                 and _is_int(pos[0]) and _is_int(pos[1]) and _is_finite(sc),
                 "poses[%d].joints[%d] must be [x, y] integers with a finite score", pi, j,
             )
-            slots.append(JointEstimate((pos[0], pos[1]), float(sc)))
+            slots.append(JointCandidate(j, (pos[0], pos[1]), float(sc)))
         cent = entry["centroid"]
         _require(
             isinstance(cent, list) and len(cent) == 2 and _is_finite(cent[0]) and _is_finite(cent[1]),
@@ -165,7 +165,7 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
 def report_to_doc(report: EvalReport) -> dict:
     return {
         "joint_names": list(report.joint_names),
-        "per_joint_ap": [None if ap is None else ap for ap in report.per_joint_ap],
+        "per_joint_ap": list(report.per_joint_ap),
         "total_ap": report.total_ap,
         "count_confusion": np.asarray(report.count_confusion).tolist(),
         "count_mse": report.count_mse,

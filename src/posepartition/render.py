@@ -15,7 +15,7 @@ from .scene import Scene
 
 # Edges between joint names of the default layout.  Layouts with other
 # names fall back to joints-only rendering.
-SKELETON_EDGES: tuple[tuple[str, str], ...] = (
+_SKELETON_EDGES: tuple[tuple[str, str], ...] = (
     ("head_top", "neck"),
     ("neck", "thorax"),
     ("thorax", "r_shoulder"),
@@ -85,7 +85,7 @@ def render_poses(poses: PoseSet, scene: Scene) -> bytes:
     img = np.full((h, w, 3), 255, dtype=np.uint8)
     id_of = {js.name: js.joint_id for js in scene.joint_layout}
     edges = [
-        (id_of[a], id_of[b]) for a, b in SKELETON_EDGES if a in id_of and b in id_of
+        (id_of[a], id_of[b]) for a, b in _SKELETON_EDGES if a in id_of and b in id_of
     ]
     for pi, pose in enumerate(poses.poses):
         if len(pose.joints) != k:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import AnnotationError, SchemaError
 
-Position = tuple[float, float]
+_Position = tuple[float, float]
 
 
 class JointGroup(str, Enum):
@@ -108,11 +108,11 @@ class PersonAnnotation:
     as the mean of the annotated joints.
     """
 
-    joints: tuple[Position | None, ...]
-    centroid: Position | None = None
+    joints: tuple[_Position | None, ...]
+    centroid: _Position | None = None
 
 
-def person_centroid(person: PersonAnnotation) -> Position:
+def person_centroid(person: PersonAnnotation) -> _Position:
     """Explicit centroid if stored, else the mean of the annotated joints.
 
     Raises AnnotationError when neither a centroid nor a joint is given.
@@ -277,7 +277,7 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def _parse_position(obj, what: str, *args) -> Position:
+def _parse_position(obj, what: str, *args) -> _Position:
     """obj as an (x, y) float pair; what % args names it in an error."""
     _require(
         isinstance(obj, (list, tuple)) and len(obj) == 2 and _is_num(obj[0]) and _is_num(obj[1]),

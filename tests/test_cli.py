@@ -9,7 +9,8 @@ from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from posepartition.config import PipelineConfig, config_to_dict, load_config
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.evaluate import MatchParams, evaluate_corpus
-from posepartition.infer import JointEstimate, PersonPose, PoseSet
+from posepartition.detect import JointCandidate
+from posepartition.infer import PersonPose, PoseSet
 from posepartition.iojson import load_json, poses_from_doc, poses_to_doc, report_to_doc, save_json
 from posepartition.scene import load_scene, save_scene
 
@@ -232,7 +233,7 @@ def test_eval_reads_scenes_whose_layouts_alternate(tmp_path):
         poses = PoseSet(tuple(
             PersonPose(
                 joints=tuple(
-                    None if j == (k + i) % 5 else JointEstimate((int(x) + k, int(y)), 0.9 - 0.1 * k)
+                    None if j == (k + i) % 5 else JointCandidate(j, (int(x) + k, int(y)), 0.9 - 0.1 * k)
                     for j, (x, y) in enumerate(person.joints)
                 ),
                 final_centroid=(0.0, 0.0),
@@ -398,13 +399,16 @@ def test_eval_defaults_are_the_match_params_defaults(tmp_path):
         scene = load_scene(f)
         poses = [
             PersonPose(
-                joints=tuple(JointEstimate((int(x) + 3, int(y)), 0.9) for x, y in person.joints),
+                joints=tuple(
+                    JointCandidate(j, (int(x) + 3, int(y)), 0.9)
+                    for j, (x, y) in enumerate(person.joints)
+                ),
                 final_centroid=(0.0, 0.0),
             )
             for person in scene.persons
         ]
         # One single-joint, low-score pose: kept only while the filters are off.
-        stray = (JointEstimate((5, 5), 0.05),) + (None,) * (scene.num_joints - 1)
+        stray = (JointCandidate(0, (5, 5), 0.05),) + (None,) * (scene.num_joints - 1)
         poses.append(PersonPose(joints=stray, final_centroid=(5.0, 5.0)))
         save_json(poses_to_doc(PoseSet(tuple(poses)), scene.height, scene.width), poses_dir / f.name)
     report = tmp_path / "report.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
+from posepartition.detect import JointCandidate
 from posepartition.errors import DimensionError, EvaluationError, ParameterError
 from posepartition.evaluate import (
     CSV_GROUPS,
@@ -21,7 +22,7 @@ from posepartition.evaluate import (
     match_poses,
     report_csv,
 )
-from posepartition.infer import JointEstimate, PersonPose, PoseSet
+from posepartition.infer import PersonPose, PoseSet
 from posepartition.maps import ConfidenceMapSet, RegressionMapSet
 from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import (
@@ -61,7 +62,7 @@ def pose(estimates):
     """Build a pose from {joint_id: (x, y, score)}."""
     slots = [None] * K
     for j, (x, y, s) in estimates.items():
-        slots[j] = JointEstimate(position=(x, y), score=s)
+        slots[j] = JointCandidate(joint_id=j, position=(x, y), score=s)
     return PersonPose(joints=tuple(slots), final_centroid=(0.0, 0.0))
 
 
@@ -565,7 +566,7 @@ def scored_corpora(draw):
     def predicted_pose(persons):
         target = draw(st.sampled_from(persons)).joints if persons and draw(st.booleans()) else (None,) * K
         slots = []
-        for ref in target:
+        for j, ref in enumerate(target):
             if draw(st.integers(0, 3)) == 0:
                 slots.append(None)
                 continue
@@ -573,7 +574,7 @@ def scored_corpora(draw):
                 x, y = draw(st.integers(0, 15)), draw(st.integers(0, 15))
             else:
                 x, y = int(ref[0]) + draw(st.integers(-2, 2)), int(ref[1]) + draw(st.integers(-2, 2))
-            slots.append(JointEstimate(position=(x, y), score=draw(scores)))
+            slots.append(JointCandidate(joint_id=j, position=(x, y), score=draw(scores)))
         return PersonPose(joints=tuple(slots), final_centroid=(0.0, 0.0))
 
     pairs = []

@@ -11,7 +11,6 @@ from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
 from posepartition.errors import ConfigurationError, ParameterError
 from posepartition.infer import (
-    JointEstimate,
     PersonPose,
     PoseSet,
     energy,
@@ -140,7 +139,7 @@ def reference_greedy_one_partition(partition, layout, tau):
             )
         slots = [None] * k
         for c in accepted:
-            slots[c.joint_id] = JointEstimate(position=c.position, score=c.score)
+            slots[c.joint_id] = c
         poses.append(PersonPose(joints=tuple(slots), final_centroid=center))
     return poses, deltas
 
@@ -263,13 +262,13 @@ def test_every_member_is_assigned_exactly_once():
     reg = flat_reg()
     part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (10.0, 10.0))
     poses, trace = infer_all([part], four_joint_layout())
-    assigned = sorted(
-        (j, est.position)
-        for pose in poses.poses
-        for j, est in enumerate(pose.joints)
-        if est is not None
-    )
+    filled = [(j, c) for pose in poses.poses for j, c in enumerate(pose.joints) if c is not None]
+    assigned = sorted((j, c.position) for j, c in filled)
     assert assigned == sorted((j, p) for j, p, _ in cells)
+    # Each filled slot holds a partition member itself, at its joint id's
+    # index, and no member fills two slots.
+    assert all(any(c is m for m in part.members) and c.joint_id == j for j, c in filled)
+    assert len({id(c) for _, c in filled}) == len(filled)
     # Three necks force three poses.
     assert len(poses.poses) == 3
     assert len(trace) == 1 + len(cells)

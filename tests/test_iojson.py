@@ -10,7 +10,7 @@ from posepartition.config import load_config
 from posepartition.detect import JointCandidate
 from posepartition.errors import ConfigurationError, SchemaError
 from posepartition.evaluate import EvalReport
-from posepartition.infer import JointEstimate, PersonPose, PoseSet
+from posepartition.infer import PersonPose, PoseSet
 from posepartition.iojson import (
     candidates_from_doc,
     candidates_to_doc,
@@ -58,14 +58,14 @@ def sample_poses():
         poses=(
             PersonPose(
                 joints=(
-                    JointEstimate(position=(12, 7), score=0.93),
+                    JointCandidate(joint_id=0, position=(12, 7), score=0.93),
                     None,
-                    JointEstimate(position=(14, 9), score=0.81),
+                    JointCandidate(joint_id=2, position=(14, 9), score=0.81),
                 ),
                 final_centroid=(13.0, 8.0),
             ),
             PersonPose(
-                joints=(None, JointEstimate(position=(40, 41), score=0.64), None),
+                joints=(None, JointCandidate(joint_id=1, position=(40, 41), score=0.64), None),
                 final_centroid=(40.0, 41.0),
             ),
         )
@@ -135,18 +135,23 @@ def test_partitions_require_known_members():
 
 
 def pose_sets():
-    """Pose sets with finite scores and centroids and absent (None) joints."""
+    """Pose sets with finite scores and centroids and absent (None) joints;
+    slot j holds a joint-j candidate."""
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    estimate = st.builds(
-        JointEstimate,
-        position=st.tuples(st.integers(0, 4095), st.integers(0, 4095)),
-        score=finite,
-    )
+
+    def candidate(j):
+        return st.builds(
+            JointCandidate,
+            joint_id=st.just(j),
+            position=st.tuples(st.integers(0, 4095), st.integers(0, 4095)),
+            score=finite,
+        )
+
     return st.integers(1, 5).flatmap(
         lambda k: st.lists(
             st.builds(
                 PersonPose,
-                joints=st.tuples(*[st.none() | estimate] * k),
+                joints=st.tuples(*[st.none() | candidate(j) for j in range(k)]),
                 final_centroid=st.tuples(finite, finite),
             ),
             max_size=4,
@@ -162,6 +167,9 @@ def test_poses_round_trip(poses, height, width):
     back, h, w = poses_from_doc(doc)
     assert back == poses
     assert (h, w) == (height, width)
+    for pose in back.poses:
+        for j, cand in enumerate(pose.joints):
+            assert cand is None or (type(cand) is JointCandidate and cand.joint_id == j)
     for entry, pose in zip(doc["poses"], poses.poses):
         for j, est in enumerate(pose.joints):
             if est is None:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from posepartition.detect import JointCandidate
 from posepartition.errors import DimensionError
-from posepartition.infer import JointEstimate, PersonPose, PoseSet
+from posepartition.infer import PersonPose, PoseSet
 from posepartition.render import PALETTE, render_poses, write_ppm
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
 
@@ -26,8 +27,8 @@ def one_pose():
         poses=(
             PersonPose(
                 joints=(
-                    JointEstimate(position=(5, 5), score=1.0),
-                    JointEstimate(position=(5, 10), score=1.0),
+                    JointCandidate(joint_id=0, position=(5, 5), score=1.0),
+                    JointCandidate(joint_id=1, position=(5, 10), score=1.0),
                 ),
                 final_centroid=(5.0, 7.5),
             ),
@@ -71,11 +72,11 @@ def test_rendering_is_deterministic_and_colors_cycle():
     poses = PoseSet(
         poses=(
             PersonPose(
-                joints=(JointEstimate(position=(3, 3), score=1.0), None),
+                joints=(JointCandidate(joint_id=0, position=(3, 3), score=1.0), None),
                 final_centroid=(3.0, 3.0),
             ),
             PersonPose(
-                joints=(JointEstimate(position=(14, 14), score=1.0), None),
+                joints=(JointCandidate(joint_id=0, position=(14, 14), score=1.0), None),
                 final_centroid=(14.0, 14.0),
             ),
         )
@@ -93,7 +94,7 @@ def test_joints_near_the_border_are_clipped_not_fatal():
     poses = PoseSet(
         poses=(
             PersonPose(
-                joints=(JointEstimate(position=(0, 0), score=1.0), None),
+                joints=(JointCandidate(joint_id=0, position=(0, 0), score=1.0), None),
                 final_centroid=(0.0, 0.0),
             ),
         )
