@@ -2,8 +2,11 @@
 
 Scenes hold 1..N copies of the jittered humanoid joint template placed by
 rejection sampling so person centroids keep a minimum separation.  All
-coordinates are integers and every draw comes from one seeded generator, so
-a given (spec, seed) pair always produces the same scenes byte for byte.
+coordinates are integers and every draw comes from one seeded PCG64 stream,
+so a given (spec, seed) pair always produces the same scenes byte for byte.
+The bytes rest on the draw order: per scene a person count, then per placement
+attempt one bounded integer each for anchor x, anchor y, and the x and y
+jitter of every joint in layout order.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .scene import PersonAnnotation, Scene, _is_int, mpii_joint_layout, person_centroid
+from .scene import PersonAnnotation, Scene, _is_finite, _is_int, mpii_joint_layout, person_centroid
 
 # Joint offsets (dx, dy) in pixels relative to the placement anchor, loosely
 # matching frontal standing proportions.  Keys follow the default layout
@@ -63,7 +66,7 @@ class CorpusSpec:
                 "person range must satisfy 1 <= min <= max, got [%d, %d]"
                 % (self.min_persons, self.max_persons)
             )
-        if not (self.min_separation >= 0 and math.isfinite(self.min_separation)):
+        if not (_is_finite(self.min_separation) and self.min_separation >= 0):
             raise ParameterError("min_separation must be finite and non-negative")
         if self.height < 1 or self.width < 1:
             raise ParameterError("canvas must be at least 1x1")
@@ -73,13 +76,10 @@ class CorpusSpec:
 
 def _anchor_box(spec: CorpusSpec) -> tuple[int, int, int, int]:
     """Inclusive anchor bounds keeping every jittered joint inside the canvas."""
+    dxs, dys = zip(*HUMANOID_TEMPLATE.values())
     pad = spec.jitter
-    xlo = -min(dx for dx, _ in HUMANOID_TEMPLATE.values()) + pad
-    xhi = spec.width - 1 - (max(dx for dx, _ in HUMANOID_TEMPLATE.values()) + pad)
-    ylo = -min(dy for _, dy in HUMANOID_TEMPLATE.values()) + pad
-    yhi = spec.height - 1 - (max(dy for _, dy in HUMANOID_TEMPLATE.values()) + pad)
-    xlo, ylo = math.ceil(xlo), math.ceil(ylo)
-    xhi, yhi = math.floor(xhi), math.floor(yhi)
+    xlo, xhi = math.ceil(-min(dxs) + pad), math.floor(spec.width - 1 - (max(dxs) + pad))
+    ylo, yhi = math.ceil(-min(dys) + pad), math.floor(spec.height - 1 - (max(dys) + pad))
     if xlo > xhi or ylo > yhi:
         raise ConfigurationError(
             "canvas %dx%d cannot fit the joint template with jitter %d"
@@ -100,6 +100,8 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
     rng = np.random.default_rng(seed)
     xlo, xhi, ylo, yhi = _anchor_box(spec)
     offsets = [HUMANOID_TEMPLATE[js.name] for js in layout]
+    low = np.array([xlo, ylo] + [-spec.jitter] * (2 * len(offsets)))
+    high = np.array([xhi + 1, yhi + 1] + [spec.jitter + 1] * (2 * len(offsets)))
 
     scenes = []
     for _ in range(spec.num_scenes):
@@ -114,20 +116,14 @@ def generate_corpus(spec: CorpusSpec, seed: int) -> list[Scene]:
                     % (n_persons, spec.min_separation, _MAX_ATTEMPTS)
                 )
             attempts += 1
-            ax = int(rng.integers(xlo, xhi + 1))
-            ay = int(rng.integers(ylo, yhi + 1))
-            joints = []
-            for dx, dy in offsets:
-                jx = ax + dx + int(rng.integers(-spec.jitter, spec.jitter + 1))
-                jy = ay + dy + int(rng.integers(-spec.jitter, spec.jitter + 1))
-                joints.append((float(jx), float(jy)))
+            ax, ay, *jit = rng.integers(low, high).tolist()
+            joints = [(float(ax + dx + jx), float(ay + dy + jy))
+                      for (dx, dy), jx, jy in zip(offsets, jit[::2], jit[1::2])]
             person = PersonAnnotation(joints=tuple(joints))
             centroid = person_centroid(person)
             if any(math.dist(centroid, c) < spec.min_separation for c in centroids):
                 continue
             centroids.append(centroid)
             persons.append(person)
-        scenes.append(
-            Scene(height=spec.height, width=spec.width, joint_layout=layout, persons=tuple(persons))
-        )
+        scenes.append(Scene(spec.height, spec.width, layout, tuple(persons)))
     return scenes

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .maps import ConfidenceMapSet
-from .scene import _is_int
+from .scene import _is_int, _is_num
 
 DEFAULT_TAU = 0.1  # score threshold shared by detection and greedy assembly
 
@@ -42,8 +42,8 @@ class DetectorParams:
     nms_radius: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise ParameterError("tau must lie in (0, 1), got %g" % self.tau)
+        if not (_is_num(self.tau) and 0.0 < self.tau < 1.0):
+            raise ParameterError("tau must lie in (0, 1), got %r" % (self.tau,))
         if not (_is_int(self.nms_radius) and self.nms_radius >= 1):
             raise ParameterError("nms_radius must be an integer >= 1, got %r" % (self.nms_radius,))
 

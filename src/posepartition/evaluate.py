@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, EvaluationError, ParameterError
 from .infer import PoseSet
-from .scene import JointGroup, Scene, _is_int
+from .scene import JointGroup, Scene, _is_finite, _is_int
 
 _HEAD_TOP_NAME = "head_top"
 
@@ -42,13 +42,13 @@ class MatchParams:
     min_score: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.pckh_fraction > 0 and math.isfinite(self.pckh_fraction)):
-            raise ParameterError("pckh_fraction must be positive, got %g" % self.pckh_fraction)
-        if self.fallback_px is not None and not (self.fallback_px > 0 and math.isfinite(self.fallback_px)):
+        if not (_is_finite(self.pckh_fraction) and self.pckh_fraction > 0):
+            raise ParameterError("pckh_fraction must be positive, got %r" % (self.pckh_fraction,))
+        if self.fallback_px is not None and not (_is_finite(self.fallback_px) and self.fallback_px > 0):
             raise ParameterError("fallback_px must be positive and finite when set")
         if not (_is_int(self.min_joints) and self.min_joints >= 1):
             raise ParameterError("min_joints must be an integer >= 1, got %r" % (self.min_joints,))
-        if self.min_score is not None and not math.isfinite(self.min_score):
+        if self.min_score is not None and not _is_finite(self.min_score):
             raise ParameterError("min_score must be finite when set")
 
 

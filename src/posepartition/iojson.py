@@ -7,7 +7,6 @@ Candidates and poses are read back; partitions and reports are only written.
 from __future__ import annotations
 
 import json
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -17,12 +16,7 @@ from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import PersonPose, PoseSet
 from .partition import Partition
-from .scene import _is_int, _is_num, _load_doc, _require
-
-
-def _is_finite(v) -> bool:
-    """A JSON number within float range (json reads NaN and Infinity)."""
-    return _is_num(v) and abs(v) <= sys.float_info.max
+from .scene import _is_finite, _is_int, _load_doc, _require
 
 
 def load_json(path) -> dict | list:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .scene import Scene, person_centroid
+from .scene import Scene, _is_finite, _is_num, person_centroid
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Synthesis scales bumps by float32 -1/sigma^2 and reaches sigma*sqrt(104)
@@ -47,10 +47,10 @@ class ForwardParams:
     radius: float = 7.0
 
     def __post_init__(self) -> None:
-        if not _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]:
-            raise ParameterError("sigma must be in [%.3g, %.3g], got %g" % (*_SIGMA_RANGE, self.sigma))
-        if not (self.radius >= 0 and math.isfinite(self.radius)):
-            raise ParameterError("radius must be non-negative, got %g" % self.radius)
+        if not (_is_num(self.sigma) and _SIGMA_RANGE[0] <= self.sigma <= _SIGMA_RANGE[1]):
+            raise ParameterError("sigma must be in [%.3g, %.3g], got %r" % (*_SIGMA_RANGE, self.sigma))
+        if not (_is_finite(self.radius) and self.radius >= 0):
+            raise ParameterError("radius must be non-negative, got %r" % (self.radius,))
 
 
 def _freeze(values, shape_tail: tuple[int, ...], what: str) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 from .detect import JointCandidate
 from .errors import DimensionError, ParameterError
 from .maps import RegressionMapSet
+from .scene import _is_finite
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class ClusterParams:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not (self.link_threshold > 0 and math.isfinite(self.link_threshold)):
-            raise ParameterError("link_threshold must be positive, got %g" % self.link_threshold)
-        if self.weights is not None and not all(w > 0 and math.isfinite(w) for w in self.weights):
+        if not (_is_finite(self.link_threshold) and self.link_threshold > 0):
+            raise ParameterError("link_threshold must be positive, got %r" % (self.link_threshold,))
+        if self.weights is not None and not all(_is_finite(w) and w > 0 for w in self.weights):
             raise ParameterError("vote weights must be finite and positive")
 
     def weight_of(self, joint_id: int) -> float:

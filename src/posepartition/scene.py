@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -42,13 +43,20 @@ class JointSpec:
     inference_rank: int
 
 
+_valid_layout: object = object()  # the last tuple layout accepted; a fresh object is no layout
+
+
 def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
     """Check the structural invariants of a joint layout.
 
     Ids and ranks must each be a permutation of 0..K-1, exactly one joint is
     the neck, and the rank order must visit neck, then torso, then limb
-    joints.
+    joints.  The last tuple accepted is remembered: that same object (the
+    layout every scene of a corpus or a directory shares) returns at once.
     """
+    global _valid_layout
+    if layout is _valid_layout:
+        return
     k = len(layout)
     if k == 0:
         raise AnnotationError("joint layout is empty")
@@ -74,6 +82,8 @@ def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
                 "%s (rank %d) comes after a later group" % (js.name, js.inference_rank)
             )
         seen = idx
+    if type(layout) is tuple:
+        _valid_layout = layout
 
 
 def mpii_joint_layout() -> tuple[JointSpec, ...]:
@@ -155,8 +165,7 @@ class Scene:
             raise AnnotationError("canvas size must be integers, got %r x %r" % (self.height, self.width))
         if self.height < 1 or self.width < 1:
             raise AnnotationError("canvas must be at least 1x1, got %dx%d" % (self.height, self.width))
-        if self.joint_layout is not _last_layout[1]:  # layout_from_doc validated that one
-            validate_joint_layout(self.joint_layout)
+        validate_joint_layout(self.joint_layout)
         k = self.num_joints
         for i, person in enumerate(self.persons):
             if len(person.joints) != k:
@@ -200,6 +209,11 @@ def _is_num(v) -> bool:
     return type(v) is float or type(v) is int or (isinstance(v, (int, float)) and not isinstance(v, bool))
 
 
+def _is_finite(v) -> bool:
+    """A number within float range (json reads NaN and Infinity)."""
+    return _is_num(v) and abs(v) <= sys.float_info.max
+
+
 def _is_int(v) -> bool:
     """An integer, numpy's included, but not a bool (JSON true/false parse as
     bools); the exact-type test spares readers a 1 us ABC check per value."""
@@ -221,7 +235,7 @@ def layout_to_doc(layout: Sequence[JointSpec]) -> list:
 
 # (entries as (key, value type, value) triples, layout) of the last joint_spec
 # accepted: the scene files of one directory share one.
-_last_layout: tuple = (None, object())  # a fresh object, unlike (), is no Scene's layout
+_last_layout: tuple = (None, None)
 _JSON_SCALARS = {str, int, float, bool, type(None)}
 
 
@@ -247,11 +261,11 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
             "joint_spec[%d].group must be one of %s, got %r", i, ", ".join(_GROUP_NAMES), entry["group"],
         )
         layout.append(JointSpec(entry["id"], entry["name"], _GROUP_NAMES[entry["group"]], entry["rank"]))
+    layout = tuple(layout)
     try:
         validate_joint_layout(layout)
     except AnnotationError as exc:
         raise SchemaError("invalid joint_spec: %s" % exc) from exc
-    layout = tuple(layout)
     if None not in exact and {t for row in exact for _, t, _ in row} <= _JSON_SCALARS:
         _last_layout = (exact, layout)  # plain JSON values only: their == is exact
     return layout

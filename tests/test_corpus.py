@@ -1,11 +1,15 @@
 """Seeded synthetic scene generation."""
+import hashlib
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posepartition.corpus import CorpusSpec, HUMANOID_TEMPLATE, generate_corpus
 from posepartition.errors import ConfigurationError, ParameterError
-from posepartition.scene import dump_scene, person_centroid
+from posepartition.scene import PersonAnnotation, Scene, dump_scene, mpii_joint_layout, person_centroid
 
 
 SMALL = CorpusSpec(num_scenes=6, max_persons=3, min_separation=40.0, height=192, width=192)
@@ -114,3 +118,94 @@ def test_corpus_spec_validation():
     for size in ({"height": 0}, {"width": 0}):
         with pytest.raises(ParameterError, match="at least 1x1"):
             CorpusSpec(**size)
+
+
+# --- the draw stream ---------------------------------------------------------
+
+
+def reference_corpus(spec, seed):
+    """Scenes drawn with one scalar rng.integers call per value: anchor x,
+    anchor y, then x and y jitter per joint in layout order.  The generator
+    must reproduce this stream byte for byte."""
+    layout = mpii_joint_layout()
+    rng = np.random.default_rng(seed)
+    dxs = [dx for dx, _ in HUMANOID_TEMPLATE.values()]
+    dys = [dy for _, dy in HUMANOID_TEMPLATE.values()]
+    xlo = math.ceil(-min(dxs) + spec.jitter)
+    xhi = math.floor(spec.width - 1 - (max(dxs) + spec.jitter))
+    ylo = math.ceil(-min(dys) + spec.jitter)
+    yhi = math.floor(spec.height - 1 - (max(dys) + spec.jitter))
+    offsets = [HUMANOID_TEMPLATE[js.name] for js in layout]
+    scenes = []
+    for _ in range(spec.num_scenes):
+        n_persons = int(rng.integers(spec.min_persons, spec.max_persons + 1))
+        persons, centroids, attempts = [], [], 0
+        while len(persons) < n_persons:
+            if attempts >= 2000:
+                raise ConfigurationError(
+                    "failed to place %d persons with separation %g after %d attempts"
+                    % (n_persons, spec.min_separation, 2000)
+                )
+            attempts += 1
+            ax = int(rng.integers(xlo, xhi + 1))
+            ay = int(rng.integers(ylo, yhi + 1))
+            joints = []
+            for dx, dy in offsets:
+                jx = ax + dx + int(rng.integers(-spec.jitter, spec.jitter + 1))
+                jy = ay + dy + int(rng.integers(-spec.jitter, spec.jitter + 1))
+                joints.append((float(jx), float(jy)))
+            person = PersonAnnotation(joints=tuple(joints))
+            centroid = person_centroid(person)
+            if any(math.dist(centroid, c) < spec.min_separation for c in centroids):
+                continue
+            centroids.append(centroid)
+            persons.append(person)
+        scenes.append(Scene(spec.height, spec.width, layout, tuple(persons)))
+    return scenes
+
+
+def dumps_or_error(make, spec, seed):
+    try:
+        return [dump_scene(scene) for scene in make(spec, seed)]
+    except ConfigurationError as exc:
+        return "ConfigurationError: %s" % exc
+
+
+@st.composite
+def corpus_specs(draw):
+    min_persons = draw(st.integers(1, 5))
+    return CorpusSpec(
+        num_scenes=draw(st.integers(0, 4)),
+        min_persons=min_persons,
+        max_persons=draw(st.integers(min_persons, 6)),
+        min_separation=draw(st.floats(0.0, 80.0)),
+        height=draw(st.integers(192, 1024)),
+        width=draw(st.integers(192, 1024)),
+        jitter=draw(st.integers(0, 9)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(corpus_specs(), st.integers(0, 2**32))
+def test_the_corpus_follows_the_scalar_draw_stream(spec, seed):
+    assert dumps_or_error(generate_corpus, spec, seed) == dumps_or_error(reference_corpus, spec, seed)
+
+
+# sha256 over dump_scene(scene) + "\n" per scene: the acceptance corpus and a
+# 1024 px crowd.  A change here changes every workload and fixture built on it.
+GOLDEN_CORPORA = [
+    (CorpusSpec(), 0, "c3e58932e167588330b8ed774d04039cc8b61b3f258c9b4b194688da59d12f59"),
+    (
+        CorpusSpec(num_scenes=10, min_persons=10, max_persons=20, height=1024, width=1024),
+        1,
+        "f78f762b6e9bab6f67c0bcbcdd3c525b3c0c92b62df0267a0a4311f84f271195",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, seed, digest", GOLDEN_CORPORA, ids=["acceptance", "crowd-1024"])
+def test_corpus_matches_the_golden_digest(spec, seed, digest):
+    h = hashlib.sha256()
+    for scene in generate_corpus(spec, seed):
+        h.update(dump_scene(scene).encode("utf-8") + b"\n")
+    assert h.hexdigest() == digest

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from posepartition import scene as scene_mod
 from posepartition.config import PipelineConfig, config_from_dict
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import DetectorParams
@@ -18,8 +19,10 @@ from posepartition.errors import (
     PipelineError,
     SchemaError,
 )
-from posepartition.evaluate import evaluate_corpus
+from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.infer import PoseSet
+from posepartition.maps import ForwardParams
+from posepartition.partition import ClusterParams
 from posepartition.pipeline import synth_maps
 from posepartition.render import render_poses
 from posepartition.scene import (
@@ -99,6 +102,34 @@ def test_layout_validation_rejects_bad_tables():
                 JointSpec(3, "l_limb", JointGroup.LIMB, 3),
             )
         )
+
+
+def test_only_the_remembered_tuple_skips_the_checks():
+    good = mpii_joint_layout()
+    validate_joint_layout(good)
+    assert scene_mod._valid_layout is good
+    two_necks = tuple(replace(js, group=JointGroup.NECK) if js.name == "thorax" else js for js in good)
+    with pytest.raises(AnnotationError, match="exactly one neck joint, got 2"):
+        validate_joint_layout(two_necks)
+    with pytest.raises(AnnotationError, match="exactly one neck joint, got 2"):
+        Scene(256, 256, two_necks, ())
+    assert scene_mod._valid_layout is good
+    validate_joint_layout(good)
+
+
+def test_a_list_layout_is_checked_on_every_call():
+    layout = list(tiny_layout())
+    validate_joint_layout(layout)
+    assert scene_mod._valid_layout is not layout
+    layout[0] = replace(layout[0], group=JointGroup.TORSO)
+    with pytest.raises(AnnotationError, match="exactly one neck joint, got 0"):
+        validate_joint_layout(layout)
+
+
+def test_a_corpus_remembers_its_shared_layout():
+    scenes = generate_corpus(CorpusSpec(num_scenes=3), seed=0)
+    assert all(s.joint_layout is scenes[0].joint_layout for s in scenes)
+    assert scene_mod._valid_layout is scenes[0].joint_layout
 
 
 # --- centroids --------------------------------------------------------------
@@ -222,6 +253,55 @@ def bool_id_layout():
 def test_integer_fields_reject_bools_and_non_integers(build, error):
     with pytest.raises(error, match="integer"):
         build()
+
+
+# Every field of the parameter dataclasses, as (class, field, kind): "int",
+# "real", or "real?" where None means "unset".
+PARAMETER_FIELDS = [
+    *((CorpusSpec, name, "int") for name in ("num_scenes", "min_persons", "max_persons", "height", "width", "jitter")),
+    (CorpusSpec, "min_separation", "real"),
+    (ForwardParams, "sigma", "real"),
+    (ForwardParams, "radius", "real"),
+    (DetectorParams, "tau", "real"),
+    (DetectorParams, "nms_radius", "int"),
+    (ClusterParams, "link_threshold", "real"),
+    (MatchParams, "pckh_fraction", "real"),
+    (MatchParams, "fallback_px", "real?"),
+    (MatchParams, "min_joints", "int"),
+    (MatchParams, "min_score", "real?"),
+]
+
+
+def build_params(cls, name, value):
+    """cls with one field set; ClusterParams also needs its link_threshold."""
+    kwargs = {"link_threshold": 1.0} if cls is ClusterParams else {}
+    return cls(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("value", ["1", None, True], ids=repr)
+@pytest.mark.parametrize(
+    "cls, name, kind", PARAMETER_FIELDS, ids=["%s.%s" % (c.__name__, n) for c, n, _ in PARAMETER_FIELDS]
+)
+def test_parameter_fields_reject_non_numbers(cls, name, kind, value):
+    if value is None and kind == "real?":
+        assert getattr(build_params(cls, name, value), name) is None
+        return
+    with pytest.raises(ParameterError, match=name):
+        build_params(cls, name, value)
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(c, n) for c, n, kind in PARAMETER_FIELDS if kind != "int"], ids=lambda v: getattr(v, "__name__", v)
+)
+def test_real_fields_reject_integers_past_float_range(cls, name):
+    with pytest.raises(ParameterError, match=name):
+        build_params(cls, name, 10**400)
+
+
+@pytest.mark.parametrize("value", ["1", None, True, 10**400], ids=repr)
+def test_vote_weights_reject_non_numbers(value):
+    with pytest.raises(ParameterError, match="weights"):
+        ClusterParams(1.0, weights=(1.0, value))
 
 
 def test_integer_fields_take_numpy_integers():
