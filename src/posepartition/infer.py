@@ -1,11 +1,12 @@
 """Greedy per-partition pose assembly and the decode energy.
 
-Within one partition, poses are grown joint by joint: the root is the
-highest-scoring candidate of the earliest joint category still present
-(neck first, torso and limb categories as fallbacks), and every later
-category contributes its candidate whose centroid vote lies closest to the
-running mean of the accepted votes.  Accepting a candidate always lowers
-the decode energy, so the recorded energy trace is strictly decreasing.
+Within one partition, poses are grown in one pass over per-category pools
+in inference-rank order: roots come from the earliest non-empty pool (neck
+first, torso and limb categories as fallbacks), best score first, until it
+is empty, and every later pool contributes its candidate whose centroid
+vote lies closest to the running mean of the accepted votes.  Accepting a
+candidate always lowers the decode energy, and the energy trace grows in
+place with each acceptance, so it is strictly decreasing.
 
 The energy's per-joint term is each candidate's detection score, so assembly
 reads only the partitions and the joint layout, never a map.  A decoded pose
@@ -43,12 +44,6 @@ class PoseSet:
     poses: tuple[PersonPose, ...]
 
 
-def _sq_dist(p: tuple[float, float], q: tuple[float, float]) -> float:
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
-
-
 def pairwise(
     a: JointCandidate,
     b: JointCandidate,
@@ -63,18 +58,26 @@ def pairwise(
     if a.score < tau or b.score < tau:
         return 0.0
     va, vb = embed([a, b], reg)
-    return math.exp(-_sq_dist(va.point, vb.point))
+    dx = va.point[0] - vb.point[0]
+    dy = va.point[1] - vb.point[1]
+    return math.exp(-(dx * dx + dy * dy))
 
 
 def _greedy_one_partition(
     partition: Partition,
-    by_rank: Sequence[JointSpec],
+    position: dict[int, int],
+    k: int,
     tau: float,
-) -> tuple[list[PersonPose], list[float]]:
-    """Consume a partition into poses, returning per-acceptance energy deltas.
+    poses: list[PersonPose],
+    trace: list[float],
+) -> None:
+    """Consume a partition into poses, appending each pose to poses and the
+    energy after each acceptance to trace.
 
-    by_rank is the joint layout sorted by inference rank.  Every pass roots
-    a new pose, which is emitted even when only the root was assigned.
+    position maps a joint id to its place in the rank-sorted layout of k
+    joints.  Roots come from the earliest non-empty pool until it is empty;
+    each root's pose takes one candidate from every later non-empty pool.
+    A pose is emitted even when only the root was assigned.
     """
     for cand in partition.members:
         # "not >=" also rejects a NaN score, which would leave the pools
@@ -84,75 +87,61 @@ def _greedy_one_partition(
                 "partition member at %s scores %g, below tau %g"
                 % (cand.position, cand.score, tau)
             )
-    # Per joint category, the (candidate, vote) pairs not yet assigned,
-    # ordered by the candidates' sort keys (descending score, then
+    # Per joint category in rank order, the (candidate, vote) pairs not yet
+    # assigned, ordered by the candidates' sort keys (descending score, then
     # row-major): a pool's first pair is its best root, and among pairs at
     # equal vote distance the first is the one with the smallest sort key.
-    pools: dict[int, list[tuple[JointCandidate, tuple[float, float]]]] = {
-        js.joint_id: [] for js in by_rank
-    }
+    pools: list[list[tuple[JointCandidate, tuple[float, float]]]] = [[] for _ in range(k)]
     for pair in sorted(zip(partition.members, partition.votes), key=lambda m: m[0].sort_key()):
-        pool = pools.get(pair[0].joint_id)
-        if pool is None:
+        r = position.get(pair[0].joint_id)
+        if r is None:
             raise ParameterError(
                 "partition member joint id %d is not in the layout" % pair[0].joint_id
             )
-        pool.append(pair)
-    poses: list[PersonPose] = []
-    deltas: list[float] = []
-    k = len(by_rank)
+        pools[r].append(pair)
 
-    while True:
-        # Root: best candidate of the earliest category that still has one.
-        root_js = next((js for js in by_rank if pools[js.joint_id]), None)
-        if root_js is None:
-            break
-        root, center = pools[root_js.joint_id].pop(0)
-        accepted = [root]
-        embeds = [center]
-        # Running vote sums start at int 0, as sum() does (so -0.0 sums to 0.0).
-        sx = sy = 0
-        sx += center[0]
-        sy += center[1]
-        deltas.append(-root.score)
-
-        for js in by_rank:
-            if js.inference_rank <= root_js.inference_rank:
-                continue
-            pool = pools[js.joint_id]
-            if not pool:
-                continue
-            # The closest vote to the center; the pool order breaks ties.
-            cx, cy = center
-            best = 0
-            best_d = math.inf
-            for i, (_, (vx, vy)) in enumerate(pool):
-                dx = vx - cx
-                dy = vy - cy
-                d = dx * dx + dy * dy
-                if d < best_d:
-                    best, best_d = i, d
-            chosen, h = pool.pop(best)
-            hx, hy = h
-            delta = -chosen.score
-            # pairwise(chosen, prev) for every accepted prev, from the votes
-            # already at hand: all members reach tau (checked above).
-            for ex, ey in embeds:
-                dx = hx - ex
-                dy = hy - ey
-                delta -= math.exp(-(dx * dx + dy * dy))
-            deltas.append(delta)
-            accepted.append(chosen)
-            embeds.append(h)
-            sx += hx
-            sy += hy
-            center = (sx / len(embeds), sy / len(embeds))
-
-        slots: list[JointCandidate | None] = [None] * k
-        for cand in accepted:
-            slots[cand.joint_id] = cand
-        poses.append(PersonPose(joints=tuple(slots), final_centroid=center))
-    return poses, deltas
+    # Pools before r are empty for good: a pose takes joints only from the
+    # pools after its root's.
+    for r, root_pool in enumerate(pools):
+        while root_pool:
+            root, center = root_pool.pop(0)
+            slots: list[JointCandidate | None] = [None] * k
+            slots[root.joint_id] = root
+            embeds = [center]
+            # Running vote sums start at int 0, as sum() does (so -0.0 sums to 0.0).
+            sx = sy = 0
+            sx += center[0]
+            sy += center[1]
+            trace.append(trace[-1] - root.score)
+            for pool in pools[r + 1:]:
+                if not pool:
+                    continue
+                # The closest vote to the center; the pool order breaks ties.
+                cx, cy = center
+                best = 0
+                best_d = math.inf
+                for i, (_, (vx, vy)) in enumerate(pool):
+                    dx = vx - cx
+                    dy = vy - cy
+                    d = dx * dx + dy * dy
+                    if d < best_d:
+                        best, best_d = i, d
+                chosen, h = pool.pop(best)
+                hx, hy = h
+                delta = -chosen.score
+                # pairwise(chosen, prev) for every accepted prev, from the votes
+                # already at hand: all members reach tau (checked above).
+                for ex, ey in embeds:
+                    dx = hx - ex
+                    dy = hy - ey
+                    delta -= math.exp(-(dx * dx + dy * dy))
+                trace.append(trace[-1] + delta)
+                slots[chosen.joint_id] = chosen
+                embeds.append(h)
+                sx += hx
+                sy += hy
+                center = (sx / len(embeds), sy / len(embeds))
+            poses.append(PersonPose(joints=tuple(slots), final_centroid=center))
 
 
 def infer_all(
@@ -163,18 +152,16 @@ def infer_all(
     """Decode every partition in order.
 
     Returns the concatenated poses plus the energy trace: the decode energy
-    before any assignment followed by its value after each accepted joint.
+    before any assignment followed by its value after each accepted joint,
+    grown in place as each partition is assembled.
     """
     # 0.0 - x, not -x: an empty decode's energy is 0.0, not -0.0.
-    base = 0.0 - partition_score(partitions)
-    trace = [base]
+    trace = [0.0 - partition_score(partitions)]
     poses: list[PersonPose] = []
     by_rank = sorted(layout, key=lambda js: js.inference_rank)
+    position = {js.joint_id: r for r, js in enumerate(by_rank)}
     for part in partitions:
-        part_poses, deltas = _greedy_one_partition(part, by_rank, tau)
-        poses.extend(part_poses)
-        for d in deltas:
-            trace.append(trace[-1] + d)
+        _greedy_one_partition(part, position, len(by_rank), tau, poses, trace)
     return PoseSet(poses=tuple(poses)), trace
 
 

@@ -4,6 +4,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from posepartition.config import (
     PipelineConfig,
@@ -13,7 +15,8 @@ from posepartition.config import (
     load_config,
 )
 from posepartition.errors import ConfigurationError
-from posepartition.scene import JointGroup, mpii_joint_layout
+from posepartition.maps import _SIGMA_RANGE
+from posepartition.scene import JointGroup, JointSpec, mpii_joint_layout
 
 
 def test_defaults_round_trip():
@@ -37,6 +40,42 @@ def test_non_default_round_trip():
         link_threshold=12.5,
     )
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+@st.composite
+def valid_layouts(draw):
+    """A neck, then 0-4 torso and 0-4 limb joints in rank order, with ids
+    relabelled by a drawn permutation, any names, and entries in any order."""
+    groups = (
+        [JointGroup.NECK]
+        + [JointGroup.TORSO] * draw(st.integers(0, 4))
+        + [JointGroup.LIMB] * draw(st.integers(0, 4))
+    )
+    ids = draw(st.permutations(range(len(groups))))
+    specs = [JointSpec(ids[r], draw(st.text(max_size=8)), g, r) for r, g in enumerate(groups)]
+    return tuple(draw(st.permutations(specs)))
+
+
+valid_configs = st.builds(
+    PipelineConfig,
+    tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    sigma=st.floats(*_SIGMA_RANGE),
+    radius=st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0),
+    nms_radius=st.integers(min_value=1),
+    link_threshold=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    joint_layout=st.just(mpii_joint_layout()) | valid_layouts(),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_configs)
+@example(PipelineConfig())
+@example(PipelineConfig(sigma=_SIGMA_RANGE[1], radius=-0.0, link_threshold=5e-324))
+def test_configs_round_trip_through_json_text(cfg):
+    back = config_from_dict(json.loads(dump_config(cfg)))
+    assert back == cfg
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(back) == repr(cfg)
 
 
 def test_dump_is_json_and_marks_auto_threshold():

@@ -306,9 +306,19 @@ def test_assembly_follows_the_votes_the_partition_carries():
 
 @st.composite
 def assembly_cases(draw):
-    """Partitions of candidates on an 8x8 grid, several per category, with
-    votes on a half-pixel grid near the origin (so equal vote distances
-    and coincident votes are common), and members in any order."""
+    """A layout and partitions of candidates on an 8x8 grid, several per
+    category, with votes on a half-pixel grid near the origin (so equal vote
+    distances and coincident votes are common), and members in any order.
+
+    The layout is the four-joint one with its ids relabelled by a drawn
+    permutation and its entries in any order, so a joint's id, its rank and
+    its place in the layout tuple need not agree."""
+    ids = draw(st.permutations(range(4)))
+    relabelled = [
+        JointSpec(ids[i], js.name, js.group, js.inference_rank)
+        for i, js in enumerate(four_joint_layout())
+    ]
+    layout = tuple(draw(st.permutations(relabelled)))
     cell = st.tuples(
         st.integers(0, 3),
         st.integers(0, 7),
@@ -328,14 +338,15 @@ def assembly_cases(draw):
                 score=draw(st.sampled_from([0.0, -1.5]) | st.floats(-50.0, 5.0)),
             )
         )
-    return partitions
+    return layout, partitions
 
 
 @settings(max_examples=300, deadline=None)
 @given(assembly_cases())
-def test_assembly_matches_the_reference(partitions):
-    poses, trace = infer_all(partitions, four_joint_layout())
-    expect_poses, expect_trace = reference_infer_all(partitions, four_joint_layout())
+def test_assembly_matches_the_reference(case):
+    layout, partitions = case
+    poses, trace = infer_all(partitions, layout)
+    expect_poses, expect_trace = reference_infer_all(partitions, layout)
     assert poses == expect_poses
     assert repr(poses) == repr(expect_poses)
     assert repr(trace) == repr(expect_trace)

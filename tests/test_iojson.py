@@ -80,6 +80,32 @@ def test_candidates_round_trip():
     assert doc[0] == {"joint": 0, "x": 12, "y": 7, "score": 0.93}
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            JointCandidate,
+            joint_id=st.integers(0, 15),
+            position=st.tuples(st.integers(0, 4095), st.integers(0, 4095)),
+            score=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=12,
+        unique_by=lambda c: (c.joint_id, c.position),
+    )
+)
+@example([
+    JointCandidate(0, (0, 0), -0.0),
+    JointCandidate(0, (1, 0), 5e-324),
+    JointCandidate(1, (0, 0), -2.2250738585072e-308),
+    JointCandidate(1, (0, 1), 1.7976931348623157e308),
+])
+def test_candidates_round_trip_through_json_text(cands):
+    back = candidates_from_doc(json.loads(json.dumps(candidates_to_doc(cands))))
+    assert back == cands
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(back) == repr(cands)
+
+
 def test_candidates_schema_errors():
     with pytest.raises(SchemaError):
         candidates_from_doc({"joint": 0})
