@@ -22,7 +22,7 @@ from .detect import DEFAULT_TAU, JointCandidate
 from .errors import ParameterError
 from .maps import RegressionMapSet
 from .partition import Partition, embed, partition_score
-from .scene import JointSpec
+from .scene import JointSpec, validate_joint_layout
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,10 @@ def infer_all(
 
     Returns the concatenated poses plus the energy trace: the decode energy
     before any assignment followed by its value after each accepted joint,
-    grown in place as each partition is assembled.
+    grown in place as each partition is assembled.  A layout that
+    validate_joint_layout rejects raises its AnnotationError.
     """
+    validate_joint_layout(layout)
     # 0.0 - x, not -x: an empty decode's energy is 0.0, not -0.0.
     trace = [0.0 - partition_score(partitions)]
     poses: list[PersonPose] = []

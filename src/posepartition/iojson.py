@@ -9,18 +9,12 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
-import numpy as np
-
 from .detect import JointCandidate
 from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import PersonPose, PoseSet
 from .partition import Partition
-from .scene import _is_finite, _is_int, _load_doc, _require
-
-
-def load_json(path) -> dict | list:
-    return _load_doc(path, lambda doc: doc)
+from .scene import _is_finite, _is_int, _require
 
 
 def save_json(doc, path) -> None:
@@ -161,6 +155,6 @@ def report_to_doc(report: EvalReport) -> dict:
         "joint_names": list(report.joint_names),
         "per_joint_ap": list(report.per_joint_ap),
         "total_ap": report.total_ap,
-        "count_confusion": np.asarray(report.count_confusion).tolist(),
+        "count_confusion": report.count_confusion.tolist(),
         "count_mse": report.count_mse,
     }

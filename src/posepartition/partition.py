@@ -110,55 +110,24 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
     exponential has unit variance by construction, so the value is only
     meaningful relative to other locations.
     """
-    pts = np.array([v.point for v in votes], dtype=np.float64).reshape(-1, 2)
-    sq = _squared_distances(np.array([point], dtype=np.float64), pts)
-    return _density_sums(sq, [params.weight_of(v.source.joint_id) for v in votes])[0]
+    density = 0.0
+    for vote in votes:
+        dx = vote.point[0] - point[0]
+        dy = vote.point[1] - point[1]
+        density += params.weight_of(vote.source.joint_id) * math.exp(-(dx * dx + dy * dy))
+    return density
 
 
-# math.exp(-x) is exactly 0.0 for every x >= 745.14 (the result rounds below
-# half the smallest subnormal), so a vote this far from a point adds exactly
-# 0.0 to its non-negative density sum and can be left out of it.
-_EXP_UNDERFLOW_SQ_DIST = 746.0
-
-
-def _squared_distances(centers: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """(P, n) squared pixel distances from each of P centers to each of n points."""
+def _log_vote_densities(centers: np.ndarray, pts: np.ndarray, log_weights: np.ndarray) -> list[float]:
+    """log(vote_density) at each of P centers for the votes at pts (votes in
+    canonical order, log_weights their log weights): one log-sum-exp per
+    center over every vote, so each score is finite even where every term
+    of the direct sum underflows."""
     dx = pts[None, :, 0] - centers[:, 0, None]
     dy = pts[None, :, 1] - centers[:, 1, None]
-    return dx * dx + dy * dy
-
-
-def _density_sums(sq: np.ndarray, weights: Sequence[float]) -> list[float]:
-    """vote_density at each center for votes at squared distances sq (one row
-    per center) with positive per-vote weights: each row's sum runs in the
-    votes' order and skips only terms that are exactly 0 (746 or more
-    squared pixels away)."""
-    densities = [0.0] * len(sq)
-    # "not >=" keeps NaN distances, whose NaN terms the sum must carry.
-    rows, cols = np.nonzero(~(sq >= _EXP_UNDERFLOW_SQ_DIST))
-    for p, i, d2 in zip(rows.tolist(), cols.tolist(), sq[rows, cols].tolist()):
-        densities[p] += weights[i] * math.exp(-d2)
-    return densities
-
-
-def _log_vote_densities(sq: np.ndarray, weights: Sequence[float]) -> list[float]:
-    """log(vote_density) at each center for votes at squared distances sq
-    (one row per center, votes in canonical order) with positive per-vote
-    weights; every score is finite.
-
-    Wherever the direct sum is positive this is its log.  When it is 0
-    (every term underflows), the log-sum-exp form over every vote gives the
-    value instead.
-    """
-    scores = []
-    for density, row in zip(_density_sums(sq, weights), sq):
-        if density > 0.0:
-            scores.append(math.log(density))
-            continue
-        terms = [math.log(w) - d2 for w, d2 in zip(weights, row.tolist())]
-        top = max(terms)
-        scores.append(top + math.log(sum(math.exp(t - top) for t in terms)))
-    return scores
+    terms = log_weights - (dx * dx + dy * dy)
+    top = terms.max(axis=1)
+    return (top + np.log(np.exp(terms - top[:, None]).sum(axis=1))).tolist()
 
 
 def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partition]:
@@ -186,7 +155,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     if not np.isfinite(pts).all():
         c = canonical[int(np.isfinite(pts).all(axis=1).argmin())].source
         raise ParameterError("vote of joint %d at (%d, %d) is not finite" % (c.joint_id, *c.position))
-    weights = [params.weight_of(v.source.joint_id) for v in canonical]
+    log_weights = np.array([math.log(params.weight_of(v.source.joint_id)) for v in canonical])
 
     # Cluster state keyed by canonical id (the id of a merged cluster is its
     # smallest member id).  Linkage lives in a symmetric matrix updated with
@@ -231,7 +200,7 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         label[canon] = p
     sums = np.stack([np.bincount(label, weights=pts[:, axis]) for axis in (0, 1)], axis=1)
     centroids = sums / np.bincount(label)[:, None]
-    scores = _log_vote_densities(_squared_distances(centroids, pts), weights)
+    scores = _log_vote_densities(centroids, pts, log_weights)
     return [
         Partition(
             members=tuple(canonical[i].source for i in canon),

@@ -11,8 +11,13 @@ from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.detect import JointCandidate
 from posepartition.infer import PersonPose, PoseSet
-from posepartition.iojson import load_json, poses_from_doc, poses_to_doc, report_to_doc, save_json
+from posepartition.iojson import poses_from_doc, poses_to_doc, report_to_doc, save_json
 from posepartition.scene import load_scene, save_scene
+
+
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.loads(fh.read())
 
 
 def run(*argv):
@@ -64,7 +69,7 @@ def test_full_pipeline_round_trip(tmp_path):
         "--out", report, "--csv", report_csv,
     )
     assert code == EXIT_OK
-    doc = load_json(report)
+    doc = read_json(report)
     assert doc["total_ap"] == 100.0
     assert doc["count_mse"] == 0.0
     csv_lines = report_csv.read_text().strip().split("\n")
@@ -86,13 +91,13 @@ def test_staged_detect_and_partition(tmp_path):
 
     cands_path = tmp_path / "cands.json"
     assert run("detect", "--conf", conf, "--out", cands_path) == EXIT_OK
-    cands = load_json(cands_path)
+    cands = read_json(cands_path)
     assert cands and all(set(c) == {"joint", "x", "y", "score"} for c in cands)
 
     parts_path = tmp_path / "parts.json"
     assert run("partition", "--candidates", cands_path, "--reg", reg, "--out", parts_path) == EXIT_OK
-    parts = load_json(parts_path)["partitions"]
-    scene_doc = load_json(scene)
+    parts = read_json(parts_path)["partitions"]
+    scene_doc = read_json(scene)
     assert len(parts) == len(scene_doc["persons"])
     used = sorted(m for p in parts for m in p["members"])
     assert used == list(range(len(cands)))
@@ -106,7 +111,7 @@ def test_repeated_candidate_exits_two(tmp_path, capsys):
     assert run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg) == EXIT_OK
     cands_path = tmp_path / "cands.json"
     assert run("detect", "--conf", conf, "--out", cands_path) == EXIT_OK
-    cands = load_json(cands_path)
+    cands = read_json(cands_path)
     save_json(cands + cands[:1], cands_path)
     parts_path = tmp_path / "parts.json"
     code = run("partition", "--candidates", cands_path, "--reg", reg, "--out", parts_path)
@@ -245,7 +250,7 @@ def test_eval_reads_scenes_whose_layouts_alternate(tmp_path):
         pairs.append((poses, scene))
     report = tmp_path / "report.json"
     assert run("eval", "--poses", poses_dir, "--scenes", scenes_dir, "--out", report) == EXIT_OK
-    assert load_json(report) == json.loads(json.dumps(report_to_doc(evaluate_corpus(pairs, MatchParams()))))
+    assert read_json(report) == json.loads(json.dumps(report_to_doc(evaluate_corpus(pairs, MatchParams()))))
 
 
 @pytest.mark.parametrize("command", ["eval", "render"])
@@ -414,12 +419,12 @@ def test_eval_defaults_are_the_match_params_defaults(tmp_path):
     report = tmp_path / "report.json"
     assert run("eval", "--poses", poses_dir, "--scenes", scenes, "--out", report) == EXIT_OK
     pairs = [
-        (poses_from_doc(load_json(poses_dir / f.name))[0], load_scene(f))
+        (poses_from_doc(read_json(poses_dir / f.name))[0], load_scene(f))
         for f in sorted(scenes.glob("*.json"))
     ]
     expected = report_to_doc(evaluate_corpus(pairs, MatchParams()))
-    assert load_json(report) == json.loads(json.dumps(expected))
-    assert load_json(report) != json.loads(
+    assert read_json(report) == json.loads(json.dumps(expected))
+    assert read_json(report) != json.loads(
         json.dumps(report_to_doc(evaluate_corpus(pairs, MatchParams(min_joints=2))))
     )
 
@@ -462,7 +467,7 @@ def test_non_finite_pose_score_exits_two(tmp_path, capsys):
 def test_malformed_joint_spec_exits_two_or_three(tmp_path):
     scenes = make_corpus(tmp_path, n=1)
     scene = next(iter(scenes.glob("*.json")))
-    doc = load_json(scene)
+    doc = read_json(scene)
     doc["joint_spec"][0]["id"] = "x"
     bad_scene = tmp_path / "bad_scene.json"
     bad_scene.write_text(json.dumps(doc))
@@ -493,13 +498,13 @@ def test_stage_flags_override_the_config_file_only_when_given(tmp_path, capsys):
         out = tmp_path / "parts.json"
         code = run("partition", "--candidates", cands, "--reg", reg, "--out", out, *flags)
         assert code == EXIT_OK
-        return len(load_json(out)["partitions"])
+        return len(read_json(out)["partitions"])
 
-    persons = len(load_json(scene)["persons"])
+    persons = len(read_json(scene)["persons"])
     assert partition_count() == persons
-    assert partition_count("--config", cfg) == len(load_json(cands))
+    assert partition_count("--config", cfg) == len(read_json(cands))
     assert partition_count("--config", cfg, "--link-threshold", "auto") == persons
-    assert partition_count("--link-threshold", "1e-9") == len(load_json(cands))
+    assert partition_count("--link-threshold", "1e-9") == len(read_json(cands))
     with pytest.raises(SystemExit) as exc:
         partition_count("--link-threshold", "far")
     assert exc.value.code == 2

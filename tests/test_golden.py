@@ -4,16 +4,21 @@ A few seeded 256 px scenes are decoded from maps corrupted with the
 acceptance test's noise model (uniform +-0.05 on confidence, +-0.01 on
 regression), which triples the candidates and so exercises clustering
 ties, merged partitions and multi-pose assembly.  A few clean 512 px
-scenes add partitions that hold two people, whose scores take the
-log-sum-exp fallback (noise votes would fill their density in).  The digest covers the poses JSON
-bytes and the repr of every energy value; it was recorded before the
-clustering and assembly speed-ups, whose outputs must stay byte-identical.
+scenes add partitions that hold two people, so far from their centroid
+that every term of a direct density sum would underflow (noise votes
+would fill it in).  The digest covers the poses JSON bytes and the repr
+of every energy value; it was recorded before the clustering and assembly
+speed-ups, whose outputs must stay byte-identical.
 A change that alters decode outputs on purpose records a new digest and
-says why.  The digest was re-based once, when each partition became a
+says why.  The digest was first re-based when each partition became a
 function of its member set: a centroid is now the left-to-right sum of its
 members' votes in canonical order over their count, not a pairwise-summed
 mean in merge order.  Poses stayed byte-identical; centroid bits, and so
-scores and energy traces, moved on the noisy scenes.
+scores and energy traces, moved on the noisy scenes.  It was re-based again
+when a partition's score became one log-sum-exp over every vote, in place
+of a direct density sum with a log-sum-exp fallback: poses stayed
+byte-identical, and 2 of the 2208 energy values moved, by at most 1.6e-16
+relative.
 
 A second digest pins the PMAP bytes of the clean synthesized maps, for the
 same 256 px and 512 px scenes and two 1024 px crowds of 10-20 persons; it
@@ -37,7 +42,7 @@ from posepartition.maps import (
 from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.pmap import encode_map_set, write_map_set
 
-GOLDEN_SHA256 = "2e19d7050c172692120685d1f62813989e72fa5533aa7c6728ab7701bfd15071"
+GOLDEN_SHA256 = "c21774ce4a4eb38bc7df8978560a3228f9be5420008564ec560390cfdb432726"
 GOLDEN_MAPS_SHA256 = "7352218d0584d040405696f0c1ec0cf32abb29775318d83d9eedb54392c2acd6"
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate, detect_candidates
-from posepartition.errors import ConfigurationError, ParameterError
+from posepartition.errors import AnnotationError, ConfigurationError, ParameterError
 from posepartition.infer import (
     PersonPose,
     PoseSet,
@@ -374,6 +374,20 @@ def test_greedy_rejects_nan_scores_and_foreign_joints():
     foreign = partition_of((cand(0, (5, 5), 0.9), cand(3, (5, 5), 0.9)), reg, (5.0, 5.0))
     with pytest.raises(ParameterError, match="joint id 3 is not in the layout"):
         infer_all([foreign], four_joint_layout()[:3])[0].poses
+
+
+def test_infer_all_rejects_a_layout_that_validation_rejects():
+    # A joint-5 candidate with a one-entry layout used to index past its
+    # pose's slots and raise a bare IndexError.
+    joint5 = partition_of((cand(5, (5, 5), 0.9),), flat_reg(k=6), (5.0, 5.0))
+    with pytest.raises(AnnotationError, match="joint ids must be a permutation"):
+        infer_all([joint5], [JointSpec(5, "n", JointGroup.NECK, 0)])
+    neck = partition_of((cand(0, (5, 5), 0.9),), flat_reg(), (5.0, 5.0))
+    repeated_ids = (JointSpec(0, "neck", JointGroup.NECK, 0), JointSpec(0, "torso", JointGroup.TORSO, 1))
+    repeated_ranks = (JointSpec(0, "neck", JointGroup.NECK, 0), JointSpec(1, "torso", JointGroup.TORSO, 0))
+    for layout, message in ((repeated_ids, "joint ids"), (repeated_ranks, "inference ranks")):
+        with pytest.raises(AnnotationError, match=message):
+            infer_all([neck], layout)
 
 
 def test_decoding_no_partitions_is_empty():

@@ -14,7 +14,6 @@ from posepartition.infer import PersonPose, PoseSet
 from posepartition.iojson import (
     candidates_from_doc,
     candidates_to_doc,
-    load_json,
     partitions_to_doc,
     poses_from_doc,
     poses_to_doc,
@@ -259,11 +258,11 @@ def test_report_doc_is_plain_json():
 def test_save_and_load_json(tmp_path):
     path = tmp_path / "doc.json"
     save_json({"a": [1, 2]}, path)
-    assert load_json(path) == {"a": [1, 2]}
+    assert json.loads(path.read_text(encoding="utf-8")) == {"a": [1, 2]}
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     with pytest.raises(SchemaError, match="bad.json"):
-        load_json(bad)
+        _load_doc(bad, lambda doc: doc)
 
 
 # --- every document check, message text pinned --------------------------------

@@ -85,23 +85,16 @@ def oracle_cluster(points, threshold):
 
 
 def reference_log_vote_density(point, votes, params):
-    """The log vote density as cluster_votes computed it before scores
-    skipped the terms that underflow: every vote, in the given order."""
+    """The log vote density at one point as a log-sum-exp over every vote,
+    in the given order, with the numpy calls cluster_votes makes per row."""
     px, py = point
-    density = 0.0
-    for vote in votes:
-        dx = vote.point[0] - px
-        dy = vote.point[1] - py
-        density += params.weight_of(vote.source.joint_id) * math.exp(-(dx * dx + dy * dy))
-    if density > 0.0:
-        return math.log(density)
-    terms = []
-    for vote in votes:
-        dx = vote.point[0] - px
-        dy = vote.point[1] - py
-        terms.append(math.log(params.weight_of(vote.source.joint_id)) - (dx * dx + dy * dy))
-    top = max(terms)
-    return top + math.log(sum(math.exp(t - top) for t in terms))
+    pts = np.array([v.point for v in votes], dtype=np.float64)
+    log_weights = np.array([math.log(params.weight_of(v.source.joint_id)) for v in votes])
+    dx = pts[:, 0] - px
+    dy = pts[:, 1] - py
+    terms = log_weights - (dx * dx + dy * dy)
+    top = terms.max()
+    return float(top + np.log(np.exp(terms - top).sum()))
 
 
 def partitions_from_member_sets(canonical, member_sets, params):
@@ -413,8 +406,8 @@ def weighted_vote_sets(draw):
     """Votes on a half-pixel grid (equal distances, coincident votes), in
     up to three groups 60 px apart, from candidates of three joints whose
     canonical order is not the input order; no weights or mixed positive
-    weights, and cutoffs from a pixel to past the group spacing, so merged
-    far groups score by the log-sum-exp fallback."""
+    weights, and cutoffs from a pixel to past the group spacing, so far
+    groups merge."""
     cells = draw(
         st.lists(
             st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2), st.integers(0, 2)),
@@ -456,7 +449,7 @@ def non_dyadic_vote_sets(draw):
     apart.  Points repeat, so equal distances (ties) occur.  As in
     weighted_vote_sets, candidates of three joints have a canonical order
     that is not the input order, weights are absent or mixed positive, and
-    cutoffs reach past the group spacing (log-sum-exp scores)."""
+    cutoffs reach past the group spacing."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offsets = draw(st.lists(st.sampled_from([0.0, 60.0, 150.0]), min_size=8, max_size=8))
     sites = [(x + dx, y) for (x, y), dx in zip(rng.uniform(0.0, 4.0, size=(8, 2)).tolist(), offsets)]
@@ -545,20 +538,19 @@ def test_cluster_matches_the_oracle_on_exact_ties():
     assert got == expect
 
 
-def test_score_keeps_the_last_term_that_does_not_underflow():
+def test_score_is_exact_where_the_direct_sum_is_subnormal():
     # Two unit-weight votes at far and -far merge into one partition
     # centered exactly on the origin, each at squared distance 745.13 from
-    # it: exp(-745.13) is the smallest subnormal, 5e-324, so the partition
-    # scores log(1e-323) ~ -743.75.  A sum that dropped those terms would
-    # fall back to log-sum-exp, -745.13 + log(2) ~ -744.44.
+    # it: exp(-745.13) is the smallest subnormal, 5e-324, so a direct sum
+    # would score log(1e-323) ~ -743.75.  The log-sum-exp gives the exact
+    # value, -745.13 + log(2) ~ -744.44.
     far = (27.0, math.sqrt(745.13 - 27.0 * 27.0))
     sq = far[0] * far[0] + far[1] * far[1]
     assert math.exp(-sq) == 5e-324
     votes = votes_at([far, (-far[0], -far[1])])
     parts = cluster_votes(votes, ClusterParams(link_threshold=100.0))
     assert [p.centroid for p in parts] == [(0.0, 0.0)]
-    assert parts[0].score == math.log(1e-323)
-    assert parts[0].score != -sq + math.log(2.0)
+    assert parts[0].score == -sq + math.log(2.0)
 
 
 def test_votes_without_a_weight_are_rejected():
@@ -729,6 +721,52 @@ def test_underflowed_density_scores_by_log_sum_exp():
     assert vote_density(parts[0].centroid, votes, params) == 0.0
     assert parts[0].score == -1600.0 + math.log(2.0)
     assert partition_score(parts) == parts[0].score
+
+
+def fsum_log_vote_density(point, votes, params):
+    """log(vote_density) at a point in plain Python: a log-sum-exp over
+    every vote whose exponentials are added exactly by math.fsum."""
+    px, py = point
+    terms = [
+        math.log(params.weight_of(v.source.joint_id)) - ((v.point[0] - px) ** 2 + (v.point[1] - py) ** 2)
+        for v in votes
+    ]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
+@st.composite
+def spread_vote_sets(draw):
+    """Votes in up to three groups along x, a drawn gap apart, from
+    candidates of three joints; no weights or mixed positive weights.  A
+    54 px gap puts a merged pair's centroid about 729 px^2 from its votes,
+    where exp(-d^2) is subnormal; at 80 px every exp(-d^2) underflows to 0.
+    Cutoffs run from a pixel to past two gaps, so far groups merge."""
+    gap = draw(st.sampled_from([54.0, 60.0, 80.0]) | st.floats(0.0, 120.0))
+    cells = draw(
+        st.lists(
+            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.integers(0, 2), st.integers(0, 2)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    votes = [
+        vote_at((x + gap * group, y), joint_id=joint, position=(i % 5, i // 5))
+        for i, (x, y, group, joint) in enumerate(cells)
+    ]
+    weight = st.sampled_from([0.5, 1.0]) | st.floats(0.0, 2.0, exclude_min=True)
+    weights = draw(st.none() | st.tuples(weight, weight, weight))
+    threshold = draw(st.sampled_from([1.0, 250.0]) | st.floats(0.1, 250.0))
+    return votes, ClusterParams(link_threshold=threshold, weights=weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_vote_sets())
+def test_scores_match_an_exactly_summed_log_sum_exp(case):
+    votes, params = case
+    for part in cluster_votes(votes, params):
+        expect = fsum_log_vote_density(part.centroid, votes, params)
+        assert math.isclose(part.score, expect, rel_tol=1e-12, abs_tol=1e-12), (part.score, expect)
 
 
 @pytest.mark.parametrize("score", [-math.inf, math.inf, math.nan])
