@@ -20,7 +20,11 @@ of a direct density sum with a log-sum-exp fallback: poses stayed
 byte-identical, and 2 of the 2208 energy values moved, by at most 1.6e-16
 relative.
 
-A second digest pins the PMAP bytes of the clean synthesized maps, for the
+A poses-only digest hashes the same poses JSON bytes without the energy
+values, so a change that moves energies but must keep every decoded pose
+shows that it did.
+
+A maps digest pins the PMAP bytes of the clean synthesized maps, for the
 same 256 px and 512 px scenes and two 1024 px crowds of 10-20 persons; it
 was recorded before the whole-array regression synthesis and the copy-free
 PMAP writes, whose outputs must stay byte-identical.
@@ -29,6 +33,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
@@ -43,13 +48,15 @@ from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.pmap import encode_map_set, write_map_set
 
 GOLDEN_SHA256 = "c21774ce4a4eb38bc7df8978560a3228f9be5420008564ec560390cfdb432726"
+GOLDEN_POSES_SHA256 = "2289973d7e0f344aedf721cd24f3cb1c7a8c824adfe475285d0f714ee666f139"
 GOLDEN_MAPS_SHA256 = "7352218d0584d040405696f0c1ec0cf32abb29775318d83d9eedb54392c2acd6"
 
 
-def test_decodes_match_the_golden_digest():
+@pytest.fixture(scope="module")
+def golden_decodes():
+    """(poses JSON bytes, energy trace) for each golden scene, in order."""
     cfg = PipelineConfig()
     rng = np.random.default_rng(1)
-    digest = hashlib.sha256()
     maps = []
     for scene in generate_corpus(CorpusSpec(num_scenes=12), seed=0):
         conf, reg = synth_maps(scene, cfg)
@@ -63,12 +70,27 @@ def test_decodes_match_the_golden_digest():
     big = CorpusSpec(num_scenes=4, height=512, width=512, max_persons=8)
     for scene in generate_corpus(big, seed=0):
         maps.append((scene, *synth_maps(scene, cfg)))
+    decodes = []
     for scene, conf, reg in maps:
         result = decode_maps(conf, reg, cfg)
         doc = poses_to_doc(result.poses, scene.height, scene.width)
-        digest.update((json.dumps(doc, indent=2) + "\n").encode("utf-8"))
-        digest.update("\n".join(repr(e) for e in result.energy_trace).encode("ascii"))
+        decodes.append(((json.dumps(doc, indent=2) + "\n").encode("utf-8"), result.energy_trace))
+    return decodes
+
+
+def test_decodes_match_the_golden_digest(golden_decodes):
+    digest = hashlib.sha256()
+    for poses_json, trace in golden_decodes:
+        digest.update(poses_json)
+        digest.update("\n".join(repr(e) for e in trace).encode("ascii"))
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_decoded_poses_match_the_golden_poses_digest(golden_decodes):
+    digest = hashlib.sha256()
+    for poses_json, _ in golden_decodes:
+        digest.update(poses_json)
+    assert digest.hexdigest() == GOLDEN_POSES_SHA256
 
 
 def golden_map_scenes():
