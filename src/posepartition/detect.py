@@ -22,6 +22,13 @@ from .scene import _is_int, _is_num
 DEFAULT_TAU = 0.1  # score threshold shared by detection and greedy assembly
 
 
+def _check_tau(tau) -> None:
+    """The one tau rule, shared by detection and greedy assembly: a number
+    strictly between 0 and 1."""
+    if not (_is_num(tau) and 0.0 < tau < 1.0):
+        raise ParameterError("tau must lie in (0, 1), got %r" % (tau,))
+
+
 @dataclass(frozen=True)
 class JointCandidate:
     """One detected joint hypothesis at an integer grid position (x, y)."""
@@ -42,8 +49,7 @@ class DetectorParams:
     nms_radius: int = 3
 
     def __post_init__(self) -> None:
-        if not (_is_num(self.tau) and 0.0 < self.tau < 1.0):
-            raise ParameterError("tau must lie in (0, 1), got %r" % (self.tau,))
+        _check_tau(self.tau)
         if not (_is_int(self.nms_radius) and self.nms_radius >= 1):
             raise ParameterError("nms_radius must be an integer >= 1, got %r" % (self.nms_radius,))
 

@@ -4,13 +4,15 @@ Within one partition, poses are grown in one pass over per-category pools
 in inference-rank order: roots come from the earliest non-empty pool (neck
 first, torso and limb categories as fallbacks), best score first, until it
 is empty, and every later pool contributes its candidate whose centroid
-vote lies closest to the running mean of the accepted votes.  Accepting a
-candidate always lowers the decode energy, and the energy trace grows in
-place with each acceptance, so it is strictly decreasing.
+vote lies closest to the running mean of the accepted votes.
 
-The energy's per-joint term is each candidate's detection score, so assembly
-reads only the partitions and the joint layout, never a map.  A decoded pose
-holds the candidates assembly chose: slot j holds a joint-j candidate.
+The decode energy is minus the assigned joints' scores, minus pairwise vote
+agreement; it starts at 0.0 before any assignment.  Accepting a candidate
+always lowers it, and the energy trace grows in place with each acceptance,
+so it is strictly decreasing.  The per-joint term is each candidate's
+detection score, so assembly reads only the partitions and the joint
+layout, never a map.  A decoded pose holds the candidates assembly chose:
+slot j holds a joint-j candidate.
 """
 from __future__ import annotations
 
@@ -18,10 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .detect import DEFAULT_TAU, JointCandidate
+from .detect import DEFAULT_TAU, JointCandidate, _check_tau
 from .errors import ParameterError
 from .maps import RegressionMapSet
-from .partition import Partition, embed, partition_score
+from .partition import Partition, embed
 from .scene import JointSpec, validate_joint_layout
 
 
@@ -151,14 +153,15 @@ def infer_all(
 ) -> tuple[PoseSet, list[float]]:
     """Decode every partition in order.
 
-    Returns the concatenated poses plus the energy trace: the decode energy
-    before any assignment followed by its value after each accepted joint,
-    grown in place as each partition is assembled.  A layout that
+    Returns the concatenated poses plus the energy trace: 0.0 before any
+    assignment followed by the decode energy after each accepted joint,
+    grown in place as each partition is assembled.  A tau outside (0, 1)
+    raises ParameterError, as in detection, and a layout that
     validate_joint_layout rejects raises its AnnotationError.
     """
+    _check_tau(tau)
     validate_joint_layout(layout)
-    # 0.0 - x, not -x: an empty decode's energy is 0.0, not -0.0.
-    trace = [0.0 - partition_score(partitions)]
+    trace = [0.0]
     poses: list[PersonPose] = []
     by_rank = sorted(layout, key=lambda js: js.inference_rank)
     position = {js.joint_id: r for r, js in enumerate(by_rank)}
@@ -167,19 +170,14 @@ def infer_all(
     return PoseSet(poses=tuple(poses)), trace
 
 
-def energy(
-    poses: PoseSet,
-    partitions: Sequence[Partition],
-    reg: RegressionMapSet,
-    tau: float = DEFAULT_TAU,
-) -> float:
+def energy(poses: PoseSet, reg: RegressionMapSet, tau: float = DEFAULT_TAU) -> float:
     """Decode energy of a finished assignment.
 
-    Negative partition score, minus every assigned joint's score, minus the
-    pairwise vote agreement over unordered joint pairs within each pose.
+    Minus the assigned joints' scores, minus pairwise vote agreement over
+    unordered joint pairs within each pose; 0.0 with nothing assigned.
     Lower is better; each greedy acceptance strictly lowers it.
     """
-    total = 0.0 - partition_score(partitions)
+    total = 0.0
     for pose in poses.poses:
         present = [cand for cand in pose.joints if cand is not None]
         for cand in present:

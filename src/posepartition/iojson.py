@@ -79,13 +79,7 @@ def partitions_to_doc(partitions: Sequence[Partition], candidates: Sequence[Join
             if cand not in index_of:
                 raise SchemaError("partition %d member %r is not in the candidate list" % (pi, cand))
             members.append(index_of[cand])
-        entries.append(
-            {
-                "members": members,
-                "centroid": [part.centroid[0], part.centroid[1]],
-                "score": part.score,
-            }
-        )
+        entries.append({"members": members, "centroid": [part.centroid[0], part.centroid[1]]})
     return {"partitions": entries}
 
 

@@ -4,7 +4,8 @@ Every joint candidate casts a vote for its person's centroid by following
 the regression map: vote = position + Z * offset, with Z the canvas
 diagonal.  Votes are grouped by agglomerative average-linkage clustering
 with an absolute merge cutoff; each resulting cluster is one person
-hypothesis (a partition) scored by the log vote density at its center.
+hypothesis (a partition).  Assembly builds the decode energy, minus the
+assigned joints' scores, minus pairwise vote agreement, from its members.
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ class ClusterParams:
 
     link_threshold is an absolute pixel distance: clusters merge while the
     smallest average linkage stays at or below it.  weights optionally
-    rescales each joint category's contribution to vote densities; every
-    weight is positive, so every partition's log density is finite.
+    rescales each joint category's contribution to a vote density; every
+    weight is positive.  vote_density is its only reader: clustering reads
+    link_threshold alone.
     """
 
     link_threshold: float
@@ -63,21 +65,19 @@ def default_link_threshold(norm_factor: float) -> float:
 @dataclass(frozen=True)
 class Partition:
     """One person hypothesis: member candidates with their centroid votes
-    (votes[i] is the point members[i] voted for), vote center, and log
-    density, which must be finite."""
+    (votes[i] is the point members[i] voted for) and vote center.  Assembly
+    turns the members into poses; the decode energy is minus the assigned
+    joints' scores, minus pairwise vote agreement."""
 
     members: tuple[JointCandidate, ...]
     votes: tuple[tuple[float, float], ...]
     centroid: tuple[float, float]
-    score: float
 
     def __post_init__(self) -> None:
         if len(self.votes) != len(self.members):
             raise DimensionError(
                 "partition has %d votes for %d members" % (len(self.votes), len(self.members))
             )
-        if not math.isfinite(self.score):
-            raise ParameterError("partition score must be finite, got %r" % self.score)
 
 
 def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[Vote]:
@@ -118,18 +118,6 @@ def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: Clus
     return density
 
 
-def _log_vote_densities(centers: np.ndarray, pts: np.ndarray, log_weights: np.ndarray) -> list[float]:
-    """log(vote_density) at each of P centers for the votes at pts (votes in
-    canonical order, log_weights their log weights): one log-sum-exp per
-    center over every vote, so each score is finite even where every term
-    of the direct sum underflows."""
-    dx = pts[None, :, 0] - centers[:, 0, None]
-    dy = pts[None, :, 1] - centers[:, 1, None]
-    terms = log_weights - (dx * dx + dy * dy)
-    top = terms.max(axis=1)
-    return (top + np.log(np.exp(terms - top[:, None]).sum(axis=1))).tolist()
-
-
 def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partition]:
     """Group votes into person hypotheses by average-linkage clustering.
 
@@ -149,13 +137,12 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     if n == 0:
         return []
     # Votes by their source candidate's canonical key (the order detection
-    # emits), so density sums, and hence scores, ignore the input order too.
+    # emits), so centroid sums ignore the input order too.
     canonical = sorted(votes, key=lambda v: v.source.sort_key())
     pts = np.array([v.point for v in canonical], dtype=np.float64)
     if not np.isfinite(pts).all():
         c = canonical[int(np.isfinite(pts).all(axis=1).argmin())].source
         raise ParameterError("vote of joint %d at (%d, %d) is not finite" % (c.joint_id, *c.position))
-    log_weights = np.array([math.log(params.weight_of(v.source.joint_id)) for v in canonical])
 
     # Cluster state keyed by canonical id (the id of a merged cluster is its
     # smallest member id).  Linkage lives in a symmetric matrix updated with
@@ -200,25 +187,11 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
         label[canon] = p
     sums = np.stack([np.bincount(label, weights=pts[:, axis]) for axis in (0, 1)], axis=1)
     centroids = sums / np.bincount(label)[:, None]
-    scores = _log_vote_densities(centroids, pts, log_weights)
     return [
         Partition(
             members=tuple(canonical[i].source for i in canon),
             votes=tuple(canonical[i].point for i in canon),
             centroid=(cx, cy),
-            score=score,
         )
-        for canon, (cx, cy), score in zip(groups, centroids.tolist(), scores)
+        for canon, (cx, cy) in zip(groups, centroids.tolist())
     ]
-
-
-def partition_score(partitions: Sequence[Partition]) -> float:
-    """Total log vote density over partitions.
-
-    This is the assignment-independent part of the decode energy.  The loop,
-    not sum(), keeps plain left-to-right float addition.
-    """
-    total = 0.0
-    for part in partitions:
-        total += part.score
-    return total

@@ -8,7 +8,7 @@ from .detect import detect_candidates
 from .errors import DimensionError
 from .infer import PoseSet, infer_all
 from .maps import ConfidenceMapSet, RegressionMapSet, build_confidence_maps, build_regression_maps
-from .partition import Partition, cluster_votes, embed
+from .partition import cluster_votes, embed
 from .scene import Scene
 
 
@@ -16,7 +16,6 @@ from .scene import Scene
 class DecodeResult:
     """Everything a decode produces, for inspection and serialization."""
 
-    partitions: tuple[Partition, ...]
     poses: PoseSet
     energy_trace: tuple[float, ...]
 
@@ -51,8 +50,4 @@ def decode_maps(
     votes = embed(candidates, reg)
     partitions = cluster_votes(votes, cfg.cluster_params(reg.norm_factor))
     poses, trace = infer_all(partitions, cfg.joint_layout, cfg.tau)
-    return DecodeResult(
-        partitions=tuple(partitions),
-        poses=poses,
-        energy_trace=tuple(trace),
-    )
+    return DecodeResult(poses=poses, energy_trace=tuple(trace))

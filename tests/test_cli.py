@@ -97,6 +97,7 @@ def test_staged_detect_and_partition(tmp_path):
     parts_path = tmp_path / "parts.json"
     assert run("partition", "--candidates", cands_path, "--reg", reg, "--out", parts_path) == EXIT_OK
     parts = read_json(parts_path)["partitions"]
+    assert parts and all(set(p) == {"members", "centroid"} for p in parts)
     scene_doc = read_json(scene)
     assert len(parts) == len(scene_doc["persons"])
     used = sorted(m for p in parts for m in p["members"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
-from posepartition.detect import JointCandidate, detect_candidates
+from posepartition.detect import DetectorParams, JointCandidate, detect_candidates
 from posepartition.errors import AnnotationError, ConfigurationError, ParameterError
 from posepartition.infer import (
     PersonPose,
@@ -29,7 +29,6 @@ from posepartition.partition import (
     cluster_votes,
     default_link_threshold,
     embed,
-    partition_score,
 )
 from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
@@ -77,7 +76,6 @@ def partition_of(members, reg, centroid):
         members=tuple(members),
         votes=tuple(v.point for v in embed(members, reg)),
         centroid=centroid,
-        score=0.0,
     )
 
 
@@ -145,7 +143,7 @@ def reference_greedy_one_partition(partition, layout, tau):
 
 
 def reference_infer_all(partitions, layout, tau=0.1):
-    trace = [0.0 - partition_score(partitions)]
+    trace = [0.0]
     poses = []
     for part in partitions:
         part_poses, deltas = reference_greedy_one_partition(part, layout, tau)
@@ -273,7 +271,7 @@ def test_every_member_is_assigned_exactly_once():
     assert len(poses.poses) == 3
     assert len(trace) == 1 + len(cells)
     assert all(b < a for a, b in zip(trace, trace[1:]))
-    assert abs(trace[-1] - energy(poses, [part], reg)) <= 1e-9
+    assert abs(trace[-1] - energy(poses, reg)) <= 1e-9
 
 
 def test_ties_resolve_to_the_row_major_candidate():
@@ -295,7 +293,6 @@ def test_assembly_follows_the_votes_the_partition_carries():
         members=(cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)),
         votes=((5.0, 5.0), (9.0, 5.0), (5.0, 5.0)),
         centroid=(5.0, 5.0),
-        score=0.0,
     )
     poses, trace = infer_all([part], four_joint_layout())
     assert pose_positions(poses.poses[0]) == {0: (5, 5), 1: (6, 5)}
@@ -335,7 +332,6 @@ def assembly_cases(draw):
                 members=tuple(cand(j, (x, y), score) for j, x, y, score, _, _ in cells),
                 votes=tuple((vx / 2, vy / 2) for _, _, _, _, vx, vy in cells),
                 centroid=(0.0, 0.0),
-                score=draw(st.sampled_from([0.0, -1.5]) | st.floats(-50.0, 5.0)),
             )
         )
     return layout, partitions
@@ -359,7 +355,6 @@ def test_negative_zero_votes_center_like_sum():
         members=(cand(0, (1, 1), 0.9), cand(1, (2, 1), 0.8), cand(0, (5, 5), 0.7)),
         votes=((-0.0, -0.0), (-0.0, -0.0), (-0.0, 3.0)),
         centroid=(0.0, 0.0),
-        score=0.0,
     )
     poses = infer_all([part], four_joint_layout())[0].poses
     assert repr(poses[0].final_centroid) == "(0.0, 0.0)"
@@ -390,6 +385,17 @@ def test_infer_all_rejects_a_layout_that_validation_rejects():
             infer_all([neck], layout)
 
 
+@pytest.mark.parametrize("tau", ["x", None, math.nan, 0.0, -1.0, 1.0])
+def test_infer_all_applies_the_detector_tau_rule(tau):
+    # The rule DetectorParams applies: 0 < tau < 1, with or without partitions.
+    part = partition_of((cand(0, (5, 5), 0.9),), flat_reg(), (5.0, 5.0))
+    for partitions in ([], [part]):
+        with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):
+            infer_all(partitions, four_joint_layout(), tau)
+    with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):
+        DetectorParams(tau=tau)
+
+
 def test_decoding_no_partitions_is_empty():
     poses, trace = infer_all([], four_joint_layout())
     assert poses == PoseSet(poses=())
@@ -399,19 +405,19 @@ def test_decoding_no_partitions_is_empty():
 # --- the energy and its trace -----------------------------------------------
 
 
-def test_trace_starts_at_the_partition_score_and_ends_at_the_energy():
+def test_trace_starts_at_zero_and_ends_at_the_energy():
     a = [(30.0, 30.0), (26.0, 40.0), (20.0, 50.0), (38.0, 50.0)]
     b = [(x + 60.0, y + 40.0) for x, y in a]
     scene = scene_of([a, b])
     _, reg, parts, poses, trace = decode_scene(scene)
-    assert trace[0] == -partition_score(parts)
+    assert repr(trace[0]) == "0.0"
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
     assert len(trace) == 1 + sum(len(p.members) for p in parts)
-    assert abs(trace[-1] - energy(poses, parts, reg)) <= 1e-9
+    assert abs(trace[-1] - energy(poses, reg)) <= 1e-9
 
 
 def test_energy_of_an_empty_decode_is_zero():
-    got = energy(PoseSet(poses=()), [], flat_reg())
+    got = energy(PoseSet(poses=()), flat_reg())
     assert repr(got) == "0.0"
 
 
@@ -428,9 +434,7 @@ def test_energy_of_a_single_joint_is_its_negated_confidence():
     votes = embed(detect_candidates(conf), reg)
     parts = cluster_votes(votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor)))
     poses, trace = infer_all(parts, layout)
-    # The lone vote lands on its own centroid, so the partition score is 0.
-    assert partition_score(parts) == 0.0
-    assert energy(poses, parts, reg) == -1.0
+    assert energy(poses, reg) == -1.0
     assert trace == [0.0, -1.0]
 
 
@@ -438,8 +442,8 @@ def test_energy_matches_term_enumeration():
     a = [(30.0, 30.0), (26.0, 40.0), (20.0, 50.0), (38.0, 50.0)]
     b = [(x + 55.0, y + 35.0) for x, y in a]
     scene = scene_of([a, b])
-    conf, reg, parts, poses, _ = decode_scene(scene)
-    got = energy(poses, parts, reg)
+    conf, reg, _, poses, _ = decode_scene(scene)
+    got = energy(poses, reg)
 
     z = math.hypot(scene.height, scene.width)
 
@@ -449,18 +453,7 @@ def test_energy_matches_term_enumeration():
         ty = float(reg.values[joint_id, y, x, 1])
         return (x + z * tx, y + z * ty)
 
-    all_votes = [
-        vote_of(c.joint_id, c.position) for c in detect_candidates(conf)
-    ]
     expect = 0.0
-    for part in parts:
-        density = sum(
-            math.exp(
-                -((vx - part.centroid[0]) ** 2 + (vy - part.centroid[1]) ** 2)
-            )
-            for vx, vy in all_votes
-        )
-        expect -= math.log(density)
     for pose in poses.poses:
         present = [(j, est) for j, est in enumerate(pose.joints) if est is not None]
         for j, est in present:
@@ -507,7 +500,7 @@ def test_noisy_decode_trace_decreases_to_the_energy(height, width, persons, sepa
     result = decode_maps(conf, reg, cfg)
     trace = result.energy_trace
     assert all(later < earlier for earlier, later in zip(trace, trace[1:]))
-    assert abs(trace[-1] - energy(result.poses, result.partitions, reg)) <= 1e-9
+    assert abs(trace[-1] - energy(result.poses, reg)) <= 1e-9
     # The energy's per-joint term is each joint's score: the confidence there.
     for pose in result.poses.poses:
         for j, est in enumerate(pose.joints):

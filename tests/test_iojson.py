@@ -46,9 +46,8 @@ def sample_partitions(cands):
             members=(cands[0], cands[1]),
             votes=((12.0, 7.0), (14 + z * float(np.float32(0.01)), 9 + z * float(np.float32(-0.02)))),
             centroid=(13.0, 8.5),
-            score=0.42,
         ),
-        Partition(members=(cands[2],), votes=((40.0, 41.0),), centroid=(40.5, 41.0), score=0.0),
+        Partition(members=(cands[2],), votes=((40.0, 41.0),), centroid=(40.5, 41.0)),
     ]
 
 
@@ -145,8 +144,8 @@ def test_partitions_round_trip():
     # Members are candidate indices; the vote points are not stored.
     assert json.loads(json.dumps(doc)) == {
         "partitions": [
-            {"members": [0, 1], "centroid": [13.0, 8.5], "score": 0.42},
-            {"members": [2], "centroid": [40.5, 41.0], "score": 0.0},
+            {"members": [0, 1], "centroid": [13.0, 8.5]},
+            {"members": [2], "centroid": [40.5, 41.0]},
         ]
     }
 
@@ -154,7 +153,7 @@ def test_partitions_round_trip():
 def test_partitions_require_known_members():
     cands = sample_candidates()
     stranger = JointCandidate(joint_id=5, position=(0, 0), score=0.5)
-    part = Partition(members=(stranger,), votes=((0.0, 0.0),), centroid=(0.0, 0.0), score=0.0)
+    part = Partition(members=(stranger,), votes=((0.0, 0.0),), centroid=(0.0, 0.0))
     with pytest.raises(SchemaError, match="candidate list"):
         partitions_to_doc([part], cands)
 

@@ -23,7 +23,6 @@ from posepartition.partition import (
     cluster_votes,
     default_link_threshold,
     embed,
-    partition_score,
     vote_density,
 )
 from posepartition.pipeline import decode_maps, synth_maps
@@ -84,25 +83,12 @@ def oracle_cluster(points, threshold):
     return clusters
 
 
-def reference_log_vote_density(point, votes, params):
-    """The log vote density at one point as a log-sum-exp over every vote,
-    in the given order, with the numpy calls cluster_votes makes per row."""
-    px, py = point
-    pts = np.array([v.point for v in votes], dtype=np.float64)
-    log_weights = np.array([math.log(params.weight_of(v.source.joint_id)) for v in votes])
-    dx = pts[:, 0] - px
-    dy = pts[:, 1] - py
-    terms = log_weights - (dx * dx + dy * dy)
-    top = terms.max()
-    return float(top + np.log(np.exp(terms - top).sum()))
-
-
-def partitions_from_member_sets(canonical, member_sets, params):
+def partitions_from_member_sets(canonical, member_sets):
     """The partitions of these member sets (index lists into the votes in
     canonical order), built in plain Python from the sets alone: members in
-    canonical order, a centroid that is the sum of their votes, added left
-    to right from 0.0, over their count, and a score over every vote at the
-    centroid.  Partitions run in the order of their smallest member."""
+    canonical order and a centroid that is the sum of their votes, added
+    left to right from 0.0, over their count.  Partitions run in the order
+    of their smallest member."""
     partitions = []
     for members in sorted(sorted(m) for m in member_sets):
         own = [canonical[i] for i in members]
@@ -116,7 +102,6 @@ def partitions_from_member_sets(canonical, member_sets, params):
                 members=tuple(v.source for v in own),
                 votes=tuple(v.point for v in own),
                 centroid=centroid,
-                score=reference_log_vote_density(centroid, canonical, params),
             )
         )
     return partitions
@@ -154,7 +139,7 @@ def reference_cluster_votes(votes, params):
         dist[:, b] = np.inf
         members[a].extend(members[b])
         del members[b]
-    return partitions_from_member_sets(canonical, members.values(), params)
+    return partitions_from_member_sets(canonical, members.values())
 
 
 # --- embedding --------------------------------------------------------------
@@ -223,8 +208,8 @@ def test_embed_rejects_non_finite_offsets():
 
 
 def test_nan_regression_maps_fail_in_embedding():
-    # NaN in joint 0's regression map used to surface as "partition 0 has
-    # zero vote density" from partition_score.
+    # NaN in joint 0's regression map fails where it is embedded, naming
+    # the joint, not later in clustering or assembly.
     scene = generate_corpus(CorpusSpec(num_scenes=1, min_persons=2, max_persons=2), seed=3)[0]
     conf, reg = synth_maps(scene)
     values = np.array(reg.values)
@@ -364,9 +349,6 @@ def test_cluster_centroid_and_score_definitions():
             mx = sum(p[0] for p in member_pts) / len(member_pts)
             my = sum(p[1] for p in member_pts) / len(member_pts)
             assert part.centroid == (mx, my)
-            # Score is the log of the density at the centroid over all votes.
-            expect = math.log(vote_density(part.centroid, votes, params))
-            assert abs(part.score - expect) <= 1e-9
 
 
 def test_cluster_disjoint_and_covering():
@@ -397,7 +379,7 @@ def test_cluster_invariant_to_vote_order(case):
     votes = votes_at(pts)
     params = ClusterParams(link_threshold=threshold)
     parts = cluster_votes(votes, params)
-    # Partition equality covers members, votes, centroid and score, bit for bit.
+    # Partition equality covers members, votes and centroid, bit for bit.
     assert cluster_votes([votes[i] for i in perm], params) == parts
 
 
@@ -436,8 +418,8 @@ def test_cluster_matches_the_reference_bit_for_bit(case):
     votes, params = case
     got = cluster_votes(votes, params)
     expect = reference_cluster_votes(votes, params)
-    # Partition equality covers members, votes, centroid and score; repr
-    # also tells -0.0 from 0.0.
+    # Partition equality covers members, votes and centroid; repr also
+    # tells -0.0 from 0.0.
     assert got == expect
     assert repr(got) == repr(expect)
 
@@ -477,7 +459,7 @@ def test_partitions_are_functions_of_their_member_sets(case):
     canonical = sorted(votes, key=lambda v: v.source.sort_key())
     clusters = oracle_cluster([v.point for v in canonical], params.link_threshold)
     for expect in (
-        partitions_from_member_sets(canonical, clusters, params),
+        partitions_from_member_sets(canonical, clusters),
         reference_cluster_votes(votes, params),
     ):
         assert got == expect
@@ -538,25 +520,13 @@ def test_cluster_matches_the_oracle_on_exact_ties():
     assert got == expect
 
 
-def test_score_is_exact_where_the_direct_sum_is_subnormal():
-    # Two unit-weight votes at far and -far merge into one partition
-    # centered exactly on the origin, each at squared distance 745.13 from
-    # it: exp(-745.13) is the smallest subnormal, 5e-324, so a direct sum
-    # would score log(1e-323) ~ -743.75.  The log-sum-exp gives the exact
-    # value, -745.13 + log(2) ~ -744.44.
-    far = (27.0, math.sqrt(745.13 - 27.0 * 27.0))
-    sq = far[0] * far[0] + far[1] * far[1]
-    assert math.exp(-sq) == 5e-324
-    votes = votes_at([far, (-far[0], -far[1])])
-    parts = cluster_votes(votes, ClusterParams(link_threshold=100.0))
-    assert [p.centroid for p in parts] == [(0.0, 0.0)]
-    assert parts[0].score == -sq + math.log(2.0)
-
-
 def test_votes_without_a_weight_are_rejected():
+    # vote_density is the only reader of weights: clustering ignores them.
     votes = [vote_at((0.0, 0.0), joint_id=0), vote_at((90.0, 0.0), joint_id=2, position=(1, 0))]
+    params = ClusterParams(link_threshold=1.0, weights=(1.0, 1.0))
     with pytest.raises(ParameterError, match="no weight for joint id 2"):
-        cluster_votes(votes, ClusterParams(link_threshold=1.0, weights=(1.0, 1.0)))
+        vote_density((0.0, 0.0), votes, params)
+    assert cluster_votes(votes, params) == cluster_votes(votes, ClusterParams(link_threshold=1.0))
 
 
 def test_cluster_members_in_canonical_candidate_order():
@@ -644,16 +614,6 @@ def test_scaling_scene_and_threshold_preserves_memberships():
         assert ids1 == ids2
 
 
-# --- partition score --------------------------------------------------------
-
-
-def test_partition_score_of_self_voting_singleton_is_zero():
-    votes = votes_at([(4.0, 4.0)])
-    parts = cluster_votes(votes, ClusterParams(link_threshold=1.0))
-    assert parts[0].score == 0.0
-    assert partition_score(parts) == 0.0
-
-
 def test_partition_votes_are_the_members_embed_points():
     scene = generate_corpus(CorpusSpec(num_scenes=1, min_persons=3, max_persons=3), seed=2)[0]
     conf, reg = synth_maps(scene)
@@ -671,109 +631,9 @@ def test_partition_votes_are_the_members_embed_points():
 def test_partition_votes_must_match_members():
     src = vote_at((0, 0)).source
     with pytest.raises(DimensionError):
-        Partition(members=(src,), votes=(), centroid=(0.0, 0.0), score=0.0)
+        Partition(members=(src,), votes=(), centroid=(0.0, 0.0))
     with pytest.raises(DimensionError):
-        Partition(members=(src,), votes=((0.0, 0.0), (1.0, 1.0)), centroid=(0.0, 0.0), score=0.0)
-
-
-def test_partition_score_sums_log_densities():
-    a, b = vote_at((0, 0)), vote_at((9, 9))
-    parts = [
-        Partition(members=(a.source,), votes=(a.point,), centroid=(0.0, 0.0), score=math.log(2.0)),
-        Partition(members=(b.source,), votes=(b.point,), centroid=(9.0, 9.0), score=math.log(0.5)),
-    ]
-    assert abs(partition_score(parts) - (math.log(2.0) + math.log(0.5))) <= 1e-12
-
-
-def test_partition_score_matches_recomputation_on_scene():
-    layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
-    )
-    persons = (
-        PersonAnnotation(joints=((30.0, 30.0), (34.0, 38.0))),
-        PersonAnnotation(joints=((90.0, 90.0), (94.0, 98.0))),
-    )
-    scene = Scene(height=128, width=128, joint_layout=layout, persons=persons)
-    conf = build_confidence_maps(scene)
-    reg = build_regression_maps(scene)
-    votes = embed(detect_candidates(conf), reg)
-    params = ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
-    parts = cluster_votes(votes, params)
-    got = partition_score(parts)
-    expect = 0.0
-    for part in parts:
-        density = sum(
-            math.exp(-((v.point[0] - part.centroid[0]) ** 2 + (v.point[1] - part.centroid[1]) ** 2))
-            for v in votes
-        )
-        expect += math.log(density)
-    assert abs(got - expect) <= 1e-9
-
-
-def test_underflowed_density_scores_by_log_sum_exp():
-    # Two votes merged into one cluster whose centroid is 40 px from both:
-    # the direct density underflows to zero, the log-sum-exp form does not.
-    votes = votes_at([(0.0, 0.0), (80.0, 0.0)])
-    params = ClusterParams(link_threshold=100.0)
-    parts = cluster_votes(votes, params)
-    assert len(parts) == 1
-    assert vote_density(parts[0].centroid, votes, params) == 0.0
-    assert parts[0].score == -1600.0 + math.log(2.0)
-    assert partition_score(parts) == parts[0].score
-
-
-def fsum_log_vote_density(point, votes, params):
-    """log(vote_density) at a point in plain Python: a log-sum-exp over
-    every vote whose exponentials are added exactly by math.fsum."""
-    px, py = point
-    terms = [
-        math.log(params.weight_of(v.source.joint_id)) - ((v.point[0] - px) ** 2 + (v.point[1] - py) ** 2)
-        for v in votes
-    ]
-    top = max(terms)
-    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
-
-
-@st.composite
-def spread_vote_sets(draw):
-    """Votes in up to three groups along x, a drawn gap apart, from
-    candidates of three joints; no weights or mixed positive weights.  A
-    54 px gap puts a merged pair's centroid about 729 px^2 from its votes,
-    where exp(-d^2) is subnormal; at 80 px every exp(-d^2) underflows to 0.
-    Cutoffs run from a pixel to past two gaps, so far groups merge."""
-    gap = draw(st.sampled_from([54.0, 60.0, 80.0]) | st.floats(0.0, 120.0))
-    cells = draw(
-        st.lists(
-            st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.integers(0, 2), st.integers(0, 2)),
-            min_size=1,
-            max_size=24,
-        )
-    )
-    votes = [
-        vote_at((x + gap * group, y), joint_id=joint, position=(i % 5, i // 5))
-        for i, (x, y, group, joint) in enumerate(cells)
-    ]
-    weight = st.sampled_from([0.5, 1.0]) | st.floats(0.0, 2.0, exclude_min=True)
-    weights = draw(st.none() | st.tuples(weight, weight, weight))
-    threshold = draw(st.sampled_from([1.0, 250.0]) | st.floats(0.1, 250.0))
-    return votes, ClusterParams(link_threshold=threshold, weights=weights)
-
-
-@settings(max_examples=300, deadline=None)
-@given(spread_vote_sets())
-def test_scores_match_an_exactly_summed_log_sum_exp(case):
-    votes, params = case
-    for part in cluster_votes(votes, params):
-        expect = fsum_log_vote_density(part.centroid, votes, params)
-        assert math.isclose(part.score, expect, rel_tol=1e-12, abs_tol=1e-12), (part.score, expect)
-
-
-@pytest.mark.parametrize("score", [-math.inf, math.inf, math.nan])
-def test_partition_score_must_be_finite(score):
-    src = vote_at((0, 0)).source
-    with pytest.raises(ParameterError, match="partition score must be finite"):
-        Partition(members=(src,), votes=((0.0, 0.0),), centroid=(0.0, 0.0), score=score)
+        Partition(members=(src,), votes=((0.0, 0.0), (1.0, 1.0)), centroid=(0.0, 0.0))
 
 
 def test_merged_crowds_on_large_canvases_decode():
@@ -786,7 +646,6 @@ def test_merged_crowds_on_large_canvases_decode():
     for i in (0, 2, 3):
         conf, reg = synth_maps(scenes[i])
         result = decode_maps(conf, reg)
-        assert all(math.isfinite(p.score) for p in result.partitions)
         assert len(result.poses.poses) == len(scenes[i].persons)
         trace = result.energy_trace
         assert all(a > b for a, b in zip(trace, trace[1:]))
