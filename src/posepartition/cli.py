@@ -82,7 +82,8 @@ def _add_config_flags(sub, *, forward=False, detector=False, cluster=False):
         flag("--radius", type=float, help="regression disk radius")
     if detector:
         flag("--tau", type=float, help="score threshold shared by detection and assembly")
-        flag("--nms-radius", dest="nms_radius", type=int, help="suppression radius (Chebyshev)")
+        flag("--nms-radius", dest="nms_radius", type=int,
+             help="Chebyshev suppression radius; default ceil(sigma * sqrt(ln(1 / tau)))")
     if cluster:
         flag(
             "--link-threshold",

@@ -2,8 +2,9 @@
 
 The score threshold tau is stated once and shared by the detector and the
 greedy assembly, which keeps the two consistent by construction; map
-synthesis does not use it.  The clustering cutoff may be the string "auto",
-meaning 10% of the canvas diagonal of whatever maps are being decoded.  A
+synthesis does not use it.  The clustering cutoff and the suppression
+radius may be "auto": 10% of the canvas diagonal of the maps decoded, and
+the reach of a confidence bump at or above tau.  A
 document lists only what it changes: absent entries take the PipelineConfig
 defaults, which in turn read the stage dataclasses' defaults.  The dump of
 the defaults is the schema: a key it does not hold, at the top level or in
@@ -12,10 +13,12 @@ a section, is rejected.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
-from .detect import DEFAULT_TAU, DetectorParams
+from .detect import DEFAULT_TAU, DetectorParams, _check_tau
 from .errors import AnnotationError, ConfigurationError, ParameterError, SchemaError
 from .maps import ForwardParams
 from .partition import ClusterParams, default_link_threshold
@@ -35,7 +38,7 @@ class PipelineConfig:
     tau: float = DEFAULT_TAU
     sigma: float = ForwardParams.sigma
     radius: float = ForwardParams.radius
-    nms_radius: int = DetectorParams.nms_radius
+    nms_radius: int | None = None  # None means auto: the reach of a bump at or above tau
     link_threshold: float | None = None  # None means auto: 0.1 * canvas diagonal
     joint_layout: tuple[JointSpec, ...] = field(default_factory=mpii_joint_layout)
 
@@ -52,7 +55,12 @@ class PipelineConfig:
         return ForwardParams(sigma=self.sigma, radius=self.radius)
 
     def detector_params(self) -> DetectorParams:
-        return DetectorParams(tau=self.tau, nms_radius=self.nms_radius)
+        radius = self.nms_radius
+        if radius is None:
+            # A bump exp(-d^2 / sigma^2) stays >= tau out to here; the cap keeps a huge sigma finite.
+            _check_tau(self.tau)
+            radius = max(1, math.ceil(min(self.sigma * math.sqrt(-math.log(self.tau)), sys.maxsize)))
+        return DetectorParams(tau=self.tau, nms_radius=radius)
 
     def cluster_params(self, norm_factor: float) -> ClusterParams:
         threshold = self.link_threshold
@@ -63,7 +71,7 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
     return {
         "tau": cfg.tau,
         "forward": {"sigma": cfg.sigma, "radius": cfg.radius},
-        "detector": {"nms_radius": cfg.nms_radius},
+        "detector": {"nms_radius": "auto" if cfg.nms_radius is None else cfg.nms_radius},
         "cluster": {
             "link_threshold": "auto" if cfg.link_threshold is None else cfg.link_threshold,
         },
@@ -77,14 +85,15 @@ def _reject_unknown(doc: dict, schema: dict, what: str) -> None:
         raise ConfigurationError("unknown %s keys: %s" % (what, ", ".join(sorted(unknown))))
 
 
-def _setting(value, name: str, default):
-    """One config value: "auto" where the default is None, else a number,
-    an integer where the default is an int."""
-    if default is None and value == "auto":
+def _setting(value, name: str, kind: str):
+    """One config value, read by its PipelineConfig annotation (a string):
+    "auto" where None is allowed, else a number, an integer where it is int."""
+    auto = kind.endswith("| None")
+    if auto and value == "auto":
         return None
     if not _is_num(value):
-        raise ConfigurationError("%s must be a number%s" % (name, " or 'auto'" if default is None else ""))
-    if isinstance(default, int):
+        raise ConfigurationError("%s must be a number%s" % (name, " or 'auto'" if auto else ""))
+    if kind.startswith("int"):
         if not (isinstance(value, int) or value.is_integer()):
             raise ConfigurationError("%s must be an integer" % name)
         return int(value)
@@ -100,8 +109,8 @@ def config_from_dict(doc: Any) -> PipelineConfig:
     joint_spec, and its sections' keys, are PipelineConfig field names."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    defaults = PipelineConfig()
-    schema = config_to_dict(defaults)
+    schema = config_to_dict(PipelineConfig())
+    kinds = PipelineConfig.__annotations__
     _reject_unknown(doc, schema, "config")
     values = {}
     for key, entry in doc.items():
@@ -115,9 +124,9 @@ def config_from_dict(doc: Any) -> PipelineConfig:
                 raise ConfigurationError("config section %r must be an object" % key)
             _reject_unknown(entry, schema[key], key)
             for name, value in entry.items():
-                values[name] = _setting(value, "%s.%s" % (key, name), getattr(defaults, name))
+                values[name] = _setting(value, "%s.%s" % (key, name), kinds[name])
         else:
-            values[key] = _setting(entry, key, getattr(defaults, key))
+            values[key] = _setting(entry, key, kinds[key])
     return PipelineConfig(**values)
 
 

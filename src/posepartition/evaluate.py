@@ -78,9 +78,7 @@ class PoseMatch:
 def _hit_distances(scene: Scene, params: MatchParams) -> list[float]:
     """PCKh radius of each ground-truth person, in scene order (see MatchParams)."""
     neck_id = next(js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK)
-    head_id = next(
-        (js.joint_id for js in scene.joint_layout if js.name == _HEAD_TOP_NAME), None
-    )
+    head_id = next((js.joint_id for js in scene.joint_layout if js.name == _HEAD_TOP_NAME), None)
     radii = []
     for gi, person in enumerate(scene.persons):
         size = None
@@ -260,9 +258,7 @@ def evaluate_corpus(
     if not pairs:
         raise ParameterError("evaluate_corpus needs at least one (poses, scene) pair")
     k = pairs[0][1].num_joints
-    names = tuple(
-        js.name for js in sorted(pairs[0][1].joint_layout, key=lambda js: js.joint_id)
-    )
+    names = tuple(js.name for js in sorted(pairs[0][1].joint_layout, key=lambda js: js.joint_id))
     for _, scene in pairs:
         if scene.num_joints != k:
             raise DimensionError("scenes disagree on joint count")
@@ -279,9 +275,7 @@ def evaluate_corpus(
             total_gt[j] += n
         pred_counts.append(len(kept))
         gt_counts.append(len(scene.persons))
-    per_joint = tuple(
-        _sweep_ap(recs, n) if n else None for recs, n in zip(records, total_gt)
-    )
+    per_joint = tuple(_sweep_ap(recs, n) if n else None for recs, n in zip(records, total_gt))
     evaluated = [ap for ap in per_joint if ap is not None]
     total = sum(evaluated) / len(evaluated) if evaluated else 0.0
     # Person-count confusion matrix (rows = truth) and mean squared error.
@@ -320,9 +314,7 @@ def report_csv(report: EvalReport) -> str:
     standard 16-joint names.
     """
     name_to_ap = dict(zip(report.joint_names, report.per_joint_ap))
-    known = all(
-        name in name_to_ap for _, members in CSV_GROUPS for name in members
-    )
+    known = all(name in name_to_ap for _, members in CSV_GROUPS for name in members)
     if known:
         headers = [label for label, _ in CSV_GROUPS] + ["Total"]
         cells = []

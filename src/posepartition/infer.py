@@ -55,8 +55,9 @@ def pairwise(
     """Vote agreement between two candidates, gated by the score threshold.
 
     Returns exp(-squared distance between the two centroid votes) when both
-    candidate scores reach tau, else 0.
+    candidate scores reach tau, else 0; a tau outside (0, 1) raises.
     """
+    _check_tau(tau)
     if a.score < tau or b.score < tau:
         return 0.0
     va, vb = embed([a, b], reg)
@@ -111,17 +112,14 @@ def _greedy_one_partition(
             slots[root.joint_id] = root
             embeds = [center]
             # Running vote sums start at int 0, as sum() does (so -0.0 sums to 0.0).
-            sx = sy = 0
-            sx += center[0]
-            sy += center[1]
+            sx, sy = 0 + center[0], 0 + center[1]
             trace.append(trace[-1] - root.score)
             for pool in pools[r + 1:]:
                 if not pool:
                     continue
                 # The closest vote to the center; the pool order breaks ties.
                 cx, cy = center
-                best = 0
-                best_d = math.inf
+                best, best_d = 0, math.inf
                 for i, (_, (vx, vy)) in enumerate(pool):
                     dx = vx - cx
                     dy = vy - cy
@@ -177,6 +175,7 @@ def energy(poses: PoseSet, reg: RegressionMapSet, tau: float = DEFAULT_TAU) -> f
     unordered joint pairs within each pose; 0.0 with nothing assigned.
     Lower is better; each greedy acceptance strictly lowers it.
     """
+    _check_tau(tau)
     total = 0.0
     for pose in poses.poses:
         present = [cand for cand in pose.joints if cand is not None]

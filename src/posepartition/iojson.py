@@ -19,8 +19,7 @@ from .scene import _is_finite, _is_int, _require
 
 def save_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 # --- candidates -------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Pipeline configuration document parsing and validation."""
 import json
+import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +28,8 @@ def test_defaults_round_trip():
     assert back.tau == 0.1
     assert back.sigma == 7.0
     assert back.radius == 7.0
-    assert back.nms_radius == 3
+    assert back.nms_radius is None
+    assert back.detector_params().nms_radius == 11
     assert back.link_threshold is None
     assert back.joint_layout == mpii_joint_layout()
 
@@ -61,7 +64,7 @@ valid_configs = st.builds(
     tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     sigma=st.floats(*_SIGMA_RANGE),
     radius=st.floats(min_value=0.0, allow_infinity=False) | st.just(-0.0),
-    nms_radius=st.integers(min_value=1),
+    nms_radius=st.none() | st.integers(min_value=1),
     link_threshold=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     joint_layout=st.just(mpii_joint_layout()) | valid_layouts(),
 )
@@ -71,6 +74,7 @@ valid_configs = st.builds(
 @given(valid_configs)
 @example(PipelineConfig())
 @example(PipelineConfig(sigma=_SIGMA_RANGE[1], radius=-0.0, link_threshold=5e-324))
+@example(PipelineConfig(tau=5e-324, sigma=_SIGMA_RANGE[1]))
 def test_configs_round_trip_through_json_text(cfg):
     back = config_from_dict(json.loads(dump_config(cfg)))
     assert back == cfg
@@ -81,7 +85,51 @@ def test_configs_round_trip_through_json_text(cfg):
 def test_dump_is_json_and_marks_auto_threshold():
     doc = json.loads(dump_config(PipelineConfig()))
     assert doc["cluster"]["link_threshold"] == "auto"
+    assert doc["detector"]["nms_radius"] == "auto"
     assert doc["tau"] == 0.1
+    assert config_to_dict(PipelineConfig(nms_radius=4))["detector"] == {"nms_radius": 4}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sigma=st.floats(0.1, 1000.0),
+    tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(sigma=7.0, tau=0.1)
+@example(sigma=0.1, tau=1.0 - 2**-53)
+def test_auto_nms_radius_is_the_reach_of_a_bump_above_tau(sigma, tau):
+    # A bump exp(-d^2 / sigma^2) is above tau one pixel inside the radius
+    # and not above it at the radius (compared in log space, up to
+    # rounding, since the bump underflows before the smallest tau); the
+    # radius is never below 1.
+    r = PipelineConfig(sigma=sigma, tau=tau).detector_params().nms_radius
+    assert isinstance(r, int) and r >= 1
+    reach_sq = -math.log(tau)
+    assert ((r - 1) / sigma) ** 2 < reach_sq * (1 + 1e-9)
+    assert (r / sigma) ** 2 >= reach_sq * (1 - 1e-9)
+
+
+def test_auto_nms_radius_follows_sigma_and_tau_and_yields_to_an_int():
+    radius = lambda **kw: PipelineConfig(**kw).detector_params().nms_radius
+    assert radius() == 11  # ceil(7 * sqrt(ln 10)) = ceil(10.62)
+    assert radius(sigma=3.0) == 5
+    assert radius(tau=0.5) == 6
+    assert radius(sigma=3.0, tau=0.5) == 3
+    assert radius(sigma=1.0, tau=0.99) == 1
+    assert radius(nms_radius=3) == radius(sigma=3.0, nms_radius=3) == 3
+    # A radius past any canvas suppresses alike, so a huge sigma is capped.
+    assert radius(sigma=_SIGMA_RANGE[1], tau=5e-324) == sys.maxsize
+
+
+def test_nms_radius_loads_as_an_int_or_auto():
+    cfg = config_from_dict({"detector": {"nms_radius": 3}})
+    assert cfg.nms_radius == 3 and type(cfg.nms_radius) is int
+    assert type(config_from_dict({"detector": {"nms_radius": 3.0}}).nms_radius) is int
+    assert config_from_dict({"detector": {"nms_radius": "auto"}}).nms_radius is None
+    with pytest.raises(ConfigurationError, match="detector.nms_radius must be a number or 'auto'"):
+        config_from_dict({"detector": {"nms_radius": "wide"}})
+    with pytest.raises(ConfigurationError, match="^tau must be a number$"):
+        config_from_dict({"tau": "auto"})
 
 
 def test_empty_document_means_defaults():

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from posepartition.config import PipelineConfig
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import DetectorParams, JointCandidate, detect_candidates
 from posepartition.errors import DimensionError, ParameterError
@@ -300,3 +301,16 @@ def test_custom_params_respected():
     assert [c.position for c in narrow] == [(5, 5), (10, 5)]
     strict = detect_candidates(conf, DetectorParams(tau=0.95))
     assert [c.position for c in strict] == [(5, 5)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_clean_scenes_decode_alike_at_the_auto_radius_and_at_radius_3(seed):
+    # A clean bump has one peak and persons stand far apart, so the wider
+    # bump-scale suppression removes nothing from clean maps.
+    auto, narrow = PipelineConfig(), PipelineConfig(nms_radius=3)
+    assert auto.detector_params().nms_radius == 11
+    for scene in generate_corpus(CorpusSpec(num_scenes=6), seed=seed):
+        conf, reg = synth_maps(scene, auto)
+        got, expect = decode_maps(conf, reg, auto), decode_maps(conf, reg, narrow)
+        assert repr(got) == repr(expect)
+        assert detect_candidates(conf, auto.detector_params()) == detect_candidates(conf)

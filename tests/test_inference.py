@@ -396,6 +396,20 @@ def test_infer_all_applies_the_detector_tau_rule(tau):
         DetectorParams(tau=tau)
 
 
+@pytest.mark.parametrize("tau", ["x", math.nan, 0.0, 1.0])
+def test_pairwise_and_energy_apply_the_detector_tau_rule(tau):
+    # NaN would gate nothing and a string would fail the score compare with
+    # a bare TypeError; an empty decode, with no pair to gate, checks too.
+    reg = flat_reg()
+    with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):
+        pairwise(cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.8), reg, tau)
+    part = partition_of((cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.8)), reg, (5.0, 5.0))
+    poses, _ = infer_all([part], four_joint_layout())
+    for decoded in (poses, PoseSet(poses=())):
+        with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):
+            energy(decoded, reg, tau)
+
+
 def test_decoding_no_partitions_is_empty():
     poses, trace = infer_all([], four_joint_layout())
     assert poses == PoseSet(poses=())

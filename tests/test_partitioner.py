@@ -467,10 +467,12 @@ def test_partitions_are_functions_of_their_member_sets(case):
 
 
 def noisy_scene_votes(scene, rng):
-    """The votes a default decode clusters for the scene's maps under the
-    acceptance test's noise model (uniform +-0.05 on confidence, +-0.01 on
-    regression, drawn in float32), with its cluster parameters."""
-    cfg = PipelineConfig()
+    """The votes a decode clusters for the scene's maps under the acceptance
+    test's noise model (uniform +-0.05 on confidence, +-0.01 on regression,
+    drawn in float32), with its cluster parameters.  Detection suppresses at
+    radius 3, not at the default bump-scale radius, so the bump tails that
+    noise breaks into peaks stay in as extra votes."""
+    cfg = PipelineConfig(nms_radius=3)
     conf, reg = synth_maps(scene, cfg)
 
     def noisy(values, amp):
