@@ -3,21 +3,24 @@
 Exit codes: 0 on success, 2 for input or format problems, 3 for
 configuration problems.  Stage flags (--tau on detect and decode, --sigma,
 --radius, --nms-radius, --link-threshold) override the --config file, or
-the defaults, only when given; --link-threshold auto overrides a number.
+the defaults, only when given, and each is read like its config entry: its
+text as JSON, a bare word such as auto as a string.
 The eval and corpus flags likewise take their defaults from MatchParams
 and CorpusSpec when not given.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import PipelineConfig, config_to_dict, dump_config, load_config
+from .config import PipelineConfig, _setting, dump_config, load_config
 from .errors import ConfigurationError, ParameterError, PipelineError, SchemaError
 from .evaluate import MatchParams, evaluate_corpus, report_csv
 from .infer import PoseSet
@@ -60,37 +63,31 @@ def _params(cls, args):
 
 
 def _load_cli_config(args) -> PipelineConfig:
-    """Config file (if given) with the stage flags actually given on top."""
+    """Config file (if given) with the stage flags actually given on top,
+    each flag's text read as the JSON value of its config entry."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    return replace(cfg, **_given(args, PipelineConfig))
-
-
-def _parse_link_threshold(raw: str) -> float | None:
-    if raw == "auto":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a number or 'auto', got %r" % raw)
+    values = {}
+    for name, text in _given(args, PipelineConfig).items():
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = text  # a bare word, such as auto
+        values[name] = _setting(value, name, "--" + name.replace("_", "-"))
+    return replace(cfg, **values)
 
 
 def _add_config_flags(sub, *, forward=False, detector=False, cluster=False):
     sub.add_argument("--config", help="pipeline config JSON; flags below override it")
     flag = functools.partial(sub.add_argument, default=argparse.SUPPRESS)
     if forward:
-        flag("--sigma", type=float, help="confidence bump width")
-        flag("--radius", type=float, help="regression disk radius")
+        flag("--sigma", help="confidence bump width")
+        flag("--radius", help="regression disk radius")
     if detector:
-        flag("--tau", type=float, help="score threshold shared by detection and assembly")
-        flag("--nms-radius", dest="nms_radius", type=int,
-             help="Chebyshev suppression radius; default ceil(sigma * sqrt(ln(1 / tau)))")
+        flag("--tau", help="score threshold shared by detection and assembly")
+        flag("--nms-radius", dest="nms_radius",
+             help="Chebyshev suppression radius, or 'auto': ceil(sigma * sqrt(ln(1 / tau)))")
     if cluster:
-        flag(
-            "--link-threshold",
-            dest="link_threshold",
-            type=_parse_link_threshold,
-            help="cluster merge cutoff in pixels, or 'auto'",
-        )
+        flag("--link-threshold", dest="link_threshold", help="cluster merge cutoff in pixels, or 'auto'")
 
 
 def _cmd_synth(args) -> int:
@@ -202,10 +199,8 @@ def _cmd_config(args) -> int:
         load_config(args.check)
         print("ok")
         return EXIT_OK
-    if args.out:
-        save_json(config_to_dict(PipelineConfig()), args.out)
-    else:
-        print(dump_config(PipelineConfig()))
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        print(dump_config(PipelineConfig()), file=fh)
     return EXIT_OK
 
 

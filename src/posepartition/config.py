@@ -21,7 +21,7 @@ from typing import Any
 from .detect import DEFAULT_TAU, DetectorParams, _check_tau
 from .errors import AnnotationError, ConfigurationError, ParameterError, SchemaError
 from .maps import ForwardParams
-from .partition import ClusterParams, default_link_threshold
+from .partition import ClusterParams
 from .scene import (
     JointSpec,
     _is_num,
@@ -64,7 +64,8 @@ class PipelineConfig:
 
     def cluster_params(self, norm_factor: float) -> ClusterParams:
         threshold = self.link_threshold
-        return ClusterParams(default_link_threshold(norm_factor) if threshold is None else threshold)
+        # Auto is 10% of the canvas diagonal of the maps decoded.
+        return ClusterParams(0.1 * norm_factor if threshold is None else threshold)
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
@@ -85,9 +86,11 @@ def _reject_unknown(doc: dict, schema: dict, what: str) -> None:
         raise ConfigurationError("unknown %s keys: %s" % (what, ", ".join(sorted(unknown))))
 
 
-def _setting(value, name: str, kind: str):
-    """One config value, read by its PipelineConfig annotation (a string):
-    "auto" where None is allowed, else a number, an integer where it is int."""
+def _setting(value, field: str, name: str):
+    """PipelineConfig.field read from a document entry or a stage flag,
+    which messages call name, by the field's annotation (a string): "auto"
+    where None is allowed, else a number, an integer where it is int."""
+    kind = PipelineConfig.__annotations__[field]
     auto = kind.endswith("| None")
     if auto and value == "auto":
         return None
@@ -110,7 +113,6 @@ def config_from_dict(doc: Any) -> PipelineConfig:
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
     schema = config_to_dict(PipelineConfig())
-    kinds = PipelineConfig.__annotations__
     _reject_unknown(doc, schema, "config")
     values = {}
     for key, entry in doc.items():
@@ -124,9 +126,9 @@ def config_from_dict(doc: Any) -> PipelineConfig:
                 raise ConfigurationError("config section %r must be an object" % key)
             _reject_unknown(entry, schema[key], key)
             for name, value in entry.items():
-                values[name] = _setting(value, "%s.%s" % (key, name), kinds[name])
+                values[name] = _setting(value, name, "%s.%s" % (key, name))
         else:
-            values[key] = _setting(entry, key, kinds[key])
+            values[key] = _setting(entry, key, key)
     return PipelineConfig(**values)
 
 

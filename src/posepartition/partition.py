@@ -57,11 +57,6 @@ class ClusterParams:
         return self.weights[joint_id]
 
 
-def default_link_threshold(norm_factor: float) -> float:
-    """Merge cutoff used when none is configured: 10% of the canvas diagonal."""
-    return 0.1 * norm_factor
-
-
 @dataclass(frozen=True)
 class Partition:
     """One person hypothesis: member candidates with their centroid votes

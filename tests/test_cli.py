@@ -3,10 +3,16 @@ import csv
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
-from posepartition.config import PipelineConfig, config_to_dict, load_config
+from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _load_cli_config, _parser, main
+from posepartition.config import PipelineConfig, config_from_dict, config_to_dict, load_config
+from posepartition.errors import ConfigurationError
+from posepartition.maps import ConfidenceMapSet
+from posepartition.pmap import read_confidence, write_map_set
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.detect import JointCandidate
@@ -349,6 +355,13 @@ def test_config_subcommand(tmp_path, capsys):
     assert "unknown detector keys: nms_radus" in capsys.readouterr().err
 
 
+def test_config_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsysbinary):
+    assert run("config") == EXIT_OK
+    out = tmp_path / "defaults.json"
+    assert run("config", "--out", out) == EXIT_OK
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
 def test_config_dump_with_mirror_ids_passes_the_check(tmp_path, capsys):
     # Dumps written while joint layouts carried a mirror table hold a
     # "mirror_id" in every joint_spec entry; readers ignore it.
@@ -506,10 +519,102 @@ def test_stage_flags_override_the_config_file_only_when_given(tmp_path, capsys):
     assert partition_count("--config", cfg) == len(read_json(cands))
     assert partition_count("--config", cfg, "--link-threshold", "auto") == persons
     assert partition_count("--link-threshold", "1e-9") == len(read_json(cands))
-    with pytest.raises(SystemExit) as exc:
-        partition_count("--link-threshold", "far")
-    assert exc.value.code == 2
-    assert "expected a number or 'auto', got 'far'" in capsys.readouterr().err
+    capsys.readouterr()
+    code = run("partition", "--candidates", cands, "--reg", reg, "--out", tmp_path / "p.json",
+               "--link-threshold", "far")
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: --link-threshold must be a number or 'auto'\n"
+
+
+def test_nms_radius_auto_overrides_a_radius_in_the_config_file(tmp_path):
+    scene = next(iter(make_corpus(tmp_path, n=1).glob("*.json")))
+    conf = tmp_path / "m.conf.pmap"
+    reg = tmp_path / "m.reg.pmap"
+    assert run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg) == EXIT_OK
+    # Noise of the acceptance amplitude raises peaks within 11 px (the auto
+    # radius) of the joints, which radius 3 keeps as candidates.
+    clean = read_confidence(conf).values
+    noise = np.random.default_rng(0).uniform(-0.05, 0.05, clean.shape).astype(np.float32)
+    write_map_set(ConfidenceMapSet(clean + noise), conf)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"detector": {"nms_radius": 3}}))
+
+    def decode(*flags):
+        out = tmp_path / "poses.json"
+        assert run("decode", "--conf", conf, "--reg", reg, "--out", out, *flags) == EXIT_OK
+        return out.read_bytes()
+
+    defaults = decode()
+    assert decode("--config", cfg) != defaults
+    assert decode("--config", cfg, "--nms-radius", "auto") == defaults
+    assert decode("--nms-radius", "3.0") == decode("--config", cfg)
+
+
+# Each stage setting: a command that takes its flag, the flag, and its config entry.
+SYNTH = ["synth", "--scene", "s.json", "--out-conf", "c.pmap", "--out-reg", "r.pmap"]
+DECODE = ["decode", "--conf", "c.pmap", "--reg", "r.pmap", "--out", "p.json"]
+STAGE_FLAGS = [
+    (SYNTH, "--sigma", "forward.sigma"),
+    (SYNTH, "--radius", "forward.radius"),
+    (DECODE, "--tau", "tau"),
+    (DECODE, "--nms-radius", "detector.nms_radius"),
+    (DECODE, "--link-threshold", "cluster.link_threshold"),
+]
+
+
+def read_flag_and_entry(argv, flag, entry, text, value):
+    """The configs read from `flag text` on argv and from a document whose
+    entry holds value, each a repr or ConfigurationError if it is rejected."""
+    *section, key = entry.split(".")
+    doc = {section[0]: {key: value}} if section else {key: value}
+
+    def outcome(load, arg):
+        try:
+            return repr(load(arg))
+        except ConfigurationError:
+            return ConfigurationError
+
+    args = _parser().parse_args(argv + ["%s=%s" % (flag, text)])
+    return outcome(_load_cli_config, args), outcome(config_from_dict, doc)
+
+
+@pytest.mark.parametrize("argv, flag, entry", STAGE_FLAGS)
+@pytest.mark.parametrize(
+    "text, literal",
+    # A flag's text, and the JSON of the same value in a config document.
+    [
+        ("2", "2"),
+        ("3.0", "3.0"),
+        ("0.25", "0.25"),
+        ("auto", '"auto"'),
+        ("far", '"far"'),
+        ("nan", '"nan"'),
+        ("NaN", "NaN"),
+        ("1e400", "1e400"),
+        ("true", "true"),
+    ],
+)
+def test_a_stage_flag_reads_like_its_config_entry(tmp_path, monkeypatch, capsys, argv, flag, entry, text, literal):
+    from_flag, from_doc = read_flag_and_entry(argv, flag, entry, text, json.loads(literal))
+    assert from_flag == from_doc
+    # The config is read before any file: a rejected value exits 3, an
+    # accepted one reaches the missing input and exits 2.
+    monkeypatch.chdir(tmp_path)
+    code = run(*argv, flag, text)
+    if from_doc is ConfigurationError:
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert flag in err or entry.split(".")[-1] in err
+    else:
+        assert code == EXIT_INPUT
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage=st.sampled_from(STAGE_FLAGS), number=st.floats() | st.integers())
+def test_a_stage_flag_given_a_number_reads_like_its_config_entry(stage, number):
+    argv, flag, entry = stage
+    from_flag, from_doc = read_flag_and_entry(argv, flag, entry, json.dumps(number), number)
+    assert from_flag == from_doc
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,10 @@ def test_each_setting_round_trips_and_rejects_null(name):
         config_from_dict(with_setting(name, None))
 
 
+def test_default_link_threshold_is_tenth_of_diagonal():
+    assert PipelineConfig().cluster_params(100.0).link_threshold == 10.0
+
+
 def test_cluster_params_resolve_auto_threshold():
     auto = PipelineConfig()
     assert auto.cluster_params(100.0).link_threshold == 10.0

@@ -24,10 +24,8 @@ from posepartition.maps import (
     build_regression_maps,
 )
 from posepartition.partition import (
-    ClusterParams,
     Partition,
     cluster_votes,
-    default_link_threshold,
     embed,
 )
 from posepartition.pipeline import decode_maps, synth_maps
@@ -55,7 +53,7 @@ def decode_scene(scene):
     conf = build_confidence_maps(scene)
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)
-    params = ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
+    params = PipelineConfig().cluster_params(reg.norm_factor)
     parts = cluster_votes(votes, params)
     poses, trace = infer_all(parts, scene.joint_layout)
     return conf, reg, parts, poses, trace
@@ -446,7 +444,7 @@ def test_energy_of_a_single_joint_is_its_negated_confidence():
     conf = build_confidence_maps(scene)
     reg = build_regression_maps(scene)
     votes = embed(detect_candidates(conf), reg)
-    parts = cluster_votes(votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor)))
+    parts = cluster_votes(votes, PipelineConfig().cluster_params(reg.norm_factor))
     poses, trace = infer_all(parts, layout)
     assert energy(poses, reg) == -1.0
     assert trace == [0.0, -1.0]

@@ -21,7 +21,6 @@ from posepartition.partition import (
     Partition,
     Vote,
     cluster_votes,
-    default_link_threshold,
     embed,
     vote_density,
 )
@@ -273,10 +272,6 @@ def test_cluster_params_validation():
         ClusterParams(link_threshold=0.0)
     with pytest.raises(ParameterError):
         ClusterParams(link_threshold=math.inf)
-
-
-def test_default_link_threshold_is_tenth_of_diagonal():
-    assert default_link_threshold(100.0) == 10.0
 
 
 # --- clustering -------------------------------------------------------------
@@ -561,9 +556,7 @@ def test_well_separated_scene_yields_one_partition_per_person():
     reg = build_regression_maps(scene)
     cands = detect_candidates(conf)
     votes = embed(cands, reg)
-    parts = cluster_votes(
-        votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
-    )
+    parts = cluster_votes(votes, PipelineConfig().cluster_params(reg.norm_factor))
     assert len(parts) == 3
     got_sets = sorted(
         sorted(c.position for c in p.members) for p in parts
@@ -600,9 +593,7 @@ def test_scaling_scene_and_threshold_preserves_memberships():
         conf = build_confidence_maps(scene)
         reg = build_regression_maps(scene)
         votes = embed(detect_candidates(conf), reg)
-        parts = cluster_votes(
-            votes, ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
-        )
+        parts = cluster_votes(votes, PipelineConfig().cluster_params(reg.norm_factor))
         return scene, parts
 
     scene1, parts1 = build(1)
@@ -620,7 +611,7 @@ def test_partition_votes_are_the_members_embed_points():
     scene = generate_corpus(CorpusSpec(num_scenes=1, min_persons=3, max_persons=3), seed=2)[0]
     conf, reg = synth_maps(scene)
     votes = embed(detect_candidates(conf), reg)
-    params = ClusterParams(link_threshold=default_link_threshold(reg.norm_factor))
+    params = PipelineConfig().cluster_params(reg.norm_factor)
     for order in (votes, votes[::-1]):
         parts = cluster_votes(order, params)
         assert sum(len(p.members) for p in parts) == len(votes)
