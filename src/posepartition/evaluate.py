@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, EvaluationError, ParameterError
 from .infer import PoseSet
-from .scene import JointGroup, Scene, _is_finite, _is_int
+from .scene import Scene, _is_finite, _is_int
 
 _HEAD_TOP_NAME = "head_top"
 
@@ -27,10 +27,10 @@ _HEAD_TOP_NAME = "head_top"
 class MatchParams:
     """Evaluation protocol knobs.
 
-    pckh_fraction scales the head size (the neck-to-head-top distance) into
-    the hit distance.  When a person offers no usable head size, fallback_px
-    (an absolute pixel distance) is used instead if set, otherwise
-    evaluation fails for that person.
+    pckh_fraction scales the head size into the hit distance: the distance
+    from the neck, the layout's rank-0 joint, to the joint named head_top.
+    When a person offers no usable head size, fallback_px (an absolute pixel
+    distance) is used instead if set, otherwise evaluation fails for it.
     Predicted poses with fewer than min_joints (an int >= 1) assigned
     joints, or whose mean joint score falls below min_score, are discarded
     before matching and scoring (the usual low-quality-assembly filter).
@@ -77,7 +77,7 @@ class PoseMatch:
 
 def _hit_distances(scene: Scene, params: MatchParams) -> list[float]:
     """PCKh radius of each ground-truth person, in scene order (see MatchParams)."""
-    neck_id = next(js.joint_id for js in scene.joint_layout if js.group is JointGroup.NECK)
+    neck_id = next(js.joint_id for js in scene.joint_layout if js.inference_rank == 0)
     head_id = next((js.joint_id for js in scene.joint_layout if js.name == _HEAD_TOP_NAME), None)
     radii = []
     for gi, person in enumerate(scene.persons):

@@ -1,8 +1,8 @@
 """Greedy per-partition pose assembly and the decode energy.
 
 Within one partition, poses are grown in one pass over per-category pools
-in inference-rank order: roots come from the earliest non-empty pool (neck
-first, torso and limb categories as fallbacks), best score first, until it
+in inference-rank order: roots come from the earliest non-empty pool (rank
+0, the neck, first and later ranks as fallbacks), best score first, until it
 is empty, and every later pool contributes its candidate whose centroid
 vote lies closest to the running mean of the accepted votes.
 

@@ -126,7 +126,8 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     smallest (id, id) pair only up to the rounding of the linkage recurrence.
     A partition depends on its member set alone: members in canonical order,
     centroid their votes' sum, added left to right in that order from 0.0,
-    over their count.  A vote point that is not finite raises ParameterError.
+    over their count.  A vote point that is not finite, or more votes than
+    the n x n linkage matrix has memory for, raises ParameterError.
     """
     n = len(votes)
     if n == 0:
@@ -144,9 +145,12 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     # the average-linkage recurrence; inactive rows and the diagonal are inf,
     # so a row argmin is a cluster's nearest with the smallest-id tie-break.
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    dx = pts[:, None, 0] - pts[None, :, 0]
-    dy = pts[:, None, 1] - pts[None, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
+    try:
+        dx = pts[:, None, 0] - pts[None, :, 0]
+        dy = pts[:, None, 1] - pts[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+    except MemoryError:
+        raise ParameterError("%d votes are too many to cluster: no memory for their linkage matrix" % n) from None
     np.fill_diagonal(dist, np.inf)
     threshold = params.link_threshold
 

@@ -13,7 +13,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .errors import AnnotationError, SchemaError
@@ -21,25 +20,16 @@ from .errors import AnnotationError, SchemaError
 _Position = tuple[float, float]
 
 
-class JointGroup(str, Enum):
-    """Coarse joint category used to order greedy assembly."""
-
-    NECK = "neck"
-    TORSO = "torso"
-    LIMB = "limb"
-
-
 @dataclass(frozen=True)
 class JointSpec:
     """Static description of one joint category.
 
     inference_rank is the position of the category in the greedy assembly
-    order (0 first).
+    order (0 first); the rank-0 joint is the neck PCKh measures from.
     """
 
     joint_id: int
     name: str
-    group: JointGroup
     inference_rank: int
 
 
@@ -49,10 +39,10 @@ _valid_layout: object = object()  # the last tuple layout accepted; a fresh obje
 def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
     """Check the structural invariants of a joint layout.
 
-    Ids and ranks must each be a permutation of 0..K-1, exactly one joint is
-    the neck, and the rank order must visit neck, then torso, then limb
-    joints.  The last tuple accepted is remembered: that same object (the
-    layout every scene of a corpus or a directory shares) returns at once.
+    The layout must be non-empty, ids and ranks must each be a permutation
+    of 0..K-1, and no two joints may share a name.  The last tuple accepted
+    is remembered: that same object (the layout every scene of a corpus or a
+    directory shares) returns at once.
     """
     global _valid_layout
     if layout is _valid_layout:
@@ -68,44 +58,34 @@ def validate_joint_layout(layout: Sequence[JointSpec]) -> None:
     ranks = sorted(js.inference_rank for js in layout)
     if ranks != list(range(k)):
         raise AnnotationError("inference ranks must be a permutation of 0..K-1")
-    necks = [js for js in layout if js.group is JointGroup.NECK]
-    if len(necks) != 1:
-        raise AnnotationError("layout must contain exactly one neck joint, got %d" % len(necks))
-    by_rank = sorted(layout, key=lambda js: js.inference_rank)
-    group_order = [JointGroup.NECK, JointGroup.TORSO, JointGroup.LIMB]
-    seen = 0
-    for js in by_rank:
-        idx = group_order.index(js.group)
-        if idx < seen:
-            raise AnnotationError(
-                "inference ranks must order groups neck, torso, limb; "
-                "%s (rank %d) comes after a later group" % (js.name, js.inference_rank)
-            )
-        seen = idx
+    names = [js.name for js in layout]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise AnnotationError("joint names must be unique, %r repeats" % (name,))
     if type(layout) is tuple:
         _valid_layout = layout
 
 
 def mpii_joint_layout() -> tuple[JointSpec, ...]:
     """Default 16-joint layout with MPII ordering."""
-    # (joint_id, name, group, inference_rank)
+    # (joint_id, name, inference_rank)
     rows = [
-        (0, "r_ankle", JointGroup.LIMB, 10),
-        (1, "r_knee", JointGroup.LIMB, 8),
-        (2, "r_hip", JointGroup.TORSO, 4),
-        (3, "l_hip", JointGroup.TORSO, 5),
-        (4, "l_knee", JointGroup.LIMB, 9),
-        (5, "l_ankle", JointGroup.LIMB, 11),
-        (6, "pelvis", JointGroup.TORSO, 2),
-        (7, "thorax", JointGroup.TORSO, 1),
-        (8, "neck", JointGroup.NECK, 0),
-        (9, "head_top", JointGroup.TORSO, 3),
-        (10, "r_wrist", JointGroup.LIMB, 14),
-        (11, "r_elbow", JointGroup.LIMB, 12),
-        (12, "r_shoulder", JointGroup.TORSO, 6),
-        (13, "l_shoulder", JointGroup.TORSO, 7),
-        (14, "l_elbow", JointGroup.LIMB, 13),
-        (15, "l_wrist", JointGroup.LIMB, 15),
+        (0, "r_ankle", 10),
+        (1, "r_knee", 8),
+        (2, "r_hip", 4),
+        (3, "l_hip", 5),
+        (4, "l_knee", 9),
+        (5, "l_ankle", 11),
+        (6, "pelvis", 2),
+        (7, "thorax", 1),
+        (8, "neck", 0),
+        (9, "head_top", 3),
+        (10, "r_wrist", 14),
+        (11, "r_elbow", 12),
+        (12, "r_shoulder", 6),
+        (13, "l_shoulder", 7),
+        (14, "l_elbow", 13),
+        (15, "l_wrist", 15),
     ]
     return tuple(JointSpec(*row) for row in rows)
 
@@ -190,9 +170,6 @@ class Scene:
 
 # --- JSON codec ------------------------------------------------------------
 
-_GROUP_NAMES = {g.value: g for g in JointGroup}
-
-
 def _num(value: float) -> float | int:
     """Emit integral floats as ints for compact, stable files."""
     f = float(value)
@@ -222,15 +199,7 @@ def _is_int(v) -> bool:
 
 def layout_to_doc(layout: Sequence[JointSpec]) -> list:
     """The "joint_spec" list shared by scene and config documents."""
-    return [
-        {
-            "id": js.joint_id,
-            "name": js.name,
-            "group": js.group.value,
-            "rank": js.inference_rank,
-        }
-        for js in layout
-    ]
+    return [{"id": js.joint_id, "name": js.name, "rank": js.inference_rank} for js in layout]
 
 
 # (entries as (key, value type, value) triples, layout) of the last joint_spec
@@ -251,16 +220,12 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
     layout = []
     for i, entry in enumerate(doc):
         _require(isinstance(entry, dict), "joint_spec[%d] must be an object", i)
-        for key in ("id", "name", "group", "rank"):
+        for key in ("id", "name", "rank"):
             _require(key in entry, "joint_spec[%d] is missing %r", i, key)
         for key in ("id", "rank"):
             _require(_is_int(entry[key]), "joint_spec[%d].%s must be an integer", i, key)
         _require(isinstance(entry["name"], str), "joint_spec[%d].name must be a string", i)
-        _require(
-            isinstance(entry["group"], str) and entry["group"] in _GROUP_NAMES,
-            "joint_spec[%d].group must be one of %s, got %r", i, ", ".join(_GROUP_NAMES), entry["group"],
-        )
-        layout.append(JointSpec(entry["id"], entry["name"], _GROUP_NAMES[entry["group"]], entry["rank"]))
+        layout.append(JointSpec(entry["id"], entry["name"], entry["rank"]))
     layout = tuple(layout)
     try:
         validate_joint_layout(layout)

@@ -151,6 +151,25 @@ def test_corrupt_map_file_exits_two(tmp_path):
     assert code == EXIT_INPUT
 
 
+def test_votes_too_many_to_cluster_exit_two(tmp_path, capsys, monkeypatch):
+    # Clustering holds an n x n linkage matrix; with no memory for it, the
+    # decode names the vote count instead of dying in a numpy traceback.
+    scene = next(iter(make_corpus(tmp_path, n=1).glob("*.json")))
+    conf, reg = tmp_path / "c.pmap", tmp_path / "r.pmap"
+    assert run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg) == EXIT_OK
+    n = len(read_json(scene)["persons"]) * 16  # clean maps: one vote per annotated joint
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.63 GiB for an array")
+
+    monkeypatch.setattr(np, "sqrt", no_memory)
+    assert run("decode", "--conf", conf, "--reg", reg, "--out", tmp_path / "p.json") == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: %d votes are too many to cluster: no memory for their linkage matrix\n" % n
+    )
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_map_kind_mismatch_exits_two(tmp_path):
     scenes = make_corpus(tmp_path, n=1)
     scene = next(iter(scenes.glob("*.json")))
@@ -363,12 +382,14 @@ def test_config_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsysbi
 
 
 def test_config_dump_with_mirror_ids_passes_the_check(tmp_path, capsys):
-    # Dumps written while joint layouts carried a mirror table hold a
-    # "mirror_id" in every joint_spec entry; readers ignore it.
+    # Dumps written while joint layouts carried a mirror table and a coarse
+    # joint group hold a "mirror_id" and a "group" in every joint_spec
+    # entry; readers ignore both, even a group name that was never valid.
     doc = config_to_dict(PipelineConfig())
     mirrors = (5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 15, 14, 13, 12, 11, 10)
     for entry, mirror in zip(doc["joint_spec"], mirrors):
         entry["mirror_id"] = mirror
+        entry["group"] = "neck" if entry["rank"] == 0 else "spine"
     old = tmp_path / "old.json"
     old.write_text(json.dumps(doc, indent=2) + "\n")
     assert run("config", "--check", old) == EXIT_OK

@@ -18,7 +18,7 @@ from posepartition.config import (
 )
 from posepartition.errors import ConfigurationError
 from posepartition.maps import _SIGMA_RANGE
-from posepartition.scene import JointGroup, JointSpec, mpii_joint_layout
+from posepartition.scene import JointSpec, mpii_joint_layout
 
 
 def test_defaults_round_trip():
@@ -47,15 +47,12 @@ def test_non_default_round_trip():
 
 @st.composite
 def valid_layouts(draw):
-    """A neck, then 0-4 torso and 0-4 limb joints in rank order, with ids
-    relabelled by a drawn permutation, any names, and entries in any order."""
-    groups = (
-        [JointGroup.NECK]
-        + [JointGroup.TORSO] * draw(st.integers(0, 4))
-        + [JointGroup.LIMB] * draw(st.integers(0, 4))
-    )
-    ids = draw(st.permutations(range(len(groups))))
-    specs = [JointSpec(ids[r], draw(st.text(max_size=8)), g, r) for r, g in enumerate(groups)]
+    """1-9 joints with ids and ranks each a drawn permutation, any distinct
+    names, and entries in any order."""
+    k = draw(st.integers(1, 9))
+    ids, ranks = draw(st.permutations(range(k))), draw(st.permutations(range(k)))
+    names = draw(st.lists(st.text(max_size=8), min_size=k, max_size=k, unique=True))
+    specs = [JointSpec(ids[i], names[i], ranks[i]) for i in range(k)]
     return tuple(draw(st.permutations(specs)))
 
 
@@ -187,9 +184,9 @@ def test_a_config_is_valid_once_built():
         replace(PipelineConfig(), link_threshold=-1.0)
     assert replace(PipelineConfig(), link_threshold=4.0).link_threshold == 4.0
     layout = mpii_joint_layout()
-    no_neck = tuple(replace(js, group=JointGroup.TORSO) if js.group is JointGroup.NECK else js for js in layout)
-    with pytest.raises(ConfigurationError, match="exactly one neck"):
-        PipelineConfig(joint_layout=no_neck)
+    repeated_name = layout[:-1] + (replace(layout[-1], name=layout[0].name),)
+    with pytest.raises(ConfigurationError, match="joint names must be unique, 'r_ankle' repeats"):
+        PipelineConfig(joint_layout=repeated_name)
     duplicate_id = layout[:-1] + (replace(layout[-1], joint_id=0),)
     with pytest.raises(ConfigurationError, match="joint ids"):
         replace(PipelineConfig(), joint_layout=duplicate_id)
@@ -277,8 +274,8 @@ def test_stage_param_accessors_share_tau():
 def test_custom_joint_spec_round_trip():
     doc = config_to_dict(PipelineConfig())
     doc["joint_spec"] = [
-        {"id": 0, "name": "neck", "group": "neck", "rank": 0},
-        {"id": 1, "name": "torso", "group": "torso", "rank": 1},
+        {"id": 0, "name": "neck", "rank": 0},
+        {"id": 1, "name": "torso", "rank": 1},
     ]
     cfg = config_from_dict(doc)
     assert len(cfg.joint_layout) == 2

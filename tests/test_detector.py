@@ -11,7 +11,7 @@ from posepartition.detect import DetectorParams, JointCandidate, detect_candidat
 from posepartition.errors import DimensionError, ParameterError
 from posepartition.maps import ConfidenceMapSet, RegressionMapSet, build_confidence_maps
 from posepartition.pipeline import decode_maps, synth_maps
-from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
+from posepartition.scene import JointSpec, PersonAnnotation, Scene
 
 
 def conf_from_planes(*planes):
@@ -57,7 +57,7 @@ def oracle_detect(values, tau=0.1, nms_radius=3):
 
 
 def test_single_peak_detected_at_annotation():
-    layout = (JointSpec(0, "neck", JointGroup.NECK, 0),)
+    layout = (JointSpec(0, "neck", 0),)
     scene = Scene(
         height=64,
         width=64,
@@ -238,8 +238,8 @@ def test_detection_matches_bruteforce_oracle():
 
 def test_detection_complete_on_separated_scenes():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
     )
     rng = np.random.default_rng(103)
     for _ in range(10):

@@ -17,6 +17,7 @@ from posepartition.evaluate import (
     JointPrediction,
     MatchParams,
     PoseMatch,
+    _hit_distances,
     average_precision,
     evaluate_corpus,
     match_poses,
@@ -26,7 +27,6 @@ from posepartition.infer import PersonPose, PoseSet
 from posepartition.maps import ConfidenceMapSet, RegressionMapSet
 from posepartition.pipeline import decode_maps, synth_maps
 from posepartition.scene import (
-    JointGroup,
     JointSpec,
     PersonAnnotation,
     Scene,
@@ -38,10 +38,10 @@ K = 4
 
 def eval_layout():
     return (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "head_top", JointGroup.TORSO, 1),
-        JointSpec(2, "r_limb", JointGroup.LIMB, 2),
-        JointSpec(3, "l_limb", JointGroup.LIMB, 3),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "head_top", 1),
+        JointSpec(2, "r_limb", 2),
+        JointSpec(3, "l_limb", 3),
     )
 
 
@@ -138,6 +138,21 @@ def test_hit_distance_from_neck_to_head_top():
     outside = match_poses(PoseSet(poses=(neck_pose(51, 40, 0.9),)), scene)
     assert not outside.predictions[0].correct
     assert outside.pairs == ()
+
+
+def test_the_rank_0_joint_anchors_the_head_size_whatever_its_name():
+    # The neck end of the head size is the rank-0 joint, here "root" with id 2.
+    layout = (
+        JointSpec(0, "l_limb", 3),
+        JointSpec(1, "head_top", 1),
+        JointSpec(2, "root", 0),
+        JointSpec(3, "r_limb", 2),
+    )
+    persons = (
+        PersonAnnotation(joints=((5.0, 5.0), (40.0, 60.0), (40.0, 40.0), (1.0, 1.0))),
+        PersonAnnotation(joints=((5.0, 5.0), (13.0, 4.0), (10.0, 0.0), None)),
+    )
+    assert _hit_distances(Scene(64, 64, layout, persons), MatchParams()) == [10.0, 2.5]
 
 
 def test_hit_distance_fallback_and_failure():
@@ -365,7 +380,7 @@ def test_evaluate_corpus_input_validation():
     other = Scene(
         height=64,
         width=64,
-        joint_layout=(JointSpec(0, "neck", JointGroup.NECK, 0),),
+        joint_layout=(JointSpec(0, "neck", 0),),
         persons=(PersonAnnotation(joints=((10.0, 10.0),)),),
     )
     with pytest.raises(DimensionError):
@@ -422,7 +437,7 @@ def oracle_match(pred, gt, params):
     def hit_distance(gi):
         pers = gt.persons[gi]
         size = None
-        neck_id = next(js.joint_id for js in gt.joint_layout if js.group is JointGroup.NECK)
+        neck_id = next(js.joint_id for js in gt.joint_layout if js.inference_rank == 0)
         head_id = next((js.joint_id for js in gt.joint_layout if js.name == "head_top"), None)
         if head_id is not None:
             a, b = pers.joints[neck_id], pers.joints[head_id]

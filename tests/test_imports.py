@@ -130,7 +130,7 @@ def test_the_scan_counts_public_names():
 
 
 # The public API surface: raise this bound only with a reason in CHANGES.md.
-MAX_PUBLIC_NAMES = 87
+MAX_PUBLIC_NAMES = 86
 
 
 def test_public_api_stays_within_its_bound():
@@ -140,7 +140,7 @@ def test_public_api_stays_within_its_bound():
 
 # Lines in the package's modules, as `wc -l` counts them: raise this bound
 # only with a reason in CHANGES.md.
-MAX_SRC_LINES = 2551
+MAX_SRC_LINES = 2520
 
 
 def test_source_stays_within_its_line_bound():

@@ -29,15 +29,15 @@ from posepartition.partition import (
     embed,
 )
 from posepartition.pipeline import decode_maps, synth_maps
-from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
+from posepartition.scene import JointSpec, PersonAnnotation, Scene
 
 
 def four_joint_layout():
     return (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
-        JointSpec(2, "r_limb", JointGroup.LIMB, 2),
-        JointSpec(3, "l_limb", JointGroup.LIMB, 3),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
+        JointSpec(2, "r_limb", 2),
+        JointSpec(3, "l_limb", 3),
     )
 
 
@@ -305,14 +305,11 @@ def assembly_cases(draw):
     category, with votes on a half-pixel grid near the origin (so equal vote
     distances and coincident votes are common), and members in any order.
 
-    The layout is the four-joint one with its ids relabelled by a drawn
-    permutation and its entries in any order, so a joint's id, its rank and
-    its place in the layout tuple need not agree."""
-    ids = draw(st.permutations(range(4)))
-    relabelled = [
-        JointSpec(ids[i], js.name, js.group, js.inference_rank)
-        for i, js in enumerate(four_joint_layout())
-    ]
+    The layout is the four-joint one with its ids and ranks relabelled by
+    drawn permutations and its entries in any order, so a joint's id, its
+    rank and its place in the layout tuple need not agree."""
+    ids, ranks = draw(st.permutations(range(4))), draw(st.permutations(range(4)))
+    relabelled = [JointSpec(ids[i], js.name, ranks[i]) for i, js in enumerate(four_joint_layout())]
     layout = tuple(draw(st.permutations(relabelled)))
     cell = st.tuples(
         st.integers(0, 3),
@@ -374,10 +371,10 @@ def test_infer_all_rejects_a_layout_that_validation_rejects():
     # pose's slots and raise a bare IndexError.
     joint5 = partition_of((cand(5, (5, 5), 0.9),), flat_reg(k=6), (5.0, 5.0))
     with pytest.raises(AnnotationError, match="joint ids must be a permutation"):
-        infer_all([joint5], [JointSpec(5, "n", JointGroup.NECK, 0)])
+        infer_all([joint5], [JointSpec(5, "n", 0)])
     neck = partition_of((cand(0, (5, 5), 0.9),), flat_reg(), (5.0, 5.0))
-    repeated_ids = (JointSpec(0, "neck", JointGroup.NECK, 0), JointSpec(0, "torso", JointGroup.TORSO, 1))
-    repeated_ranks = (JointSpec(0, "neck", JointGroup.NECK, 0), JointSpec(1, "torso", JointGroup.TORSO, 0))
+    repeated_ids = (JointSpec(0, "neck", 0), JointSpec(0, "torso", 1))
+    repeated_ranks = (JointSpec(0, "neck", 0), JointSpec(1, "torso", 0))
     for layout, message in ((repeated_ids, "joint ids"), (repeated_ranks, "inference ranks")):
         with pytest.raises(AnnotationError, match=message):
             infer_all([neck], layout)
@@ -434,7 +431,7 @@ def test_energy_of_an_empty_decode_is_zero():
 
 
 def test_energy_of_a_single_joint_is_its_negated_confidence():
-    layout = (JointSpec(0, "neck", JointGroup.NECK, 0),)
+    layout = (JointSpec(0, "neck", 0),)
     scene = Scene(
         height=64,
         width=64,

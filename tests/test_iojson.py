@@ -307,12 +307,12 @@ _READERS = {
         ("scene", ("joint_spec", 0, "rank"), True, "joint_spec[0].rank must be an integer"),
         ("scene", ("joint_spec", 4, "name"), 7, "joint_spec[4].name must be a string"),
         (
-            "scene", ("joint_spec", 5, "group"), "spine",
-            "joint_spec[5].group must be one of neck, torso, limb, got 'spine'",
+            "scene", ("joint_spec", 5, "name"), "neck",
+            "invalid joint_spec: joint names must be unique, 'neck' repeats",
         ),
         (
-            "scene", ("joint_spec", 8, "group"), "limb",
-            "invalid joint_spec: layout must contain exactly one neck joint, got 0",
+            "scene", ("joint_spec", 8, "rank"), 1,
+            "invalid joint_spec: inference ranks must be a permutation of 0..K-1",
         ),
         ("scene", ("persons",), {}, "persons must be a list"),
         ("scene", ("persons", 1), [], "persons[1] must have joints"),
@@ -326,7 +326,10 @@ _READERS = {
         ("scene", ("persons", 1, "centroid"), [2, -(10**400)], "persons[1].centroid is too large"),
         ("scene", ("persons", 1, "joints", 6), [64, 3], "invalid scene: person 1 joint 6 at (64, 3) is outside the canvas"),
         ("config", ("joint_spec", 0, "id"), "x", "joint_spec[0].id must be an integer"),
-        ("config", ("joint_spec", 2, "group"), None, "joint_spec[2].group must be one of neck, torso, limb, got None"),
+        (
+            "config", ("joint_spec", 2, "name"), "thorax",
+            "invalid joint_spec: joint names must be unique, 'thorax' repeats",
+        ),
         ("poses", (), [], "poses document must be an object"),
         ("poses", ("width",), _DROP, "poses document is missing 'width'"),
         ("poses", ("height",), 64.0, "height and width must be integers"),

@@ -17,14 +17,14 @@ from posepartition.maps import (
     build_regression_maps,
     map_loss,
 )
-from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene, person_centroid
+from posepartition.scene import JointSpec, PersonAnnotation, Scene, person_centroid
 
 
 def layout_k(k):
     """k-joint layout: neck, then torso joints."""
-    specs = [JointSpec(0, "neck", JointGroup.NECK, 0)]
+    specs = [JointSpec(0, "neck", 0)]
     for j in range(1, k):
-        specs.append(JointSpec(j, "t%d" % j, JointGroup.TORSO, j))
+        specs.append(JointSpec(j, "t%d" % j, j))
     return tuple(specs)
 
 

@@ -25,7 +25,7 @@ from posepartition.partition import (
     vote_density,
 )
 from posepartition.pipeline import decode_maps, synth_maps
-from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
+from posepartition.scene import JointSpec, PersonAnnotation, Scene
 
 
 def zero_reg(k=1, h=32, w=32):
@@ -167,8 +167,8 @@ def test_embed_scales_offsets_by_the_diagonal():
 
 def test_embed_votes_hit_single_person_centroid():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
     )
     scene = Scene(
         height=80,
@@ -540,9 +540,9 @@ def test_cluster_members_in_canonical_candidate_order():
 
 def test_well_separated_scene_yields_one_partition_per_person():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
-        JointSpec(2, "limb", JointGroup.LIMB, 2),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
+        JointSpec(2, "limb", 2),
     )
     anchors = [(40.0, 40.0), (160.0, 40.0), (100.0, 180.0)]
     persons = tuple(
@@ -569,8 +569,8 @@ def test_well_separated_scene_yields_one_partition_per_person():
 
 def test_scaling_scene_and_threshold_preserves_memberships():
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
     )
 
     def build(scale):

@@ -6,13 +6,13 @@ from posepartition.detect import JointCandidate
 from posepartition.errors import DimensionError
 from posepartition.infer import PersonPose, PoseSet
 from posepartition.render import PALETTE, render_poses, write_ppm
-from posepartition.scene import JointGroup, JointSpec, PersonAnnotation, Scene
+from posepartition.scene import JointSpec, PersonAnnotation, Scene
 
 
 def tiny_scene(height=24, width=20):
     layout = (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
     )
     return Scene(
         height=height,

@@ -26,7 +26,6 @@ from posepartition.partition import ClusterParams
 from posepartition.pipeline import synth_maps
 from posepartition.render import render_poses
 from posepartition.scene import (
-    JointGroup,
     JointSpec,
     PersonAnnotation,
     Scene,
@@ -44,12 +43,12 @@ from posepartition.scene import (
 
 
 def tiny_layout():
-    """Four-joint layout: one neck, one torso joint, two limb joints."""
+    """Four-joint layout: the neck (rank 0), one torso joint, two limb joints."""
     return (
-        JointSpec(0, "neck", JointGroup.NECK, 0),
-        JointSpec(1, "torso", JointGroup.TORSO, 1),
-        JointSpec(2, "r_limb", JointGroup.LIMB, 2),
-        JointSpec(3, "l_limb", JointGroup.LIMB, 3),
+        JointSpec(0, "neck", 0),
+        JointSpec(1, "torso", 1),
+        JointSpec(2, "r_limb", 2),
+        JointSpec(3, "l_limb", 3),
     )
 
 
@@ -67,16 +66,17 @@ def test_default_layout_is_valid():
     layout = mpii_joint_layout()
     assert len(layout) == 16
     validate_joint_layout(layout)
-    necks = [js for js in layout if js.group is JointGroup.NECK]
-    assert len(necks) == 1 and necks[0].inference_rank == 0
+    assert [js.name for js in layout if js.inference_rank == 0] == ["neck"]
 
 
 def test_default_layout_orders_groups_by_rank():
-    order = [js.group for js in sorted(mpii_joint_layout(), key=lambda js: js.inference_rank)]
-    first_limb = order.index(JointGroup.LIMB)
-    assert order[0] is JointGroup.NECK
-    assert all(g is JointGroup.TORSO for g in order[1:first_limb])
-    assert all(g is JointGroup.LIMB for g in order[first_limb:])
+    # Assembly grows each person from the neck through the torso and head,
+    # then out along the legs and arms.
+    order = [js.name for js in sorted(mpii_joint_layout(), key=lambda js: js.inference_rank)]
+    assert order == [
+        "neck", "thorax", "pelvis", "head_top", "r_hip", "l_hip", "r_shoulder", "l_shoulder",
+        "r_knee", "l_knee", "r_ankle", "l_ankle", "r_elbow", "l_elbow", "r_wrist", "l_wrist",
+    ]
 
 
 def test_layout_validation_rejects_bad_tables():
@@ -85,34 +85,31 @@ def test_layout_validation_rejects_bad_tables():
         validate_joint_layout(())
     # Duplicate id.
     with pytest.raises(AnnotationError):
-        validate_joint_layout((good[0], good[1], good[2], JointSpec(2, "dup", JointGroup.LIMB, 3)))
-    # Two necks.
-    with pytest.raises(AnnotationError):
-        validate_joint_layout((good[0], JointSpec(1, "neck2", JointGroup.NECK, 1), good[2], good[3]))
+        validate_joint_layout((good[0], good[1], good[2], JointSpec(2, "dup", 3)))
     # Duplicate rank.
     with pytest.raises(AnnotationError, match="inference ranks must be a permutation"):
         validate_joint_layout(good[:3] + (replace(good[3], inference_rank=2),))
-    # Limb ranked before a torso joint.
-    with pytest.raises(AnnotationError):
-        validate_joint_layout(
-            (
-                JointSpec(0, "neck", JointGroup.NECK, 0),
-                JointSpec(1, "torso", JointGroup.TORSO, 2),
-                JointSpec(2, "r_limb", JointGroup.LIMB, 1),
-                JointSpec(3, "l_limb", JointGroup.LIMB, 3),
-            )
-        )
+    # Duplicate name: evaluation, rendering and the CSV report each look
+    # joints up by name, so a repeat would make them disagree on its id.
+    layout = mpii_joint_layout()
+    thorax_as_head = tuple(replace(js, name="head_top") if js.name == "thorax" else js for js in layout)
+    with pytest.raises(AnnotationError, match="joint names must be unique, 'head_top' repeats"):
+        validate_joint_layout(thorax_as_head)
+    # Any rank order is a valid assembly order, a limb before the torso too.
+    validate_joint_layout(
+        (JointSpec(0, "neck", 0), JointSpec(1, "torso", 2), JointSpec(2, "r_limb", 1), JointSpec(3, "l_limb", 3))
+    )
 
 
 def test_only_the_remembered_tuple_skips_the_checks():
     good = mpii_joint_layout()
     validate_joint_layout(good)
     assert scene_mod._valid_layout is good
-    two_necks = tuple(replace(js, group=JointGroup.NECK) if js.name == "thorax" else js for js in good)
-    with pytest.raises(AnnotationError, match="exactly one neck joint, got 2"):
-        validate_joint_layout(two_necks)
-    with pytest.raises(AnnotationError, match="exactly one neck joint, got 2"):
-        Scene(256, 256, two_necks, ())
+    two_heads = tuple(replace(js, name="head_top") if js.name == "thorax" else js for js in good)
+    with pytest.raises(AnnotationError, match="'head_top' repeats"):
+        validate_joint_layout(two_heads)
+    with pytest.raises(AnnotationError, match="'head_top' repeats"):
+        Scene(256, 256, two_heads, ())
     assert scene_mod._valid_layout is good
     validate_joint_layout(good)
 
@@ -121,8 +118,8 @@ def test_a_list_layout_is_checked_on_every_call():
     layout = list(tiny_layout())
     validate_joint_layout(layout)
     assert scene_mod._valid_layout is not layout
-    layout[0] = replace(layout[0], group=JointGroup.TORSO)
-    with pytest.raises(AnnotationError, match="exactly one neck joint, got 0"):
+    layout[0] = replace(layout[0], name="torso")
+    with pytest.raises(AnnotationError, match="'torso' repeats"):
         validate_joint_layout(layout)
 
 
@@ -218,9 +215,7 @@ def test_scene_validation_rejects_jointless_person():
 
 
 def test_scene_validation_rejects_layout_without_neck():
-    no_neck = (replace(tiny_layout()[0], group=JointGroup.TORSO),) + tiny_layout()[1:]
-    with pytest.raises(AnnotationError, match="exactly one neck"):
-        Scene(height=32, width=32, joint_layout=no_neck, persons=())
+    # The neck is the rank-0 joint, which only an empty layout lacks.
     with pytest.raises(AnnotationError, match="joint layout is empty"):
         Scene(height=32, width=32, joint_layout=(), persons=())
 
@@ -318,16 +313,14 @@ def scene_fields(draw):
     wrong slot counts, and 0-3 persons."""
     height, width = draw(st.integers(1, 64)), draw(st.integers(1, 64))
     k = draw(st.integers(1, 6))
-    names = [js.name for js in sorted(mpii_joint_layout(), key=lambda js: js.inference_rank)]
-    torso = draw(st.integers(0, k - 1))
-    groups = [JointGroup.NECK] + [JointGroup.TORSO] * torso + [JointGroup.LIMB] * (k - 1 - torso)
-    ids = draw(st.permutations(range(k)))
-    layout = [JointSpec(ids[r], names[r], groups[r], r) for r in range(k)]
+    # The default layout's first k names in its rank order (head_top from
+    # k = 4 on) at drawn ids and ranks: the rank-0 joint may have any name.
+    names = [js.name for js in sorted(mpii_joint_layout(), key=lambda js: js.inference_rank)][:k]
+    ids, ranks = draw(st.permutations(range(k))), draw(st.permutations(range(k)))
+    layout = [JointSpec(ids[i], names[i], ranks[i]) for i in range(k)]
     if draw(st.booleans()):
         i = draw(st.integers(0, k - 1))
-        layout[i] = JointSpec(
-            draw(st.integers(-1, k)), names[i], draw(st.sampled_from(JointGroup)), draw(st.integers(-1, k))
-        )
+        layout[i] = JointSpec(draw(st.integers(-1, k)), draw(st.sampled_from(names)), draw(st.integers(-1, k)))
     # Half the scenes keep every person rule, so that many of them build.
     broken = draw(st.booleans())
     anywhere = st.tuples(st.floats(), st.floats())
@@ -430,17 +423,21 @@ def test_scene_json_round_trip(tmp_path, scene):
 
 
 def test_old_scene_documents_with_mirror_ids_and_head_boxes_load():
-    # Files written while layouts carried a mirror table and persons an
-    # optional head box hold both keys; readers ignore them.
+    # Files written while layouts carried a mirror table and a coarse joint
+    # group, and persons an optional head box, hold those keys; readers
+    # ignore them, even a group name that was never valid.
     scene = seeded_scene()
     old = scene_to_dict(scene)
     mirrors = (5, 4, 3, 2, 1, 0, 6, 7, 8, 9, 15, 14, 13, 12, 11, 10)
-    for entry, mirror in zip(old["joint_spec"], mirrors):
+    groups = ["limb"] * 2 + ["torso"] * 2 + ["limb"] * 2 + ["torso", "spine", "neck", "torso"] + ["limb"] * 6
+    for entry, mirror, group in zip(old["joint_spec"], mirrors, groups):
         entry["mirror_id"] = mirror
+        entry["group"] = group
     old["persons"][0]["head_box"] = [10, 10, 30, 40.5]
     old["persons"][1]["head_box"] = None
     assert scene_from_dict(json.loads(json.dumps(old))) == scene
-    assert "head_box" not in dump_scene(scene) and "mirror_id" not in dump_scene(scene)
+    assert layout_from_doc(old["joint_spec"]) == mpii_joint_layout()
+    assert not any(key in dump_scene(scene) for key in ("head_box", "mirror_id", "group"))
 
 
 def test_scene_json_integral_floats_written_as_ints():
@@ -458,10 +455,10 @@ def test_scene_json_schema_errors():
     with pytest.raises(SchemaError):
         scene_from_dict(missing)
 
-    bad_group = json.loads(json.dumps(good))
-    bad_group["joint_spec"][0]["group"] = "spine"
-    with pytest.raises(SchemaError):
-        scene_from_dict(bad_group)
+    repeated_name = json.loads(json.dumps(good))
+    repeated_name["joint_spec"][3]["name"] = "r_limb"
+    with pytest.raises(SchemaError, match="invalid joint_spec: joint names must be unique, 'r_limb' repeats"):
+        scene_from_dict(repeated_name)
 
     bad_pair = json.loads(json.dumps(good))
     bad_pair["persons"][0]["joints"][0] = [1.0]
@@ -516,8 +513,6 @@ def test_scene_integers_past_float_range_are_schema_errors():
         ("rank", None),
         ("name", 7),
         ("name", None),
-        ("group", "spine"),
-        ("group", ["neck"]),
     ],
 )
 def test_joint_spec_fields_must_have_their_json_types(key, value):
@@ -536,8 +531,8 @@ def test_layout_codec_round_trips_and_validates():
     with pytest.raises(SchemaError, match="list"):
         layout_from_doc({"id": 0})
     swapped = layout_to_doc(tiny_layout())
-    swapped[0]["group"] = "limb"  # no neck left
-    with pytest.raises(SchemaError, match="neck"):
+    swapped[0]["rank"] = 3  # two joints at rank 3, none at rank 0
+    with pytest.raises(SchemaError, match="inference ranks"):
         layout_from_doc(swapped)
 
 
@@ -551,8 +546,8 @@ def test_a_repeated_layout_is_still_checked_type_for_type():
     for index, key, value, message in (
         (1, "id", 1.0, "joint_spec[1].id must be an integer"),
         (7, "rank", True, "joint_spec[7].rank must be an integer"),
-        (8, "group", "Neck", "joint_spec[8].group must be one of neck, torso, limb, got 'Neck'"),
-        (9, "group", "neck", "invalid joint_spec: layout must contain exactly one neck joint, got 2"),
+        (9, "rank", 3.0, "joint_spec[9].rank must be an integer"),
+        (7, "name", "head_top", "invalid joint_spec: joint names must be unique, 'head_top' repeats"),
     ):
         bad = json.loads(json.dumps(good))
         bad["joint_spec"][index][key] = value
