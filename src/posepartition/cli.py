@@ -77,8 +77,10 @@ def _load_cli_config(args) -> PipelineConfig:
 
 
 def _add_config_flags(sub, *, forward=False, detector=False, cluster=False):
-    sub.add_argument("--config", help="pipeline config JSON; flags below override it")
-    flag = functools.partial(sub.add_argument, default=argparse.SUPPRESS)
+    sub.add_argument("--config", help="pipeline config JSON; stage flags override it")
+    note = "Join a negative number in exponent form to its flag: --flag=-1e-05."
+    stage = sub.add_argument_group("stage flags", note)
+    flag = functools.partial(stage.add_argument, default=argparse.SUPPRESS)
     if forward:
         flag("--sigma", help="confidence bump width")
         flag("--radius", help="regression disk radius")

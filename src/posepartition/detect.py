@@ -3,11 +3,13 @@
 A candidate is a strict local maximum at or above tau: its value must be
 >= all 8 in-grid neighbors and strictly greater than at least one of them,
 so plateaus (and in particular constant maps) produce nothing.  Detection
-thresholds first, keeps the pixels at or above tau that are row maxima,
-and runs the full neighbor test only on those.  Surviving peaks are
-thinned per joint category with a greedy Chebyshev non-maximum
-suppression where higher-scoring peaks win and equal scores fall back to
-row-major order.
+thresholds first and works from that run of pixels at or above tau: the
+left/right test compares run neighbors only, since a neighbor outside the
+run is below tau, and only the row maxima it keeps read the three pixels
+above and the three below.  Surviving peaks are thinned per joint category
+with a greedy Chebyshev non-maximum suppression, one loop over the peaks,
+where higher-scoring peaks win and equal scores fall back to row-major
+order.
 """
 from __future__ import annotations
 
@@ -63,47 +65,6 @@ def _float32_ceil(value: float) -> np.float32:
     return t
 
 
-def _row_maxima(flat: np.ndarray, idx: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
-    """Mask over flat indices idx (values v) of pixels >= their in-grid left
-    and right neighbors, a necessary condition for a strict local maximum.
-
-    The two reads sit next to each pixel in memory, and on a smooth bump
-    only a pixel or two per row pass, so the full neighbor test that
-    follows runs on a few percent of the pixels at or above tau.  The reads
-    are clamped to the array; the row-end masks discard what they return
-    there.
-    """
-    xs = idx % w
-    left = flat[np.maximum(idx - 1, 0)]
-    right = flat[np.minimum(idx + 1, flat.size - 1)]
-    return ((xs == 0) | (v >= left)) & ((xs == w - 1) | (v >= right))
-
-
-def _strict_peaks(
-    flat: np.ndarray, idx: np.ndarray, ys: np.ndarray, xs: np.ndarray, h: int, w: int
-) -> np.ndarray:
-    """Mask over flat indices idx of strict local maxima in their (h, w) plane.
-
-    An out-of-grid neighbor is replaced by the pixel itself, so it never
-    vetoes (v >= v) and never serves as the strict witness (not v > v); a
-    1x1 plane therefore has no maxima.
-    """
-    v = flat[idx]
-    row_ok = {-1: ys > 0, 0: True, 1: ys < h - 1}
-    col_ok = {-1: xs > 0, 0: True, 1: xs < w - 1}
-    ge_all = np.ones(idx.size, dtype=bool)
-    gt_any = np.zeros(idx.size, dtype=bool)
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dy == 0 and dx == 0:
-                continue
-            inside = row_ok[dy] & col_ok[dx]
-            nv = flat[np.where(inside, idx + (dy * w + dx), idx)]
-            ge_all &= v >= nv
-            gt_any |= v > nv
-    return ge_all & gt_any
-
-
 def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = None) -> list[JointCandidate]:
     """Extract thresholded, suppression-thinned peaks from every joint map.
 
@@ -126,11 +87,34 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
         j, rest = divmod(int(idx[bad[0]]), h * w)
         what = "NaN" if np.isnan(v[bad[0]]) else "+inf"
         raise ParameterError("confidence map of joint %d is %s at (%d, %d)" % (j, what, rest % w, rest // w))
-    idx = idx[_row_maxima(flat, idx, v, w)]
-    js, rest = np.divmod(idx, h * w)
-    ys, xs = np.divmod(rest, w)
-    peak = _strict_peaks(flat, idx, ys, xs, h, w)
-    js, ys, xs, scores = js[peak], ys[peak], xs[peak], flat[idx[peak]]
+    # The row test reads no pixel: run pixel i + 1 is the right neighbor of
+    # run pixel i when it follows it in memory on the same row.  Any other
+    # in-grid left or right neighbor is below tau <= v, so it cannot veto
+    # and always serves as the strict witness.
+    row = idx // w  # j * h + y
+    right = (idx[1:] == idx[:-1] + 1) & (row[1:] == row[:-1])
+    ge_right, ge_left = v[:-1] >= v[1:], v[1:] >= v[:-1]
+    keep = np.ones(idx.size, dtype=bool)
+    keep[:-1] = ~right | ge_right
+    keep[1:] &= ~right | ge_left
+    tie = np.zeros(idx.size + 1, dtype=bool)  # tie[i]: run pixels i - 1, i are equal neighbors
+    tie[1:-1] = right & ge_right & ge_left
+    sel = np.flatnonzero(keep)
+    idx, v, row = idx[sel], v[sel], row[sel]
+    xs, ys = idx - row * w, row % h
+    has_left, has_right = xs != 0, xs != w - 1
+    strict = (has_left & ~tie[sel]) | (has_right & ~tie[sel + 1])
+    # The vertical test reads the three pixels above and the three below each
+    # row maximum.  An out-of-grid read is replaced by the pixel itself, or
+    # by the in-grid pixel beside it: either repeats a comparison already
+    # made, so it neither vetoes nor witnesses anything new.
+    ge = np.ones(idx.size, dtype=bool)
+    for mid in (np.where(ys > 0, idx - w, idx), np.where(ys < h - 1, idx + w, idx)):
+        for nv in (flat[mid - has_left], flat[mid], flat[mid + has_right]):
+            ge &= v >= nv
+            strict |= v > nv
+    peak = np.flatnonzero(ge & strict)
+    js, ys, xs, scores = row[peak] // h, ys[peak], xs[peak], v[peak]
     order = np.lexsort((xs, ys, -scores, js))
     out: list[JointCandidate] = []
     kept: list[tuple[int, int]] = []
@@ -140,8 +124,10 @@ def detect_candidates(conf: ConfidenceMapSet, params: DetectorParams | None = No
         if j != current:
             current = j
             kept = []
-        if any(abs(y - ky) <= radius and abs(x - kx) <= radius for ky, kx in kept):
-            continue
-        kept.append((y, x))
-        out.append(JointCandidate(joint_id=j, position=(x, y), score=s))
+        for ky, kx in kept:
+            if -radius <= y - ky <= radius and -radius <= x - kx <= radius:
+                break
+        else:
+            kept.append((y, x))
+            out.append(JointCandidate(j, (x, y), s))
     return out

@@ -10,7 +10,8 @@ integer pixel centers:
   is exactly 1.0.  Each bump is computed only within the reach past which
   its float32 value is exactly 0, so the output equals the full-canvas
   kernel byte for byte.  Joints at integer positions slice their bump from
-  one template per call, evaluated with the same float32 expression.
+  one cached read-only template per (sigma, span), evaluated with the same
+  float32 expression.
 
 * regression maps: one 2-vector channel per joint category.  Inside the
   disk of radius `radius` around person i's joint j, the vector points from
@@ -23,6 +24,7 @@ integer pixel centers:
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,16 +130,36 @@ def _bump_reach(sigma: float) -> int:
     return math.ceil(sigma * math.sqrt(104.0)) + 1
 
 
+# Near the smallest sigma, d^2 * neg_inv can pass float32's range; it
+# becomes -inf, whose exp is the exact 0.
+@np.errstate(over="ignore")
+def _bump(dx: np.ndarray, dy: np.ndarray, neg_inv: np.float32) -> np.ndarray:
+    b = np.square(dy)[:, None] + np.square(dx)[None, :]
+    b *= neg_inv
+    np.exp(b, out=b)
+    return b
+
+
+@functools.lru_cache(maxsize=8)
+def _bump_template(sigma: float, span: int) -> np.ndarray:
+    """The read-only bump of a joint at an integer position, over the
+    offsets [-span, span + 1] on both axes."""
+    offsets = np.arange(-span, span + 2, dtype=np.float32)
+    template = _bump(offsets, offsets, np.float32(-1.0 / (sigma * sigma)))
+    template.flags.writeable = False
+    return template
+
+
 def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> ConfidenceMapSet:
     """Synthesize ground-truth confidence maps for every joint category.
 
     Each person's joint deposits a Gaussian bump, computed only inside the
     window where float32 exp is non-zero (see _bump_reach); persons combine
     by pointwise max so peak heights never wash out in crowds.  A joint at
-    an integer position takes its bump from a template evaluated once per
-    call over the offsets [-reach, reach + 1] (clipped to the canvas) with
-    the same float32 expression: its pixel offsets are exact in float32, so
-    the template holds the very values a per-bump evaluation would.
+    an integer position slices its bump from a cached template over the
+    offsets [-reach, reach + 1] (clipped to the canvas), evaluated with the
+    same float32 expression: its pixel offsets are exact in float32, so the
+    template holds the very values a per-bump evaluation would.
     """
     params = params or ForwardParams()
     k, h, w = scene.num_joints, scene.height, scene.width
@@ -146,23 +168,10 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
     ys = np.arange(h, dtype=np.float32)
     neg_inv = np.float32(-1.0 / (params.sigma * params.sigma))
     reach = _bump_reach(params.sigma)
-
-    # Near the smallest sigma, d^2 * neg_inv can pass float32's range; it
-    # becomes -inf, whose exp is the exact 0.
-    @np.errstate(over="ignore")
-    def bump(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-        dx2 = np.square(dx)
-        dy2 = np.square(dy)
-        b = dy2[:, None] + dx2[None, :]
-        b *= neg_inv
-        np.exp(b, out=b)
-        return b
-
     # Offsets past the canvas are never sliced, so a wide sigma on a small
     # canvas does not grow the template past the canvas.
     span = min(reach, max(h, w) - 1)
-    offsets = np.arange(-span, span + 2, dtype=np.float32)
-    template = bump(offsets, offsets)
+    template = _bump_template(params.sigma, span)
     # A plane's first bump is stored as is: the plane is still zero there,
     # and max(+0, b) == b for the non-negative bumps.
     touched = [False] * k
@@ -178,7 +187,7 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
                 ty = slice(sy.start - y0 + span, sy.stop - y0 + span)
                 b = template[ty, tx]
             else:
-                b = bump(xs[sx] - np.float32(pos[0]), ys[sy] - np.float32(pos[1]))
+                b = _bump(xs[sx] - np.float32(pos[0]), ys[sy] - np.float32(pos[1]), neg_inv)
             if touched[j]:
                 np.maximum(out[j, sy, sx], b, out=out[j, sy, sx])
             else:

@@ -630,6 +630,17 @@ def test_a_stage_flag_reads_like_its_config_entry(tmp_path, monkeypatch, capsys,
         assert code == EXIT_INPUT
 
 
+def test_a_negative_exponent_joined_to_its_flag_is_read_as_its_value(tmp_path, monkeypatch, capsys):
+    # After a space, argparse takes -1e-05 for an option; joined by "=", it
+    # reaches the config reader, which rejects it as out of range.
+    monkeypatch.chdir(tmp_path)
+    assert run(*SYNTH, "--radius=-1e-05") == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: radius must be non-negative, got -1e-05\n"
+    with pytest.raises(SystemExit):
+        run("synth", "--help")
+    assert "--flag=-1e-05" in capsys.readouterr().out
+
+
 @settings(max_examples=200, deadline=None)
 @given(stage=st.sampled_from(STAGE_FLAGS), number=st.floats() | st.integers())
 def test_a_stage_flag_given_a_number_reads_like_its_config_entry(stage, number):

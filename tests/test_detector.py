@@ -11,6 +11,7 @@ from posepartition.detect import DetectorParams, JointCandidate, detect_candidat
 from posepartition.errors import DimensionError, ParameterError
 from posepartition.maps import ConfidenceMapSet, RegressionMapSet, build_confidence_maps
 from posepartition.pipeline import decode_maps, synth_maps
+from posepartition.pmap import read_confidence, write_map_set
 from posepartition.scene import JointSpec, PersonAnnotation, Scene
 
 
@@ -202,6 +203,51 @@ def test_detection_matches_oracle_on_generated_maps(case):
     values, tau, radius = case
     got = detect_candidates(ConfidenceMapSet(values), DetectorParams(tau=tau, nms_radius=radius))
     assert got == oracle_detect(values, tau=tau, nms_radius=radius)
+
+
+# Levels around the default tau: tau itself, the float32 just below it, 0
+# and -inf, so runs of pixels at or above tau start, stop and tie often.
+BELOW_TAU = float(np.nextafter(np.float32(0.1), np.float32(0)))
+RUN_LEVELS = [-np.inf, 0.0, BELOW_TAU, float(np.float32(0.1)), 0.5, 1.0]
+
+
+def f32(*planes):
+    return np.array(planes, dtype=np.float32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    arrays(
+        np.float32,
+        st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+        elements=st.sampled_from(RUN_LEVELS),
+    ),
+    st.sampled_from([1, 3, 11]),
+)
+# A run crossing a row end: (2, 0) is a peak, though (0, 1) follows it in
+# memory and is higher.
+@example(f32([[0.0, 0.5, 0.8], [1.0, 0.5, 0.0]]), 1)
+# A run crossing from one plane's last pixel into the next plane's first.
+@example(f32([[0.0, 0.0], [0.0, 0.5]], [[1.0, 0.0], [0.0, 0.0]]), 1)
+# 1xN and Nx1 planes, with ties at and just below tau.
+@example(f32([[0.1, 0.5, 0.5, BELOW_TAU, 1.0, 0.1, 0.0, 0.5]]), 1)
+@example(f32([[0.1], [0.5], [0.5], [BELOW_TAU], [1.0], [0.1], [0.0], [0.5]]), 1)
+def test_the_run_based_row_test_matches_the_oracle_at_row_and_plane_ends(values, radius):
+    got = detect_candidates(ConfidenceMapSet(values), DetectorParams(nms_radius=radius))
+    assert got == oracle_detect(values, nms_radius=radius)
+
+
+def test_unaligned_file_read_maps_detect_like_aligned_ones(tmp_path):
+    rng = np.random.default_rng(1)
+    for i, scene in enumerate(generate_corpus(CorpusSpec(num_scenes=3), 1)):
+        conf, _ = synth_maps(scene)
+        noisy = conf.values + rng.uniform(-0.05, 0.05, conf.values.shape).astype(np.float32)
+        path = tmp_path / ("scene_%d.conf.pmap" % i)
+        write_map_set(ConfidenceMapSet(noisy), path)
+        read = read_confidence(path)
+        assert not read.values.flags.aligned
+        got = detect_candidates(read)
+        assert got and got == detect_candidates(ConfidenceMapSet(np.array(read.values)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,6 +13,8 @@ from posepartition.maps import (
     ConfidenceMapSet,
     ForwardParams,
     RegressionMapSet,
+    _bump_reach,
+    _bump_template,
     build_confidence_maps,
     build_regression_maps,
     map_loss,
@@ -179,6 +181,19 @@ def test_template_stays_within_the_canvas_for_wide_bumps():
     scene = make_scene([[(0.0, 7.0)], [(5.0, 2.0)], [(2.5, 3.0)]], height=8, width=6)
     got = build_confidence_maps(scene, ForwardParams(sigma=1e4)).values
     assert got.tobytes() == full_canvas_confidence(scene, 1e4).tobytes()
+
+
+def test_the_bump_template_is_cached_read_only():
+    scene = make_scene([[(10.0, 20.0), (30.0, 40.0)]])
+    first = build_confidence_maps(scene).values
+    template = _bump_template(7.0, min(_bump_reach(7.0), 63))
+    assert not template.flags.writeable
+    with pytest.raises(ValueError):
+        template[0, 0] = 0.5
+    hits = _bump_template.cache_info().hits
+    again = build_confidence_maps(scene).values
+    assert _bump_template.cache_info().hits == hits + 1
+    assert again.tobytes() == first.tobytes()
 
 
 def test_confidence_values_in_unit_interval():
