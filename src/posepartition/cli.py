@@ -63,17 +63,22 @@ def _params(cls, args):
 
 
 def _load_cli_config(args) -> PipelineConfig:
-    """Config file (if given) with the stage flags actually given on top,
-    each flag's text read as the JSON value of its config entry."""
+    """Config file (if given) with each given stage flag on top, its text read
+    as the JSON value of its config entry.  No config rule spans two fields,
+    so flags apply one at a time and a rejected value names its flag."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    values = {}
     for name, text in _given(args, PipelineConfig).items():
+        flag = "--" + name.replace("_", "-")
         try:
             value = json.loads(text)
         except ValueError:
             value = text  # a bare word, such as auto
-        values[name] = _setting(value, name, "--" + name.replace("_", "-"))
-    return replace(cfg, **values)
+        value = _setting(value, name, flag)
+        try:
+            cfg = replace(cfg, **{name: value})
+        except ConfigurationError as exc:
+            raise ConfigurationError("%s: %s" % (flag, exc)) from exc
+    return cfg
 
 
 def _add_config_flags(sub, *, forward=False, detector=False, cluster=False):

@@ -15,12 +15,12 @@ integer pixel centers:
 
 * regression maps: one 2-vector channel per joint category.  Inside the
   disk of radius `radius` around person i's joint j, the vector points from
-  the pixel to that person's centroid, scaled by 1/Z where Z is the canvas
-  diagonal.  Pixels covered by several persons store the mean of the
-  non-zero contributions; pixels covered by none store (0, 0).  All
-  windows, clipped to the canvas, feed one ordered scatter (joint-major,
-  persons in scene order) whose float64 sums are those of a full-canvas
-  accumulator, so the output is too.
+  the pixel to that person's centroid (its joints' mean), scaled by 1/Z
+  where Z is the canvas diagonal, so each component stays within 1.  Pixels
+  covered by several persons store the mean of the non-zero contributions;
+  pixels covered by none store (0, 0).  All windows, clipped to the canvas,
+  feed one ordered scatter (joint-major, persons in scene order) whose
+  float64 sums are those of a full-canvas accumulator, so the output is too.
 """
 from __future__ import annotations
 
@@ -34,11 +34,10 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 from .scene import Scene, _is_finite, _is_num, person_centroid
 
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 # Synthesis scales bumps by float32 -1/sigma^2 and reaches sigma*sqrt(104)
 # pixels (see _bump_reach): below the first bound the scale overflows, above
 # the second the reach does.
-_SIGMA_RANGE = (1.0 / math.sqrt(_FLOAT32_MAX), sys.float_info.max / math.sqrt(104.0))
+_SIGMA_RANGE = (1.0 / math.sqrt(np.finfo(np.float32).max), sys.float_info.max / math.sqrt(104.0))
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class RegressionMapSet(_MapSet):
     """Per-joint centroid offset maps, shape (K, H, W, 2) float32, read-only.
 
     The last axis holds (x, y) offset components, already divided by the
-    canvas diagonal so magnitudes stay within 1 for in-canvas centroids.
+    canvas diagonal; offsets toward a joint mean on the canvas stay within 1.
     """
 
     _tail = (2,)
@@ -197,7 +196,7 @@ def build_confidence_maps(scene: Scene, params: ForwardParams | None = None) -> 
 
 
 def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> RegressionMapSet:
-    """Synthesize dense joint-to-centroid offset maps.
+    """Synthesize dense offset maps from each joint to its person's joint mean.
 
     Only pixels within `radius` (Euclidean) of an annotated joint carry a
     vector.  Where disks of several persons overlap, the map stores the mean
@@ -217,12 +216,12 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     out = np.zeros((k, h, w, 2), dtype=np.float32)
     centroids = [person_centroid(person) for person in scene.persons]
     rows = [
-        (j, gi, *person.joints[j], *centroid)
+        (j, *person.joints[j], *centroid)
         for j in range(k)
-        for gi, (person, centroid) in enumerate(zip(scene.persons, centroids))
+        for person, centroid in zip(scene.persons, centroids)
         if person.joints[j] is not None
     ]
-    j, person_idx, x0, y0, cx, cy = np.array(rows, dtype=np.float64).reshape(-1, 6).T
+    j, x0, y0, cx, cy = np.array(rows, dtype=np.float64).reshape(-1, 5).T
     # Window bounds: the pixels within radius along each axis, clipped to the
     # canvas, so no array outgrows it whatever the radius.
     xlo = np.maximum(np.ceil(x0 - r), 0.0)
@@ -243,16 +242,6 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     corner = ((j * h + ylo) * w + xlo).astype(np.intp)
     cell = corner[win] + iy * w + ix
     vx, vy = offx[win, ix], offy[win, iy]
-    # A finite centroid far off the canvas can give offsets past float32.
-    # A pixel's mean never exceeds its largest contribution, so checking
-    # the contributions keeps the float32 store below from overflowing.
-    too_big = np.maximum(np.abs(vx), np.abs(vy)) > _FLOAT32_MAX
-    if too_big.any():
-        i = win[too_big.argmax()]
-        raise ParameterError(
-            "regression offset of person %d joint %d toward centroid (%g, %g) exceeds float32"
-            % (person_idx[i], j[i], cx[i], cy[i])
-        )
     pixels, inverse = np.unique(cell, return_inverse=True)
     # Dividing by a count of 1 is exact, so single-contributor pixels keep
     # their sum.

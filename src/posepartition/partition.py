@@ -18,7 +18,7 @@ import numpy as np
 from .detect import JointCandidate
 from .errors import DimensionError, ParameterError
 from .maps import RegressionMapSet
-from .scene import _is_finite
+from .scene import _is_finite, _mean
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,24 @@ class ClusterParams:
 
 @dataclass(frozen=True)
 class Partition:
-    """One person hypothesis: member candidates with their centroid votes
-    (votes[i] is the point members[i] voted for) and vote center.  Assembly
-    turns the members into poses; the decode energy is minus the assigned
-    joints' scores, minus pairwise vote agreement."""
+    """One person hypothesis: one or more member candidates, each with its
+    centroid vote (votes[i] is members[i]'s), and the centroid derived from
+    the votes.  Assembly turns the members into poses; the decode energy is
+    minus the assigned joints' scores, minus pairwise vote agreement."""
 
     members: tuple[JointCandidate, ...]
     votes: tuple[tuple[float, float], ...]
-    centroid: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if len(self.votes) != len(self.members):
+        if not 0 < len(self.votes) == len(self.members):
             raise DimensionError(
                 "partition has %d votes for %d members" % (len(self.votes), len(self.members))
             )
+
+    @property
+    def centroid(self) -> tuple[float, float]:
+        """The votes' sum, added left to right from 0.0, over their count."""
+        return _mean(self.votes)
 
 
 def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[Vote]:
@@ -124,9 +128,8 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
     member (candidates ordered by joint id, descending score, row-major
     position), so the outcome ignores input order.  Ties break toward the
     smallest (id, id) pair only up to the rounding of the linkage recurrence.
-    A partition depends on its member set alone: members in canonical order,
-    centroid their votes' sum, added left to right in that order from 0.0,
-    over their count.  A vote point that is not finite, or more votes than
+    A partition depends on its member set alone: members and votes come in
+    canonical order.  A vote point that is not finite, or more votes than
     the n x n linkage matrix has memory for, raises ParameterError.
     """
     n = len(votes)
@@ -179,18 +182,10 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
             cols[b] = np.inf
             ma.extend(mb)
 
-    # bincount adds each partition's votes in vote (canonical) order from 0.0.
-    groups = [sorted(members[cid]) for cid in sorted(members)]
-    label = np.empty(n, dtype=np.intp)
-    for p, canon in enumerate(groups):
-        label[canon] = p
-    sums = np.stack([np.bincount(label, weights=pts[:, axis]) for axis in (0, 1)], axis=1)
-    centroids = sums / np.bincount(label)[:, None]
     return [
         Partition(
             members=tuple(canonical[i].source for i in canon),
             votes=tuple(canonical[i].point for i in canon),
-            centroid=(cx, cy),
         )
-        for canon, (cx, cy) in zip(groups, centroids.tolist())
+        for canon in (sorted(members[cid]) for cid in sorted(members))
     ]

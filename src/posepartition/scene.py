@@ -92,30 +92,25 @@ def mpii_joint_layout() -> tuple[JointSpec, ...]:
 
 @dataclass(frozen=True)
 class PersonAnnotation:
-    """One person: a joint position (or None) per category.
-
-    centroid is optional; when None the person's reference point is derived
-    as the mean of the annotated joints.
-    """
+    """One person: a joint position (or None) per category; person_centroid derives its centroid."""
 
     joints: tuple[_Position | None, ...]
-    centroid: _Position | None = None
 
 
 def person_centroid(person: PersonAnnotation) -> _Position:
-    """Explicit centroid if stored, else the mean of the annotated joints.
-
-    Raises AnnotationError when neither a centroid nor a joint is given.
-    """
-    if person.centroid is not None:
-        return person.centroid
+    """The mean of the annotated joints (see _mean); AnnotationError if none is."""
     pts = [p for p in person.joints if p is not None]
     if not pts:
         raise AnnotationError("person has no annotated joints")
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-    n = len(pts)
-    return (sx / n, sy / n)
+    return _mean(pts)
+
+
+def _mean(points: Sequence[_Position]) -> _Position:
+    """Each coordinate's sum, left to right from 0.0 (sum() may compensate), over the count."""
+    sx = sy = 0.0
+    for x, y in points:
+        sx, sy = sx + x, sy + y
+    return (sx / len(points), sy / len(points))
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,6 @@ class Scene:
                     raise AnnotationError(
                         "person %d joint %d at (%g, %g) is outside the canvas" % (i, j, x, y)
                     )
-            if person.centroid is not None and not all(map(math.isfinite, person.centroid)):
-                raise AnnotationError("person %d centroid is not finite" % i)
 
 
 # --- JSON codec ------------------------------------------------------------
@@ -238,14 +231,7 @@ def layout_from_doc(doc) -> tuple[JointSpec, ...]:
 
 def scene_to_dict(scene: Scene) -> dict:
     persons = [
-        {
-            "joints": [
-                None if p is None else [_num(p[0]), _num(p[1])] for p in person.joints
-            ],
-            "centroid": None
-            if person.centroid is None
-            else [_num(person.centroid[0]), _num(person.centroid[1])],
-        }
+        {"joints": [None if p is None else [_num(p[0]), _num(p[1])] for p in person.joints]}
         for person in scene.persons
     ]
     return {
@@ -284,9 +270,7 @@ def scene_from_dict(doc: dict) -> Scene:
             None if p is None else _parse_position(p, "persons[%d].joints[%d]", i, j)
             for j, p in enumerate(entry["joints"])
         )
-        cent = entry.get("centroid")
-        centroid = None if cent is None else _parse_position(cent, "persons[%d].centroid", i)
-        persons.append(PersonAnnotation(joints, centroid))
+        persons.append(PersonAnnotation(joints))
     try:
         return Scene(
             height=doc["height"],

@@ -408,7 +408,7 @@ def test_sigma_synthesis_cannot_evaluate_exits_three(tmp_path, capsys, sigma):
         "--out-conf", tmp_path / "c.pmap", "--out-reg", tmp_path / "r.pmap",
     )
     assert code == EXIT_CONFIG
-    assert "configuration error: sigma must be in" in capsys.readouterr().err
+    assert "configuration error: --sigma: sigma must be in" in capsys.readouterr().err
 
 
 def test_config_number_beyond_float_range_exits_three(tmp_path, capsys):
@@ -624,18 +624,18 @@ def test_a_stage_flag_reads_like_its_config_entry(tmp_path, monkeypatch, capsys,
     code = run(*argv, flag, text)
     if from_doc is ConfigurationError:
         assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert flag in err or entry.split(".")[-1] in err
+        assert flag in capsys.readouterr().err
     else:
         assert code == EXIT_INPUT
 
 
 def test_a_negative_exponent_joined_to_its_flag_is_read_as_its_value(tmp_path, monkeypatch, capsys):
     # After a space, argparse takes -1e-05 for an option; joined by "=", it
-    # reaches the config reader, which rejects it as out of range.
+    # reaches the config reader, which rejects it as out of range and names
+    # the flag.
     monkeypatch.chdir(tmp_path)
     assert run(*SYNTH, "--radius=-1e-05") == EXIT_CONFIG
-    assert capsys.readouterr().err == "configuration error: radius must be non-negative, got -1e-05\n"
+    assert capsys.readouterr().err == "configuration error: --radius: radius must be non-negative, got -1e-05\n"
     with pytest.raises(SystemExit):
         run("synth", "--help")
     assert "--flag=-1e-05" in capsys.readouterr().out

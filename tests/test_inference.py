@@ -68,13 +68,9 @@ def cand(joint_id, position, score):
     return JointCandidate(joint_id=joint_id, position=position, score=score)
 
 
-def partition_of(members, reg, centroid):
+def partition_of(members, reg):
     """A hand-built partition carrying the members' votes from the maps."""
-    return Partition(
-        members=tuple(members),
-        votes=tuple(v.point for v in embed(members, reg)),
-        centroid=centroid,
-    )
+    return Partition(members=tuple(members), votes=tuple(v.point for v in embed(members, reg)))
 
 
 def pose_positions(pose):
@@ -217,12 +213,12 @@ def test_two_merged_persons_are_split_into_two_poses():
 
 def test_root_falls_back_to_the_earliest_present_category():
     reg = flat_reg()
-    part = partition_of((cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)), reg, (7.0, 7.0))
+    part = partition_of((cand(1, (5, 5), 0.8), cand(2, (9, 9), 0.7)), reg)
     poses = infer_all([part], four_joint_layout())[0].poses
     assert len(poses) == 1
     assert pose_positions(poses[0]) == {1: (5, 5), 2: (9, 9)}
 
-    solo = partition_of((cand(3, (2, 2), 0.5),), reg, (2.0, 2.0))
+    solo = partition_of((cand(3, (2, 2), 0.5),), reg)
     poses2 = infer_all([solo], four_joint_layout())[0].poses
     assert len(poses2) == 1
     assert pose_positions(poses2[0]) == {3: (2, 2)}
@@ -233,7 +229,7 @@ def test_one_candidate_per_category_yields_one_pose():
     # greedy sweep still assembles everything into one pose.
     cells = [(0, (1, 1), 0.9), (1, (30, 1), 0.8), (2, (1, 30), 0.7), (3, (30, 30), 0.6)]
     reg = flat_reg()
-    part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (15.0, 15.0))
+    part = partition_of([cand(j, p, s) for j, p, s in cells], reg)
     poses = infer_all([part], four_joint_layout())[0].poses
     assert len(poses) == 1
     assert poses[0].present_count() == 4
@@ -241,7 +237,7 @@ def test_one_candidate_per_category_yields_one_pose():
 
 def test_greedy_rejects_below_threshold_members():
     reg = flat_reg()
-    part = partition_of((cand(0, (5, 5), 0.05),), reg, (5.0, 5.0))
+    part = partition_of((cand(0, (5, 5), 0.05),), reg)
     with pytest.raises(ParameterError):
         infer_all([part], four_joint_layout())[0].poses
 
@@ -256,7 +252,7 @@ def test_every_member_is_assigned_exactly_once():
         (2, (8, 8), 0.6),
     ]
     reg = flat_reg()
-    part = partition_of([cand(j, p, s) for j, p, s in cells], reg, (10.0, 10.0))
+    part = partition_of([cand(j, p, s) for j, p, s in cells], reg)
     poses, trace = infer_all([part], four_joint_layout())
     filled = [(j, c) for pose in poses.poses for j, c in enumerate(pose.joints) if c is not None]
     assigned = sorted((j, c.position) for j, c in filled)
@@ -274,9 +270,7 @@ def test_every_member_is_assigned_exactly_once():
 
 def test_ties_resolve_to_the_row_major_candidate():
     reg = flat_reg()
-    part = partition_of(
-        (cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)), reg, (5.0, 5.0)
-    )
+    part = partition_of((cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)), reg)
     poses = infer_all([part], four_joint_layout())[0].poses
     # Both torso candidates lie one pixel from the root's vote with equal
     # scores; the smaller x wins, the loser roots a second pose.
@@ -290,7 +284,6 @@ def test_assembly_follows_the_votes_the_partition_carries():
     part = Partition(
         members=(cand(0, (5, 5), 0.9), cand(1, (4, 5), 0.6), cand(1, (6, 5), 0.6)),
         votes=((5.0, 5.0), (9.0, 5.0), (5.0, 5.0)),
-        centroid=(5.0, 5.0),
     )
     poses, trace = infer_all([part], four_joint_layout())
     assert pose_positions(poses.poses[0]) == {0: (5, 5), 1: (6, 5)}
@@ -326,7 +319,6 @@ def assembly_cases(draw):
             Partition(
                 members=tuple(cand(j, (x, y), score) for j, x, y, score, _, _ in cells),
                 votes=tuple((vx / 2, vy / 2) for _, _, _, _, vx, vy in cells),
-                centroid=(0.0, 0.0),
             )
         )
     return layout, partitions
@@ -349,7 +341,6 @@ def test_negative_zero_votes_center_like_sum():
     part = Partition(
         members=(cand(0, (1, 1), 0.9), cand(1, (2, 1), 0.8), cand(0, (5, 5), 0.7)),
         votes=((-0.0, -0.0), (-0.0, -0.0), (-0.0, 3.0)),
-        centroid=(0.0, 0.0),
     )
     poses = infer_all([part], four_joint_layout())[0].poses
     assert repr(poses[0].final_centroid) == "(0.0, 0.0)"
@@ -358,10 +349,10 @@ def test_negative_zero_votes_center_like_sum():
 
 def test_greedy_rejects_nan_scores_and_foreign_joints():
     reg = flat_reg()
-    nan_member = partition_of((cand(0, (5, 5), math.nan),), reg, (5.0, 5.0))
+    nan_member = partition_of((cand(0, (5, 5), math.nan),), reg)
     with pytest.raises(ParameterError, match="below tau"):
         infer_all([nan_member], four_joint_layout())[0].poses
-    foreign = partition_of((cand(0, (5, 5), 0.9), cand(3, (5, 5), 0.9)), reg, (5.0, 5.0))
+    foreign = partition_of((cand(0, (5, 5), 0.9), cand(3, (5, 5), 0.9)), reg)
     with pytest.raises(ParameterError, match="joint id 3 is not in the layout"):
         infer_all([foreign], four_joint_layout()[:3])[0].poses
 
@@ -369,10 +360,10 @@ def test_greedy_rejects_nan_scores_and_foreign_joints():
 def test_infer_all_rejects_a_layout_that_validation_rejects():
     # A joint-5 candidate with a one-entry layout used to index past its
     # pose's slots and raise a bare IndexError.
-    joint5 = partition_of((cand(5, (5, 5), 0.9),), flat_reg(k=6), (5.0, 5.0))
+    joint5 = partition_of((cand(5, (5, 5), 0.9),), flat_reg(k=6))
     with pytest.raises(AnnotationError, match="joint ids must be a permutation"):
         infer_all([joint5], [JointSpec(5, "n", 0)])
-    neck = partition_of((cand(0, (5, 5), 0.9),), flat_reg(), (5.0, 5.0))
+    neck = partition_of((cand(0, (5, 5), 0.9),), flat_reg())
     repeated_ids = (JointSpec(0, "neck", 0), JointSpec(0, "torso", 1))
     repeated_ranks = (JointSpec(0, "neck", 0), JointSpec(1, "torso", 0))
     for layout, message in ((repeated_ids, "joint ids"), (repeated_ranks, "inference ranks")):
@@ -383,7 +374,7 @@ def test_infer_all_rejects_a_layout_that_validation_rejects():
 @pytest.mark.parametrize("tau", ["x", None, math.nan, 0.0, -1.0, 1.0])
 def test_infer_all_applies_the_detector_tau_rule(tau):
     # The rule DetectorParams applies: 0 < tau < 1, with or without partitions.
-    part = partition_of((cand(0, (5, 5), 0.9),), flat_reg(), (5.0, 5.0))
+    part = partition_of((cand(0, (5, 5), 0.9),), flat_reg())
     for partitions in ([], [part]):
         with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):
             infer_all(partitions, four_joint_layout(), tau)
@@ -398,7 +389,7 @@ def test_pairwise_and_energy_apply_the_detector_tau_rule(tau):
     reg = flat_reg()
     with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):
         pairwise(cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.8), reg, tau)
-    part = partition_of((cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.8)), reg, (5.0, 5.0))
+    part = partition_of((cand(0, (5, 5), 0.9), cand(1, (5, 5), 0.8)), reg)
     poses, _ = infer_all([part], four_joint_layout())
     for decoded in (poses, PoseSet(poses=())):
         with pytest.raises(ParameterError, match=r"tau must lie in \(0, 1\), got"):

@@ -45,9 +45,8 @@ def sample_partitions(cands):
         Partition(
             members=(cands[0], cands[1]),
             votes=((12.0, 7.0), (14 + z * float(np.float32(0.01)), 9 + z * float(np.float32(-0.02)))),
-            centroid=(13.0, 8.5),
         ),
-        Partition(members=(cands[2],), votes=((40.0, 41.0),), centroid=(40.5, 41.0)),
+        Partition(members=(cands[2],), votes=((40.0, 41.0),)),
     ]
 
 
@@ -140,12 +139,15 @@ def test_candidates_reject_json_booleans(key):
 
 def test_partitions_round_trip():
     cands = sample_candidates()
-    doc = partitions_to_doc(sample_partitions(cands), cands)
-    # Members are candidate indices; the vote points are not stored.
+    parts = sample_partitions(cands)
+    doc = partitions_to_doc(parts, cands)
+    # Members are candidate indices; the vote points are not stored, only
+    # their mean.
+    (ax, ay), (bx, by) = parts[0].votes
     assert json.loads(json.dumps(doc)) == {
         "partitions": [
-            {"members": [0, 1], "centroid": [13.0, 8.5]},
-            {"members": [2], "centroid": [40.5, 41.0]},
+            {"members": [0, 1], "centroid": [(ax + bx) / 2, (ay + by) / 2]},
+            {"members": [2], "centroid": [40.0, 41.0]},
         ]
     }
 
@@ -153,7 +155,7 @@ def test_partitions_round_trip():
 def test_partitions_require_known_members():
     cands = sample_candidates()
     stranger = JointCandidate(joint_id=5, position=(0, 0), score=0.5)
-    part = Partition(members=(stranger,), votes=((0.0, 0.0),), centroid=(0.0, 0.0))
+    part = Partition(members=(stranger,), votes=((0.0, 0.0),))
     with pytest.raises(SchemaError, match="candidate list"):
         partitions_to_doc([part], cands)
 
@@ -321,9 +323,9 @@ _READERS = {
         ("scene", ("persons", 1, "joints", 2), [1], "persons[1].joints[2] must be a [x, y] number pair"),
         ("scene", ("persons", 0, "joints", 3), [1, True], "persons[0].joints[3] must be a [x, y] number pair"),
         ("scene", ("persons", 0, "joints", 4), {"x": 1}, "persons[0].joints[4] must be a [x, y] number pair"),
-        ("scene", ("persons", 1, "centroid"), [1, "a"], "persons[1].centroid must be a [x, y] number pair"),
+        ("scene", ("persons", 1, "joints", 7), [1, "a"], "persons[1].joints[7] must be a [x, y] number pair"),
         ("scene", ("persons", 0, "joints", 1), [10**400, 3], "persons[0].joints[1] is too large"),
-        ("scene", ("persons", 1, "centroid"), [2, -(10**400)], "persons[1].centroid is too large"),
+        ("scene", ("persons", 1, "joints", 5), [2, -(10**400)], "persons[1].joints[5] is too large"),
         ("scene", ("persons", 1, "joints", 6), [64, 3], "invalid scene: person 1 joint 6 at (64, 3) is outside the canvas"),
         ("config", ("joint_spec", 0, "id"), "x", "joint_spec[0].id must be an integer"),
         (

@@ -1,7 +1,6 @@
 """Forward model: confidence maps, regression maps, and the map losses."""
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,15 +29,14 @@ def layout_k(k):
     return tuple(specs)
 
 
-def make_scene(person_joints, height=64, width=64, centroids=None, k=None):
+def make_scene(person_joints, height=64, width=64, k=None):
     """Scene from per-person joint lists; None entries mark absent joints."""
     if k is None:
         k = max(len(js) for js in person_joints)
     persons = []
-    for i, joints in enumerate(person_joints):
+    for joints in person_joints:
         slots = list(joints) + [None] * (k - len(joints))
-        cent = centroids[i] if centroids is not None else None
-        persons.append(PersonAnnotation(joints=tuple(slots), centroid=cent))
+        persons.append(PersonAnnotation(joints=tuple(slots)))
     return Scene(height=height, width=width, joint_layout=layout_k(k), persons=tuple(persons))
 
 
@@ -214,9 +212,8 @@ def test_confidence_absent_joint_leaves_plane_empty():
 
 
 def test_regression_offset_toward_centroid():
-    scene = make_scene(
-        [[(50.0, 40.0)]], height=100, width=100, centroids=[(50.0, 50.0)]
-    )
+    # The person's centroid is its joints' mean, (50, 50).
+    scene = make_scene([[(50.0, 40.0), (50.0, 60.0)]], height=100, width=100)
     reg = build_regression_maps(scene)
     z = math.hypot(100, 100)
     got = reg.values[0, 40, 50]
@@ -226,7 +223,7 @@ def test_regression_offset_toward_centroid():
 
 
 def test_regression_zero_outside_radius():
-    scene = make_scene([[(50.0, 40.0)]], height=100, width=100, centroids=[(50.0, 50.0)])
+    scene = make_scene([[(50.0, 40.0), (50.0, 60.0)]], height=100, width=100)
     reg = build_regression_maps(scene)
     # Eight pixels out along an axis, and at a diagonal 5,5 (distance ~7.07),
     # both beyond the radius-7 disk.
@@ -254,7 +251,7 @@ def test_regression_matches_formula_oracle():
                             continue
                         if (x - pos[0]) ** 2 + (y - pos[1]) ** 2 > 49.0:
                             continue
-                        cx, cy = person.centroid or (
+                        cx, cy = (
                             sum(p[0] for p in person.joints if p) / sum(1 for p in person.joints if p),
                             sum(p[1] for p in person.joints if p) / sum(1 for p in person.joints if p),
                         )
@@ -268,11 +265,11 @@ def test_regression_matches_formula_oracle():
 
 
 def test_regression_overlap_averages_two_contributors():
+    # Joint means (30, 30) and (10, 10).
     scene = make_scene(
-        [[(20.0, 20.0)], [(26.0, 20.0)]],
+        [[(20.0, 20.0), (35.0, 35.0), (35.0, 35.0)], [(26.0, 20.0), (2.0, 5.0), (2.0, 5.0)]],
         height=64,
         width=64,
-        centroids=[(30.0, 30.0), (10.0, 10.0)],
     )
     reg = build_regression_maps(scene)
     z = math.hypot(64, 64)
@@ -289,9 +286,9 @@ def test_regression_overlap_averages_two_contributors():
 
 
 def test_regression_zero_vector_at_coincident_centroid():
-    # A person standing exactly on their centroid stores a zero vector there
-    # but proper offsets at the rest of the disk.
-    scene = make_scene([[(20.0, 20.0)]], height=64, width=64, centroids=[(20.0, 20.0)])
+    # A one-joint person stands exactly on their centroid: a zero vector
+    # there but proper offsets at the rest of the disk.
+    scene = make_scene([[(20.0, 20.0)]], height=64, width=64)
     reg = build_regression_maps(scene)
     assert tuple(reg.values[0, 20, 20]) == (0.0, 0.0)
     z = math.hypot(64, 64)
@@ -386,32 +383,23 @@ def regression_scenes(draw):
         ]
         if all(p is None for p in joints):
             joints[0] = anchors[0]
-        # A centroid on a pixel inside some disk gives that pixel a zero
-        # vector, which is not counted.
-        ax, ay = math.floor(anchors[0][0]), math.floor(anchors[0][1])
-        centroid = draw(
-            st.none()
-            | st.tuples(st.integers(ax - 2, ax + 2), st.integers(ay - 2, ay + 2)).map(
-                lambda c: (float(c[0]), float(c[1]))
-            )
-            | st.tuples(st.floats(-w, 2.0 * w), st.floats(-h, 2.0 * h))
-        )
-        persons.append(PersonAnnotation(joints=tuple(joints), centroid=centroid))
+        # A joint mean on a pixel inside some disk (a one-joint person on a
+        # pixel, say) gives that pixel a zero vector, which is not counted.
+        persons.append(PersonAnnotation(joints=tuple(joints)))
     return Scene(height=h, width=w, joint_layout=layout_k(k), persons=tuple(persons)), radius
 
 
-# Seven persons whose disks all cover (20, 20), summed in scene order.
+# Seven persons whose joint-0 disks all cover (20, 20), summed in scene
+# order; their second joints pull the centroids every way, one to within
+# 1e-9 of the pixel.
 CROWDED_PIXEL = make_scene(
     [
-        [(20.0, 20.0)], [(21.0, 20.0)], [(19.5, 20.5)], [(20.0, 18.0)],
-        [(22.0, 21.0)], [(20.25, 19.0)], [(18.0, 22.0)],
+        [(20.0, 20.0), (0.0, 39.0)], [(21.0, 20.0), (39.0, 0.0)],
+        [(19.5, 20.5), (20.5, 19.5 + 2e-9)], [(20.0, 18.0), (39.0, 39.0)],
+        [(22.0, 21.0), (0.5, 0.5)], [(20.25, 19.0), (20.0, 5.0)], [(18.0, 22.0), (31.7, 20.0)],
     ],
     height=40,
     width=40,
-    centroids=[
-        (3.1, 37.9), (36.9, 2.1), (20.0, 20.0 + 1e-9), (39.0, 39.0),
-        (0.5, 0.5), (20.0, 5.0), (31.7, 20.0),
-    ],
 )
 
 
@@ -422,7 +410,6 @@ EDGE_JOINTS = make_scene(
     [[(0.0, 0.0), (23.0, 12.0)], [(23.0, 23.0), (0.0, 17.0)], [(12.0, 23.0), (9.0, 0.0)]],
     height=24,
     width=24,
-    centroids=[(11.0, 11.0), None, (30.5, -4.0)],
 )
 
 
@@ -439,12 +426,14 @@ def test_window_local_regression_matches_full_canvas_bytes(case):
 
 
 def test_regression_sums_overlaps_in_scene_order():
-    # Three persons share a joint; at (32, 32) the first two offsets nearly
-    # cancel and the third is tiny, so float64 addition order shows in the
-    # float32 output: the last contribution must be added last.
-    centroids = [(62.3, 61.7), (1.7, 2.3), (32.0 + 1e-9, 32.0 + 1e-9)]
-    scene = make_scene([[(32.0, 32.0)]] * 3, height=64, width=64, centroids=centroids)
-    reordered = make_scene([[(32.0, 32.0)]] * 3, height=64, width=64, centroids=centroids[::-1])
+    # Three persons share a joint; their second joints put the centroids at
+    # about (94.3, 93.7), (33.7, 34.3) and 1e-9 past (64, 64).  At (64, 64)
+    # the first two offsets nearly cancel and the third is tiny, so float64
+    # addition order shows in the float32 output: the last contribution
+    # must be added last.
+    persons = [[(64.0, 64.0), (124.6, 123.4)], [(64.0, 64.0), (3.4, 4.6)], [(64.0, 64.0), (64.0 + 2e-9,) * 2]]
+    scene = make_scene(persons, height=128, width=128)
+    reordered = make_scene(persons[::-1], height=128, width=128)
     params = ForwardParams(radius=3.0)
     assert full_canvas_regression(scene, 3.0).tobytes() != full_canvas_regression(reordered, 3.0).tobytes()
     for s in (scene, reordered):
@@ -458,7 +447,6 @@ def test_regression_radius_far_past_the_canvas_matches_full_canvas_bytes():
         [[(0.0, 7.0), (3.5, 2.0)], [(5.0, 2.0), None], [(2.5, 3.0), (5.0, 7.0)]],
         height=8,
         width=6,
-        centroids=[(1.0, 1.0), None, (5.0, 7.0)],
     )
     got = build_regression_maps(scene, ForwardParams(radius=1e6)).values
     assert got.tobytes() == full_canvas_regression(scene, 1e6).tobytes()
@@ -486,23 +474,24 @@ def test_regression_vector_magnitudes_bounded_by_one():
         assert float(mags.max()) <= 1.0
 
 
-def test_regression_offset_past_float32_is_rejected_naming_person_and_joint():
-    # The Scene rule asks only for a finite centroid; a centroid at 1e300
-    # used to warn "overflow encountered in cast" and store inf offsets.
-    far = make_scene(
-        [[(10.0, 10.0)], [(30.0, 30.0), (31.0, 30.0)]],
-        height=64,
-        width=64,
-        centroids=[None, (1e300, 30.0)],
-        k=2,
-    )
-    with pytest.raises(ParameterError, match=r"person 1 joint 0 toward centroid \(1e\+300, 30\)"):
-        build_regression_maps(far)
-    # The largest centroid whose offsets still fit is kept, not rejected.
-    edge = float(np.finfo(np.float32).max) * far.norm_factor / 2
-    near = replace(far.persons[1], centroid=(edge, 30.0))
-    reg = build_regression_maps(replace(far, persons=(far.persons[0], near)))
-    assert np.isfinite(reg.values).all()
+def mean_left_to_right(points):
+    sx = sy = 0.0
+    for x, y in points:
+        sx += x
+        sy += y
+    return (sx / len(points), sy / len(points))
+
+
+@settings(max_examples=150, deadline=None)
+@given(regression_scenes())
+def test_regression_offsets_toward_the_joint_mean_stay_within_one(case):
+    # A person's centroid is the mean of its joints, so it lies on the
+    # canvas, and no offset from a canvas pixel to it reaches the diagonal Z.
+    scene, radius = case
+    for person in scene.persons:
+        assert person_centroid(person) == mean_left_to_right([p for p in person.joints if p is not None])
+    values = build_regression_maps(scene, ForwardParams(radius=radius)).values
+    assert float(np.abs(values).max(initial=0.0)) <= 1.0
 
 
 # --- parameters and container invariants ------------------------------------

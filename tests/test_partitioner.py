@@ -1,5 +1,7 @@
 """Centroid voting, vote density, and agglomerative partitioning."""
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -85,9 +87,9 @@ def oracle_cluster(points, threshold):
 def partitions_from_member_sets(canonical, member_sets):
     """The partitions of these member sets (index lists into the votes in
     canonical order), built in plain Python from the sets alone: members in
-    canonical order and a centroid that is the sum of their votes, added
-    left to right from 0.0, over their count.  Partitions run in the order
-    of their smallest member."""
+    canonical order, each with its vote, and a centroid that is checked to
+    be the sum of their votes, added left to right from 0.0, over their
+    count.  Partitions run in the order of their smallest member."""
     partitions = []
     for members in sorted(sorted(m) for m in member_sets):
         own = [canonical[i] for i in members]
@@ -95,15 +97,23 @@ def partitions_from_member_sets(canonical, member_sets):
         for vote in own:
             sx += vote.point[0]
             sy += vote.point[1]
-        centroid = (sx / len(own), sy / len(own))
-        partitions.append(
-            Partition(
-                members=tuple(v.source for v in own),
-                votes=tuple(v.point for v in own),
-                centroid=centroid,
-            )
-        )
+        part = Partition(members=tuple(v.source for v in own), votes=tuple(v.point for v in own))
+        assert repr(part.centroid) == repr((sx / len(own), sy / len(own)))
+        partitions.append(part)
     return partitions
+
+
+def bincount_centroids(votes, partitions):
+    """The centroids cluster_votes once computed for its partitions: one
+    np.bincount per axis over the votes in canonical order, labelled by
+    partition, which adds each partition's votes from 0.0 in that order,
+    over a bincount of the labels."""
+    canonical = sorted(votes, key=lambda v: v.source.sort_key())
+    pts = np.array([v.point for v in canonical], dtype=np.float64)
+    partition_of = {m: p for p, part in enumerate(partitions) for m in part.members}
+    label = np.array([partition_of[v.source] for v in canonical], dtype=np.intp)
+    sums = np.stack([np.bincount(label, weights=pts[:, axis]) for axis in (0, 1)], axis=1)
+    return [tuple(c) for c in (sums / np.bincount(label)[:, None]).tolist()]
 
 
 def reference_cluster_votes(votes, params):
@@ -374,7 +384,8 @@ def test_cluster_invariant_to_vote_order(case):
     votes = votes_at(pts)
     params = ClusterParams(link_threshold=threshold)
     parts = cluster_votes(votes, params)
-    # Partition equality covers members, votes and centroid, bit for bit.
+    # Partition equality covers members and votes, bit for bit, and so the
+    # centroid derived from the votes.
     assert cluster_votes([votes[i] for i in perm], params) == parts
 
 
@@ -413,8 +424,8 @@ def test_cluster_matches_the_reference_bit_for_bit(case):
     votes, params = case
     got = cluster_votes(votes, params)
     expect = reference_cluster_votes(votes, params)
-    # Partition equality covers members, votes and centroid; repr also
-    # tells -0.0 from 0.0.
+    # Partition equality covers members and votes, and so the derived
+    # centroid; repr also tells -0.0 from 0.0.
     assert got == expect
     assert repr(got) == repr(expect)
 
@@ -494,6 +505,7 @@ def test_cluster_matches_the_reference_on_many_votes():
         expect = reference_cluster_votes(votes, params)
         assert got == expect
         assert repr(got) == repr(expect)
+        assert repr([p.centroid for p in got]) == repr(bincount_centroids(votes, got))
         sizes.append(len(votes))
     assert min(sizes[:3]) >= 100 and sizes[3] >= 600, sizes
 
@@ -624,9 +636,34 @@ def test_partition_votes_are_the_members_embed_points():
 def test_partition_votes_must_match_members():
     src = vote_at((0, 0)).source
     with pytest.raises(DimensionError):
-        Partition(members=(src,), votes=(), centroid=(0.0, 0.0))
+        Partition(members=(src,), votes=())
     with pytest.raises(DimensionError):
-        Partition(members=(src,), votes=((0.0, 0.0), (1.0, 1.0)), centroid=(0.0, 0.0))
+        Partition(members=(src,), votes=((0.0, 0.0), (1.0, 1.0)))
+    # No partition is empty, so every one has a centroid.
+    with pytest.raises(DimensionError, match="0 votes for 0 members"):
+        Partition((), ())
+
+
+coordinates = st.sampled_from([0.0, -0.0]) | st.floats(-1e9, 1e9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=30),
+    case=weighted_vote_sets() | non_dyadic_vote_sets(),
+)
+def test_a_partition_centroid_is_its_votes_mean(points, case):
+    # By hand: each coordinate's sum, left to right from 0.0, over the count;
+    # repr tells -0.0 (which a sum from 0.0 turns into 0.0) from 0.0.
+    part = Partition(tuple(vote_at(p, position=(i, 0)).source for i, p in enumerate(points)), tuple(points))
+    n = len(points)
+    xs, ys = zip(*points)
+    expect = (functools.reduce(operator.add, xs, 0.0) / n, functools.reduce(operator.add, ys, 0.0) / n)
+    assert repr(part.centroid) == repr(expect)
+    # From clustering: the per-label bincount clustering once computed.
+    votes, params = case
+    parts = cluster_votes(votes, params)
+    assert repr([p.centroid for p in parts]) == repr(bincount_centroids(votes, parts))
 
 
 def test_merged_crowds_on_large_canvases_decode():

@@ -21,7 +21,7 @@ from posepartition.errors import (
 )
 from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.infer import PoseSet
-from posepartition.maps import ForwardParams
+from posepartition.maps import ForwardParams, build_regression_maps
 from posepartition.partition import ClusterParams
 from posepartition.pipeline import synth_maps
 from posepartition.render import render_poses
@@ -52,10 +52,10 @@ def tiny_layout():
     )
 
 
-def one_person_scene(positions, height=64, width=64, centroid=None):
+def one_person_scene(positions, height=64, width=64):
     layout = tiny_layout()
     assert len(positions) == len(layout)
-    person = PersonAnnotation(joints=tuple(positions), centroid=centroid)
+    person = PersonAnnotation(joints=tuple(positions))
     return Scene(height=height, width=width, joint_layout=layout, persons=(person,))
 
 
@@ -172,13 +172,6 @@ def test_person_centroid_translation_equivariance():
         )
         assert abs(shifted[0] - (base[0] + tx)) <= 1e-9
         assert abs(shifted[1] - (base[1] + ty)) <= 1e-9
-
-
-def test_person_centroid_prefers_explicit_value():
-    person = PersonAnnotation(joints=((10.0, 10.0), (20.0, 30.0), None, None), centroid=(1.0, 2.0))
-    assert person_centroid(person) == (1.0, 2.0)
-    bare = PersonAnnotation(joints=((10.0, 10.0), (20.0, 30.0), None, None))
-    assert person_centroid(bare) == (15.0, 20.0)
 
 
 # --- scene validation -------------------------------------------------------
@@ -324,18 +317,13 @@ def scene_fields(draw):
     # Half the scenes keep every person rule, so that many of them build.
     broken = draw(st.booleans())
     anywhere = st.tuples(st.floats(), st.floats())
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     inside = st.tuples(
         st.floats(0.0, width, exclude_max=True), st.floats(0.0, height, exclude_max=True)
     )
     joint = inside | anywhere if broken else inside
-    centroid = anywhere if broken else st.tuples(finite, finite)
     slot_count = st.integers(k - 1, k + 1) if broken else st.just(k)
     persons = [
-        PersonAnnotation(
-            joints=tuple(draw(st.none() | joint) for _ in range(draw(slot_count))),
-            centroid=draw(st.none() | centroid),
-        )
+        PersonAnnotation(joints=tuple(draw(st.none() | joint) for _ in range(draw(slot_count))))
         for _ in range(draw(st.integers(0, 3)))
     ]
     return dict(height=height, width=width, joint_layout=tuple(layout), persons=tuple(persons))
@@ -360,7 +348,7 @@ def test_a_scene_that_builds_is_safe_for_every_stage(fields):
 
 
 def seeded_scene():
-    """A 16-joint scene with random absent joints and centroids."""
+    """A 16-joint scene with random absent joints."""
     layout = mpii_joint_layout()
     rng = np.random.default_rng(3)
     persons = []
@@ -373,37 +361,25 @@ def seeded_scene():
                 slots.append(tuple(float(v) for v in rng.integers(0, 200, size=2)))
         if not any(s is not None for s in slots):
             slots[0] = (5.0, 5.0)
-        persons.append(
-            PersonAnnotation(
-                joints=tuple(slots),
-                centroid=(100.5, 90.25) if rng.random() < 0.5 else None,
-            )
-        )
+        persons.append(PersonAnnotation(joints=tuple(slots)))
     return Scene(height=220, width=210, joint_layout=layout, persons=tuple(persons))
 
 
 @st.composite
 def scenes(draw):
-    """Valid scenes with non-integer joints, absent joints and explicit
-    centroids."""
+    """Valid scenes with non-integer joints and absent joints."""
     height = draw(st.integers(1, 300))
     width = draw(st.integers(1, 300))
     layout = draw(st.sampled_from([tiny_layout(), mpii_joint_layout()]))
     joint = st.tuples(
         st.floats(0.0, width, exclude_max=True), st.floats(0.0, height, exclude_max=True)
     )
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     persons = []
     for _ in range(draw(st.integers(0, 3))):
         slots = [draw(st.none() | joint) for _ in layout]
         if all(p is None for p in slots):
             slots[draw(st.integers(0, len(layout) - 1))] = draw(joint)
-        persons.append(
-            PersonAnnotation(
-                joints=tuple(slots),
-                centroid=draw(st.none() | st.tuples(finite, finite)),
-            )
-        )
+        persons.append(PersonAnnotation(joints=tuple(slots)))
     return Scene(height=height, width=width, joint_layout=layout, persons=tuple(persons))
 
 
@@ -438,6 +414,20 @@ def test_old_scene_documents_with_mirror_ids_and_head_boxes_load():
     assert scene_from_dict(json.loads(json.dumps(old))) == scene
     assert layout_from_doc(old["joint_spec"]) == mpii_joint_layout()
     assert not any(key in dump_scene(scene) for key in ("head_box", "mirror_id", "group"))
+
+
+def test_old_scene_documents_with_person_centroids_load_as_the_joint_mean():
+    # Dumps once wrote "centroid": null for each person, and readers took an
+    # explicit [x, y] in place of the joints' mean.  Readers ignore the key.
+    bare = scene_to_dict(seeded_scene())
+    old = json.loads(json.dumps(bare))
+    old["persons"][0]["centroid"] = [100.5, 90.25]
+    old["persons"][1]["centroid"] = None
+    scene = scene_from_dict(old)
+    assert scene == scene_from_dict(bare)
+    maps = build_regression_maps(scene).values
+    assert maps.tobytes() == build_regression_maps(scene_from_dict(bare)).values.tobytes()
+    assert "centroid" not in dump_scene(scene)
 
 
 def test_scene_json_integral_floats_written_as_ints():
@@ -479,9 +469,6 @@ def test_scene_json_schema_errors():
 
     # Python's json reads the NaN and Infinity tokens.
     for token in ("Infinity", "NaN"):
-        text = json.dumps(dict(good, persons=[dict(good["persons"][0], centroid=[0, "X"])]))
-        with pytest.raises(SchemaError, match="person 0 centroid is not finite"):
-            scene_from_dict(json.loads(text.replace('"X"', token)))
         joints = [[1, 1], [0, "X"]] + good["persons"][0]["joints"][2:]
         text = json.dumps(dict(good, persons=[dict(good["persons"][0], joints=joints)]))
         with pytest.raises(SchemaError, match="person 0 joint 1 is not finite"):
@@ -494,10 +481,9 @@ def test_scene_integers_past_float_range_are_schema_errors():
     joint["persons"][0]["joints"][1] = [10**400, 3]
     with pytest.raises(SchemaError, match=r"persons\[0\]\.joints\[1\] is too large"):
         scene_from_dict(joint)
-    centroid = json.loads(json.dumps(good))
-    centroid["persons"][0]["centroid"] = [2, -(10**400)]
-    with pytest.raises(SchemaError, match=r"persons\[0\]\.centroid is too large"):
-        scene_from_dict(centroid)
+    joint["persons"][0]["joints"][1] = [2, -(10**400)]
+    with pytest.raises(SchemaError, match=r"persons\[0\]\.joints\[1\] is too large"):
+        scene_from_dict(joint)
 
 
 @pytest.mark.parametrize(
