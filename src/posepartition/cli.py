@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import json
 import sys
@@ -130,12 +129,9 @@ def _cmd_decode(args) -> int:
     reg = read_regression(args.reg)
     result = decode_maps(conf, reg, cfg)
     save_json(poses_to_doc(result.poses, conf.height, conf.width), args.out)
-    if args.trace:
-        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "energy"])
-            for i, value in enumerate(result.energy_trace):
-                writer.writerow([i, repr(value)])
+    if args.trace:  # the bytes csv.writer writes: no field needs quoting
+        rows = "".join("%d,%r\r\n" % step for step in enumerate(result.energy_trace))
+        Path(args.trace).write_text("step,energy\r\n" + rows, encoding="utf-8", newline="")
     return EXIT_OK
 
 
@@ -189,8 +185,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    spec = _params(corpus_mod.CorpusSpec, args)
     try:
-        scenes = corpus_mod.generate_corpus(_params(corpus_mod.CorpusSpec, args), args.seed)
+        scenes = corpus_mod.generate_corpus(spec, args.seed)
     except ParameterError as exc:
         raise ConfigurationError(str(exc)) from exc
     out_dir = Path(args.out_dir)

@@ -19,8 +19,9 @@ integer pixel centers:
   where Z is the canvas diagonal, so each component stays within 1.  Pixels
   covered by several persons store the mean of the non-zero contributions;
   pixels covered by none store (0, 0).  All windows, clipped to the canvas,
-  feed one ordered scatter (joint-major, persons in scene order) whose
-  float64 sums are those of a full-canvas accumulator, so the output is too.
+  feed one ordered pixel list (joint-major, persons in scene order); shared
+  pixels sum it in float64 as a full-canvas accumulator does, so the output
+  is the same.
 """
 from __future__ import annotations
 
@@ -204,10 +205,11 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     the pixel contributes a zero vector and is not counted).
 
     Every (joint, person) window, clipped to the canvas, contributes its
-    disk pixels to one list, joint-major with persons in scene order.  The
-    per-pixel float64 sums come from one bincount over that list, which adds
-    from 0.0 in list order, so each pixel sums its contributions in the same
-    order as a full-canvas accumulator would, and so the output is the same.
+    disk pixels to one list, joint-major with persons in scene order, and
+    each listed pixel stores its offset.  Pixels listed more than once (one
+    sort finds them) then store the mean from a bincount over their entries,
+    which adds from 0.0 in list order as a full-canvas accumulator would, so
+    the output is the same.
     """
     params = params or ForwardParams()
     k, h, w = scene.num_joints, scene.height, scene.width
@@ -238,17 +240,21 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     keep &= (ys <= yhi[:, None])[:, :, None] & (xs <= xhi[:, None])[:, None, :]
     keep &= (offy != 0.0)[:, :, None] | (offx != 0.0)[:, None, :]
     # Kept pixels in window order, each window row-major.
-    win, iy, ix = np.nonzero(keep)
+    _, ny, nx = keep.shape
     corner = ((j * h + ylo) * w + xlo).astype(np.intp)
-    cell = corner[win] + iy * w + ix
-    vx, vy = offx[win, ix], offy[win, iy]
-    pixels, inverse = np.unique(cell, return_inverse=True)
-    # Dividing by a count of 1 is exact, so single-contributor pixels keep
-    # their sum.
-    counts = np.bincount(inverse)
+    cell = (corner[:, None, None] + np.arange(0, ny * w, w)[:, None] + np.arange(nx))[keep]
+    vx, vy = np.repeat(offx[:, None], ny, 1)[keep], np.repeat(offy[:, :, None], nx, 2)[keep]
+    # A lone offset is its own sum: no offset is -0.0, as centroids sum from 0.0.
     flat = out.reshape(-1, 2)
-    flat[pixels, 0] = np.bincount(inverse, weights=vx) / counts
-    flat[pixels, 1] = np.bincount(inverse, weights=vy) / counts
+    flat[cell, 0] = vx
+    flat[cell, 1] = vy
+    # Each window is an ascending run of cells, which a merge sort takes whole.
+    ordered = np.sort(cell, kind="stable")
+    shared = np.isin(cell, ordered[1:][ordered[1:] == ordered[:-1]])
+    pixels, inverse = np.unique(cell[shared], return_inverse=True)
+    counts = np.bincount(inverse)
+    flat[pixels, 0] = np.bincount(inverse, weights=vx[shared]) / counts
+    flat[pixels, 1] = np.bincount(inverse, weights=vy[shared]) / counts
     return RegressionMapSet(out)
 
 

@@ -80,26 +80,32 @@ class Partition:
 
 
 def embed(candidates: Sequence[JointCandidate], reg: RegressionMapSet) -> list[Vote]:
-    """Map candidates to centroid votes via the regression maps.
-
-    A candidate whose regression offset is not finite raises ParameterError.
+    """Map candidates to centroid votes via the regression maps: one gather
+    reads every offset, and each vote is x + z * tx in Python floats.
+    The first candidate that fails a check raises ParameterError: a joint id
+    outside the maps, then a position off the grid, then a non-finite offset.
     """
-    z = reg.norm_factor
-    votes = []
-    for cand in candidates:
-        x, y = cand.position
-        if not (0 <= cand.joint_id < reg.num_joints):
-            raise ParameterError("candidate joint id %d outside regression maps" % cand.joint_id)
-        if not (0 <= x < reg.width and 0 <= y < reg.height):
+    k, h, w = reg.values.shape[:3]
+    # Each candidate's row in the (K * H * W, 2) view, -1 if off the maps.
+    cells = [
+        (j * h + y) * w + x if 0 <= j < k and 0 <= x < w and 0 <= y < h else -1
+        for j, (x, y) in ((c.joint_id, c.position) for c in candidates)
+    ]
+    # Not take(): it copies maps read unaligned from a PMAP file whole.
+    t = reg.values.reshape(-1, 2)[cells]
+    if -1 in cells or not np.isfinite(t).all():
+        i = next(i for i, cell in enumerate(cells) if cell < 0 or not np.isfinite(t[i]).all())
+        (x, y), j = candidates[i].position, candidates[i].joint_id
+        if not 0 <= j < k:
+            raise ParameterError("candidate joint id %d outside regression maps" % j)
+        if not (0 <= x < w and 0 <= y < h):
             raise ParameterError("candidate position (%d, %d) outside the grid" % (x, y))
-        tx = float(reg.values[cand.joint_id, y, x, 0])
-        ty = float(reg.values[cand.joint_id, y, x, 1])
-        if not (math.isfinite(tx) and math.isfinite(ty)):
-            raise ParameterError(
-                "regression offset of joint %d at (%d, %d) is not finite" % (cand.joint_id, x, y)
-            )
-        votes.append(Vote(source=cand, point=(x + z * tx, y + z * ty)))
-    return votes
+        raise ParameterError("regression offset of joint %d at (%d, %d) is not finite" % (j, x, y))
+    z = reg.norm_factor
+    return [
+        Vote(source=c, point=(c.position[0] + z * tx, c.position[1] + z * ty))
+        for c, (tx, ty) in zip(candidates, t.tolist())
+    ]
 
 
 def vote_density(point: tuple[float, float], votes: Sequence[Vote], params: ClusterParams) -> float:

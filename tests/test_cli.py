@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline runs and exit codes."""
 import csv
+import io
 import json
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posepartition import cli
 from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _load_cli_config, _parser, main
 from posepartition.config import PipelineConfig, config_from_dict, config_to_dict, load_config
 from posepartition.errors import ConfigurationError
@@ -18,6 +20,7 @@ from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.detect import JointCandidate
 from posepartition.infer import PersonPose, PoseSet
 from posepartition.iojson import poses_from_doc, poses_to_doc, report_to_doc, save_json
+from posepartition.pipeline import DecodeResult
 from posepartition.scene import load_scene, save_scene
 
 
@@ -475,6 +478,32 @@ def test_negative_corpus_seed_exits_three(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not (tmp_path / "scenes").exists()
+
+
+def test_a_rejected_corpus_flag_and_a_negative_seed_each_name_their_own_rule(tmp_path, capsys):
+    assert run("corpus", "--out-dir", tmp_path / "a", "--num-scenes", -1) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: num_scenes must be non-negative\n"
+    assert run("corpus", "--out-dir", tmp_path / "b", "--seed", -1) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_the_energy_trace_holds_the_bytes_csv_writer_writes(tmp_path, monkeypatch):
+    scene = next(iter(make_corpus(tmp_path, n=1).glob("*.json")))
+    conf, reg = tmp_path / "c.pmap", tmp_path / "r.pmap"
+    assert run("synth", "--scene", scene, "--out-conf", conf, "--out-reg", reg) == EXIT_OK
+    energies = (0.0, -1.5e-05, -2.25, -0.30000000000000004, -1e22, -123456789.125)
+    monkeypatch.setattr(cli, "decode_maps", lambda *args: DecodeResult(PoseSet(()), energies))
+    trace = tmp_path / "trace.csv"
+    code = run("decode", "--conf", conf, "--reg", reg, "--out", tmp_path / "p.json", "--trace", trace)
+    assert code == EXIT_OK
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["step", "energy"])
+    for i, value in enumerate(energies):
+        writer.writerow([i, repr(value)])
+    assert trace.read_bytes() == expected.getvalue().encode("utf-8")
+    assert trace.read_bytes().startswith(b"step,energy\r\n0,0.0\r\n1,-1.5e-05\r\n")
 
 
 def test_non_finite_pose_score_exits_two(tmp_path, capsys):

@@ -413,8 +413,57 @@ EDGE_JOINTS = make_scene(
 )
 
 
+# No two disks share a pixel: every pixel is a lone store.
+APART_DISKS = make_scene(
+    [[(5.0, 5.0), (30.0, 5.0)], [(5.0, 30.0), (30.0, 30.0)], [(50.5, 50.0), (50.0, 10.25)]],
+    height=64,
+    width=64,
+)
+
+
+# Joint 0's disks lie apart and joint 1's overlap, so one call stores lone
+# pixels and shared ones.
+MIXED_DISKS = make_scene(
+    [[(5.0, 5.0), (30.0, 30.0)], [(50.0, 5.0), (32.0, 30.0)], [(5.0, 50.0), (30.5, 32.0)]],
+    height=64,
+    width=64,
+)
+
+
+# 300 persons whose joint-0 disks pile on (20, 20), their second joints all
+# over the canvas, so the pile centre sums 300 different offsets in order.
+PILED_DISKS = make_scene(
+    [[(20.0, 20.0), (float(i * 7 % 64), float(i * 13 % 48))] for i in range(300)],
+    height=48,
+    width=64,
+)
+
+
+def disk_counts(scene, radius):
+    """Contributions per (joint, pixel), from the reference's disk rule."""
+    counts = np.zeros((scene.num_joints, scene.height, scene.width), dtype=np.int64)
+    ys, xs = np.mgrid[: scene.height, : scene.width]
+    for person in scene.persons:
+        cx, cy = person_centroid(person)
+        for j, pos in enumerate(person.joints):
+            if pos is not None:
+                inside = (ys - pos[1]) ** 2 + (xs - pos[0]) ** 2 <= radius * radius
+                counts[j] += inside & ((xs != cx) | (ys != cy))
+    return counts
+
+
+def test_the_store_examples_have_the_disk_layout_they_name():
+    assert disk_counts(APART_DISKS, 5.0).max() == 1
+    mixed = disk_counts(MIXED_DISKS, 5.0)
+    assert mixed[0].max() == 1 and mixed[1].max() > 1
+    assert disk_counts(PILED_DISKS, 7.0)[0, 20, 20] == 300
+
+
 @settings(max_examples=150, deadline=None)
 @given(regression_scenes())
+@example((APART_DISKS, 5.0))
+@example((MIXED_DISKS, 5.0))
+@example((PILED_DISKS, 7.0))
 @example((CROWDED_PIXEL, 5.0))
 @example((EDGE_JOINTS, math.nextafter(7.0, 0.0)))
 @example((EDGE_JOINTS, math.nextafter(7.0, 8.0)))

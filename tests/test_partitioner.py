@@ -2,6 +2,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from posepartition.partition import (
     vote_density,
 )
 from posepartition.pipeline import decode_maps, synth_maps
+from posepartition.pmap import read_regression, write_map_set
 from posepartition.scene import JointSpec, PersonAnnotation, Scene
 
 
@@ -225,6 +227,108 @@ def test_nan_regression_maps_fail_in_embedding():
     values[0] = np.nan
     with pytest.raises(ParameterError, match="joint 0 .* not finite"):
         decode_maps(conf, RegressionMapSet(values))
+
+
+def reference_embed(candidates, reg):
+    """Reference: embed as a scalar loop, checking one candidate at a time
+    in input order and adding each vote up in Python floats."""
+    z = reg.norm_factor
+    votes = []
+    for cand in candidates:
+        x, y = cand.position
+        if not (0 <= cand.joint_id < reg.num_joints):
+            raise ParameterError("candidate joint id %d outside regression maps" % cand.joint_id)
+        if not (0 <= x < reg.width and 0 <= y < reg.height):
+            raise ParameterError("candidate position (%d, %d) outside the grid" % (x, y))
+        tx = float(reg.values[cand.joint_id, y, x, 0])
+        ty = float(reg.values[cand.joint_id, y, x, 1])
+        if not (math.isfinite(tx) and math.isfinite(ty)):
+            raise ParameterError(
+                "regression offset of joint %d at (%d, %d) is not finite" % (cand.joint_id, x, y)
+            )
+        votes.append(Vote(source=cand, point=(x + z * tx, y + z * ty)))
+    return votes
+
+
+PAST_INT64 = st.sampled_from([2**63, -(2**63) - 1, 2**70, -(10**30)])
+
+
+@st.composite
+def embed_cases(draw):
+    k, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    offsets = st.floats(-1.0, 1.0, width=32) | st.sampled_from([0.0, -0.0, 1e-30, -0.75])
+    size = k * h * w * 2
+    values = np.array(draw(st.lists(offsets, min_size=size, max_size=size)), dtype=np.float32).reshape(k, h, w, 2)
+    for _ in range(draw(st.integers(0, 3))):
+        cell = tuple(draw(st.integers(0, n - 1)) for n in (k, h, w, 2))
+        values[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+
+    def coordinate(n):
+        # Mostly on the grid, sometimes just off it or past int64.
+        return st.integers(0, n - 1) | st.integers(-2, n + 1) | PAST_INT64
+
+    candidates = draw(
+        st.lists(
+            st.builds(
+                JointCandidate,
+                joint_id=coordinate(k),
+                position=st.tuples(coordinate(w), coordinate(h)),
+                score=st.floats(0.0, 1.0),
+            ),
+            max_size=12,
+        )
+    )
+    return candidates, RegressionMapSet(values)
+
+
+def outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ParameterError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(embed_cases())
+def test_embed_matches_the_scalar_loop(case):
+    # Votes equal by repr, bit for bit; on bad input, the same first error.
+    candidates, reg = case
+    assert outcome(embed, candidates, reg) == outcome(reference_embed, candidates, reg)
+
+
+def test_embed_reads_maps_from_a_pmap_file_in_place(tmp_path):
+    # A PMAP payload starts 18 bytes in, so the mapped maps are unaligned;
+    # a gather that needs aligned input would copy all 8 MB to read a few.
+    scene = generate_corpus(CorpusSpec(num_scenes=1), seed=1)[0]
+    conf, reg = synth_maps(scene)
+    write_map_set(reg, tmp_path / "r.pmap")
+    mapped = read_regression(tmp_path / "r.pmap")
+    assert not mapped.values.flags.aligned
+    candidates = detect_candidates(conf)
+    tracemalloc.start()
+    try:
+        votes = embed(candidates, mapped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert repr(votes) == repr(embed(candidates, reg))
+    assert peak < mapped.values.nbytes // 100
+
+
+def test_embed_reports_the_first_failing_candidate():
+    values = np.zeros((2, 4, 4, 2), dtype=np.float32)
+    values[0, 1, 1, 0] = np.nan
+    reg = RegressionMapSet(values)
+    nan_first = [JointCandidate(0, (1, 1), 0.5), JointCandidate(5, (0, 0), 0.5)]
+    with pytest.raises(ParameterError, match=r"joint 0 at \(1, 1\) is not finite"):
+        embed(nan_first, reg)
+    with pytest.raises(ParameterError, match="joint id 5"):
+        embed(nan_first[::-1], reg)
+    # A candidate failing both range checks reports its joint id.
+    with pytest.raises(ParameterError, match="joint id 2 outside"):
+        embed([JointCandidate(2, (9, 9), 0.5)], reg)
+    with pytest.raises(ParameterError, match=r"position \(%d, 0\) outside the grid" % 2**70):
+        embed([JointCandidate(1, (2**70, 0), 0.5)], reg)
 
 
 # --- vote density -----------------------------------------------------------
