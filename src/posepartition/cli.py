@@ -11,7 +11,6 @@ and CorpusSpec when not given.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -19,7 +18,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import PipelineConfig, _setting, dump_config, load_config
+from .config import PipelineConfig, _setting, config_to_dict, dump_config, load_config
 from .errors import ConfigurationError, ParameterError, PipelineError, SchemaError
 from .evaluate import MatchParams, evaluate_corpus, report_csv
 from .infer import PoseSet
@@ -130,8 +129,8 @@ def _cmd_decode(args) -> int:
     result = decode_maps(conf, reg, cfg)
     save_json(poses_to_doc(result.poses, conf.height, conf.width), args.out)
     if args.trace:  # the bytes csv.writer writes: no field needs quoting
-        rows = "".join("%d,%r\r\n" % step for step in enumerate(result.energy_trace))
-        Path(args.trace).write_text("step,energy\r\n" + rows, encoding="utf-8", newline="")
+        rows = "".join([f"{i},{e!r}\r\n" for i, e in enumerate(result.energy_trace)])
+        Path(args.trace).write_bytes(("step,energy\r\n" + rows).encode("ascii"))
     return EXIT_OK
 
 
@@ -203,8 +202,10 @@ def _cmd_config(args) -> int:
         load_config(args.check)
         print("ok")
         return EXIT_OK
-    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        print(dump_config(PipelineConfig()), file=fh)
+    if args.out:
+        save_json(config_to_dict(PipelineConfig()), args.out)
+    else:
+        print(dump_config(PipelineConfig()))
     return EXIT_OK
 
 

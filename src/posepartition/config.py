@@ -12,7 +12,6 @@ a section, is rejected.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .maps import ForwardParams
 from .partition import ClusterParams
 from .scene import (
     JointSpec,
+    _dumps,
     _is_num,
     _load_doc,
     layout_from_doc,
@@ -137,4 +137,4 @@ def load_config(path) -> PipelineConfig:
 
 
 def dump_config(cfg: PipelineConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2)
+    return _dumps(config_to_dict(cfg))

@@ -6,7 +6,6 @@ Candidates and poses are read back; partitions and reports are only written.
 """
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from .detect import JointCandidate
@@ -14,12 +13,9 @@ from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import PersonPose, PoseSet
 from .partition import Partition
-from .scene import _is_finite, _is_int, _require
+from .scene import _is_finite, _is_int, _require, _save_json
 
-
-def save_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+save_json = _save_json  # the one JSON file writer, shared with scene files
 
 
 # --- candidates -------------------------------------------------------------

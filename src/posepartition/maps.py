@@ -251,6 +251,8 @@ def build_regression_maps(scene: Scene, params: ForwardParams | None = None) -> 
     # Each window is an ascending run of cells, which a merge sort takes whole.
     ordered = np.sort(cell, kind="stable")
     shared = np.isin(cell, ordered[1:][ordered[1:] == ordered[:-1]])
+    if not shared.any():
+        return RegressionMapSet(out)
     pixels, inverse = np.unique(cell[shared], return_inverse=True)
     counts = np.bincount(inverse)
     flat[pixels, 0] = np.bincount(inverse, weights=vx[shared]) / counts

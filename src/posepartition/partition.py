@@ -176,11 +176,14 @@ def cluster_votes(votes: Sequence[Vote], params: ClusterParams) -> list[Partitio
             mb = members.pop(b)
             na, nb = len(ma), len(mb)
             # Row a becomes (na * row a + nb * row b) / (na + nb), in place and
-            # with the same IEEE operations.  Its entries a and b come out inf,
-            # each the sum of an inf diagonal term and the finite d(a, b).
+            # with the same IEEE operations, less the products by 1 (x * 1 is
+            # x).  Its entries a and b come out inf, each the sum of an inf
+            # diagonal term and the finite d(a, b).
             row_a, row_b = dist[a], dist[b]
-            row_a *= na
-            row_b *= nb
+            if na > 1:
+                row_a *= na
+            if nb > 1:
+                row_b *= nb
             row_a += row_b
             row_a /= na + nb
             cols[a] = row_a

@@ -4,7 +4,8 @@ A scene is a pixel canvas plus a joint layout (one JointSpec per joint
 category) and a list of person annotations.  Coordinates are (x, y) with x
 growing rightward, y growing downward, and the origin at the center of the
 top-left pixel, so valid positions live in [0, W) x [0, H).  Readers ignore
-unknown keys, so files that carry extra keys still load.
+unknown keys, so files that carry extra keys still load.  The JSON reader and
+writer every document of the package goes through live here too.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .errors import AnnotationError, SchemaError
@@ -283,13 +285,67 @@ def scene_from_dict(doc: dict) -> Scene:
 
 
 def dump_scene(scene: Scene) -> str:
-    return json.dumps(scene_to_dict(scene), indent=2)
+    return _dumps(scene_to_dict(scene))
 
 
 def save_scene(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_scene(scene))
-        fh.write("\n")
+    _save_json(scene_to_dict(scene), path)
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """json.dumps(o, indent=2) for every document json accepts, one join per
+    container instead of the pure-Python generators json uses once indent is
+    set.  Scalars are spelled as json spells them: float.__repr__ with NaN and
+    Infinity words, int.__repr__ (subclasses too), ASCII string escapes."""
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _FLOAT_WORDS.get(text, text)
+    if type(o) is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        items = []
+        for v in o:  # common scalars inline: a call per item made poses files 20-25% slower
+            if type(v) is float:
+                text = float.__repr__(v)
+                items.append(_FLOAT_WORDS.get(text, text))
+            elif type(v) is int:
+                items.append(int.__repr__(v))
+            elif v is None:
+                items.append("null")
+            else:
+                items.append(_dumps(v, inner))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        inner = nl + "  "
+        items = [_json_key(k) + ": " + _dumps(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return "true" if o is True else "false" if o is False else int.__repr__(o)
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"%s"' % _dumps(k)
+    raise TypeError("keys must be str, int, float, bool or None, not %s" % type(k).__name__)
+
+
+def _save_json(doc, path) -> None:
+    """_dumps(doc) and a newline in one binary write: ASCII, \\n line ends."""
+    with open(path, "wb") as fh:
+        fh.write((_dumps(doc) + "\n").encode("ascii"))
 
 
 def _load_doc(path, parse, error: type[Exception] = SchemaError):

@@ -13,14 +13,14 @@ from posepartition import cli
 from posepartition.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, _load_cli_config, _parser, main
 from posepartition.config import PipelineConfig, config_from_dict, config_to_dict, load_config
 from posepartition.errors import ConfigurationError
-from posepartition.maps import ConfidenceMapSet
-from posepartition.pmap import read_confidence, write_map_set
+from posepartition.maps import ConfidenceMapSet, RegressionMapSet
+from posepartition.pmap import read_confidence, read_regression, write_map_set
 from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.evaluate import MatchParams, evaluate_corpus
 from posepartition.detect import JointCandidate
 from posepartition.infer import PersonPose, PoseSet
 from posepartition.iojson import poses_from_doc, poses_to_doc, report_to_doc, save_json
-from posepartition.pipeline import DecodeResult
+from posepartition.pipeline import DecodeResult, decode_maps, synth_maps
 from posepartition.scene import load_scene, save_scene
 
 
@@ -504,6 +504,25 @@ def test_the_energy_trace_holds_the_bytes_csv_writer_writes(tmp_path, monkeypatc
         writer.writerow([i, repr(value)])
     assert trace.read_bytes() == expected.getvalue().encode("utf-8")
     assert trace.read_bytes().startswith(b"step,energy\r\n0,0.0\r\n1,-1.5e-05\r\n")
+
+
+def test_decode_writes_json_dumps_and_csv_writer_bytes_for_a_noisy_scene(tmp_path):
+    scene = generate_corpus(CorpusSpec(num_scenes=1), seed=1)[0]
+    conf, reg = synth_maps(scene, PipelineConfig())
+    rng = np.random.default_rng(1)
+    conf = ConfidenceMapSet(conf.values + rng.uniform(-0.05, 0.05, conf.values.shape).astype(np.float32))
+    reg = RegressionMapSet(reg.values + rng.uniform(-0.01, 0.01, reg.values.shape).astype(np.float32))
+    conf_path, reg_path, out, trace = (tmp_path / name for name in ("c.pmap", "r.pmap", "p.json", "t.csv"))
+    write_map_set(conf, conf_path)
+    write_map_set(reg, reg_path)
+    assert run("decode", "--conf", conf_path, "--reg", reg_path, "--out", out, "--trace", trace) == EXIT_OK
+    result = decode_maps(read_confidence(conf_path), read_regression(reg_path))
+    assert len(result.poses.poses) > 1 and len(result.energy_trace) > 1
+    doc = poses_to_doc(result.poses, scene.height, scene.width)
+    assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows([("step", "energy")] + [(i, repr(e)) for i, e in enumerate(result.energy_trace)])
+    assert trace.read_bytes() == expected.getvalue().encode()
 
 
 def test_non_finite_pose_score_exits_two(tmp_path, capsys):

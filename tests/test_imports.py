@@ -140,7 +140,7 @@ def test_public_api_stays_within_its_bound():
 
 # Lines in the package's modules, as `wc -l` counts them: raise this bound
 # only with a reason in CHANGES.md.
-MAX_SRC_LINES = 2499
+MAX_SRC_LINES = 2557
 
 
 def test_source_stays_within_its_line_bound():

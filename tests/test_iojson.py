@@ -1,12 +1,14 @@
 """JSON interchange for candidates, partitions, poses, and reports."""
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from posepartition.config import load_config
+from posepartition.config import PipelineConfig, config_to_dict, dump_config, load_config
+from posepartition.corpus import CorpusSpec, generate_corpus
 from posepartition.detect import JointCandidate
 from posepartition.errors import ConfigurationError, SchemaError
 from posepartition.evaluate import EvalReport
@@ -22,7 +24,17 @@ from posepartition.iojson import (
 )
 from posepartition.maps import RegressionMapSet
 from posepartition.partition import Partition
-from posepartition.scene import PersonAnnotation, Scene, _load_doc, load_scene, mpii_joint_layout, scene_to_dict
+from posepartition.scene import (
+    PersonAnnotation,
+    Scene,
+    _dumps,
+    _load_doc,
+    dump_scene,
+    load_scene,
+    mpii_joint_layout,
+    save_scene,
+    scene_to_dict,
+)
 
 
 def sample_reg():
@@ -264,6 +276,87 @@ def test_save_and_load_json(tmp_path):
     bad.write_text("{oops")
     with pytest.raises(SchemaError, match="bad.json"):
         _load_doc(bad, lambda doc: doc)
+
+
+# --- the encoder: json.dumps(doc, indent=2) text ------------------------------
+
+
+class _Float(float):
+    """json spells a float subclass by float.__repr__, not by its own repr."""
+
+    def __repr__(self):
+        return "_Float()"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-7, 0.1, float(2**70)]
+_EDGE_STRINGS = ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "caf\u00e9", "\u2028", "\U0001f600", "[{,:}]"]
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, -1, 2**63, 2**70, -(2**70)]),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.text(),
+    st.sampled_from(_EDGE_STRINGS),
+    st.floats().map(_Float),
+    st.floats().map(np.float64),
+    st.integers().map(_Int),
+)
+_keys = st.one_of(
+    st.text(), st.sampled_from(_EDGE_STRINGS), st.integers(), st.floats(), st.sampled_from(_EDGE_FLOATS),
+    st.booleans(), st.none(), st.floats().map(_Float), st.integers().map(_Int),
+)
+_docs = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.dictionaries(_keys, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+def _nest(doc, depth: int):
+    """doc under depth alternating list and dict levels."""
+    for level in range(depth):
+        doc = [doc, level] if level % 2 else {"level": doc, str(level): ()}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(_docs, st.builds(_nest, _docs, st.integers(65, 90))))
+def test_the_encoder_writes_json_dumps_indent_text(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc", [np.float32(1.0), np.int64(3), object(), {1, 2}, {(1, 2): 0}, [b"x"], {"a": {frozenset(): 1}}],
+    ids=["float32", "int64", "object", "set", "tuple key", "bytes", "frozenset key"],
+)
+def test_the_encoder_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        _dumps(doc)
+
+
+def test_scene_config_and_document_files_hold_json_dumps_text(tmp_path):
+    def expected(doc) -> bytes:
+        return (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+    for scene in generate_corpus(CorpusSpec(num_scenes=24), seed=1):
+        assert dump_scene(scene) == json.dumps(scene_to_dict(scene), indent=2)
+    save_scene(scene, tmp_path / "scene.json")
+    assert (tmp_path / "scene.json").read_bytes() == expected(scene_to_dict(scene))
+    assert dump_config(PipelineConfig()) == json.dumps(config_to_dict(PipelineConfig()), indent=2)
+    doc = {"name": "caf\u00e9 \U0001f600", "poses": poses_to_doc(sample_poses(), 64, 48), "nan": math.nan}
+    save_json(doc, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_bytes() == expected(doc)  # ASCII, "\n" line ends
 
 
 # --- every document check, message text pinned --------------------------------
