@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .config import PipelineConfig, _setting, config_to_dict, dump_config, load_config
+from .config import _DEFAULTS, PipelineConfig, _setting, config_to_dict, dump_config, load_config
 from .errors import ConfigurationError, ParameterError, PipelineError, SchemaError
 from .evaluate import MatchParams, evaluate_corpus, report_csv
 from .infer import PoseSet
@@ -64,7 +64,7 @@ def _load_cli_config(args) -> PipelineConfig:
     """Config file (if given) with each given stage flag on top, its text read
     as the JSON value of its config entry.  No config rule spans two fields,
     so flags apply one at a time and a rejected value names its flag."""
-    cfg = load_config(args.config) if args.config else PipelineConfig()
+    cfg = load_config(args.config) if args.config else _DEFAULTS
     for name, text in _given(args, PipelineConfig).items():
         flag = "--" + name.replace("_", "-")
         try:
@@ -148,9 +148,10 @@ def _load_poses_for(path, scene: Scene) -> PoseSet:
                 "%s pose %d has %d joint slots, scene has %d"
                 % (path, i, len(pose.joints), scene.num_joints)
             )
-        for j, est in enumerate(pose.joints):
-            if est is not None and not (0 <= est.position[0] < w and 0 <= est.position[1] < h):
-                raise SchemaError("%s pose %d joint %d lies outside the %dx%d canvas" % (path, i, j, w, h))
+        on = [est is None or (0 <= est.position[0] < w and 0 <= est.position[1] < h) for est in pose.joints]
+        if not all(on):
+            j = on.index(False)
+            raise SchemaError("%s pose %d joint %d lies outside the %dx%d canvas" % (path, i, j, w, h))
     return poses
 
 
@@ -203,9 +204,9 @@ def _cmd_config(args) -> int:
         print("ok")
         return EXIT_OK
     if args.out:
-        save_json(config_to_dict(PipelineConfig()), args.out)
+        save_json(config_to_dict(_DEFAULTS), args.out)
     else:
-        print(dump_config(PipelineConfig()))
+        print(dump_config(_DEFAULTS))
     return EXIT_OK
 
 

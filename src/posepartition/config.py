@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .detect import DEFAULT_TAU, DetectorParams, _check_tau
@@ -68,6 +68,10 @@ class PipelineConfig:
         return ClusterParams(0.1 * norm_factor if threshold is None else threshold)
 
 
+# Built and validated once per process; readers start from it and share its layout.
+_DEFAULTS = PipelineConfig()
+
+
 def config_to_dict(cfg: PipelineConfig) -> dict:
     return {
         "tau": cfg.tau,
@@ -112,7 +116,7 @@ def config_from_dict(doc: Any) -> PipelineConfig:
     joint_spec, and its sections' keys, are PipelineConfig field names."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config document must be a JSON object")
-    schema = config_to_dict(PipelineConfig())
+    schema = config_to_dict(_DEFAULTS)
     _reject_unknown(doc, schema, "config")
     values = {}
     for key, entry in doc.items():
@@ -129,7 +133,7 @@ def config_from_dict(doc: Any) -> PipelineConfig:
                 values[name] = _setting(value, name, "%s.%s" % (key, name))
         else:
             values[key] = _setting(entry, key, key)
-    return PipelineConfig(**values)
+    return replace(_DEFAULTS, **values)
 
 
 def load_config(path) -> PipelineConfig:

@@ -13,7 +13,7 @@ from .errors import SchemaError
 from .evaluate import EvalReport
 from .infer import PersonPose, PoseSet
 from .partition import Partition
-from .scene import _is_finite, _is_int, _require, _save_json
+from .scene import _FLOAT_MAX, _is_finite, _is_int, _require, _save_json
 
 save_json = _save_json  # the one JSON file writer, shared with scene files
 
@@ -113,27 +113,34 @@ def poses_from_doc(doc) -> tuple[PoseSet, int, int]:
             isinstance(joints, list) and isinstance(scores, list) and len(joints) == len(scores),
             "poses[%d] joints and scores must be lists of equal length", pi,
         )
-        slots = []
-        for j, (pos, sc) in enumerate(zip(joints, scores)):
-            if pos is None:
-                _require(sc is None, "poses[%d].scores[%d] must be null for an absent joint", pi, j)
-                slots.append(None)
-                continue
-            _require(
-                isinstance(pos, list) and len(pos) == 2
-                and _is_int(pos[0]) and _is_int(pos[1]) and _is_finite(sc),
-                "poses[%d].joints[%d] must be [x, y] integers with a finite score", pi, j,
-            )
-            slots.append(JointCandidate(j, (pos[0], pos[1]), float(sc)))
+        # One inline test per slot for what json.loads makes; the rest goes through _checked_slot.
+        slots = tuple([
+            None if pos is None and sc is None
+            else JointCandidate(j, (pos[0], pos[1]), sc)
+            if type(pos) is list and len(pos) == 2 and type(pos[0]) is int and type(pos[1]) is int
+            and type(sc) is float and -_FLOAT_MAX <= sc <= _FLOAT_MAX
+            else _checked_slot(pos, sc, pi, j)
+            for j, (pos, sc) in enumerate(zip(joints, scores))
+        ])
         cent = entry["centroid"]
         _require(
             isinstance(cent, list) and len(cent) == 2 and _is_finite(cent[0]) and _is_finite(cent[1]),
             "poses[%d].centroid must be finite [x, y]", pi,
         )
-        poses.append(
-            PersonPose(joints=tuple(slots), final_centroid=(float(cent[0]), float(cent[1])))
-        )
+        poses.append(PersonPose(joints=slots, final_centroid=(float(cent[0]), float(cent[1]))))
     return PoseSet(poses=tuple(poses)), doc["height"], doc["width"]
+
+
+def _checked_slot(pos, sc, pi: int, j: int) -> JointCandidate | None:
+    """Joint slot j of poses[pi] by the full checks, raising SchemaError on misuse."""
+    if pos is None:
+        _require(sc is None, "poses[%d].scores[%d] must be null for an absent joint", pi, j)
+        return None
+    _require(
+        isinstance(pos, list) and len(pos) == 2 and _is_int(pos[0]) and _is_int(pos[1]) and _is_finite(sc),
+        "poses[%d].joints[%d] must be [x, y] integers with a finite score", pi, j,
+    )
+    return JointCandidate(j, (pos[0], pos[1]), float(sc))
 
 
 # --- evaluation report --------------------------------------------------------

@@ -20,6 +20,8 @@ from typing import Sequence
 from .errors import AnnotationError, SchemaError
 
 _Position = tuple[float, float]
+_FLOAT_MAX = sys.float_info.max
+_INT_MAX = int(_FLOAT_MAX)  # the largest int float() reads without overflow
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ def _is_num(v) -> bool:
 
 def _is_finite(v) -> bool:
     """A number within float range (json reads NaN and Infinity)."""
-    return _is_num(v) and abs(v) <= sys.float_info.max
+    return _is_num(v) and abs(v) <= _FLOAT_MAX
 
 
 def _is_int(v) -> bool:
@@ -268,10 +270,14 @@ def scene_from_dict(doc: dict) -> Scene:
     for i, entry in enumerate(doc["persons"]):
         _require(isinstance(entry, dict) and "joints" in entry, "persons[%d] must have joints", i)
         _require(isinstance(entry["joints"], list), "persons[%d].joints must be a list", i)
-        joints = tuple(
-            None if p is None else _parse_position(p, "persons[%d].joints[%d]", i, j)
+        # One inline test per position for what json.loads makes; the rest goes through _parse_position.
+        joints = tuple([
+            (float(x), float(y)) if type(p) is list and len(p) == 2
+            and (type(x := p[0]) is float or type(x) is int and -_INT_MAX <= x <= _INT_MAX)
+            and (type(y := p[1]) is float or type(y) is int and -_INT_MAX <= y <= _INT_MAX)
+            else None if p is None else _parse_position(p, "persons[%d].joints[%d]", i, j)
             for j, p in enumerate(entry["joints"])
-        )
+        ])
         persons.append(PersonAnnotation(joints))
     try:
         return Scene(
@@ -349,12 +355,14 @@ def _save_json(doc, path) -> None:
 
 
 def _load_doc(path, parse, error: type[Exception] = SchemaError):
-    """parse applied to the JSON document at path; an error (of class error) names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise error("%s is not valid JSON: %s" % (path, exc)) from exc
+    """parse applied to the JSON document at path, decoded as strict UTF-8 first (json.loads
+    takes a BOM or UTF-16 in bytes); an error (of class error) names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error("%s is not valid JSON: %s" % (path, exc)) from exc
     try:
         return parse(doc)
     except error as exc:

@@ -421,6 +421,68 @@ def test_config_number_beyond_float_range_exits_three(tmp_path, capsys):
     assert "forward.sigma is too large" in capsys.readouterr().err
 
 
+# Bytes that are not UTF-8 JSON text: invalid UTF-8 outside and inside a
+# string, a UTF-8 BOM, and UTF-16 with and without its BOM.
+NOT_UTF8_JSON = {
+    "bad-lead-byte": b'\xff\xfe{"a": 1}',
+    "bad-string-byte": b'{"a": "\xff"}',
+    "utf8-bom": b"\xef\xbb\xbf{}",
+    "utf16": "{}".encode("utf-16"),
+    "utf16-le": "{}".encode("utf-16-le"),
+}
+
+
+@pytest.mark.parametrize("data", NOT_UTF8_JSON.values(), ids=NOT_UTF8_JSON.keys())
+def test_a_config_that_is_not_utf8_json_exits_three(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert run("config", "--check", cfg) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: %s is not valid JSON: " % cfg)
+
+
+@pytest.mark.parametrize("data", NOT_UTF8_JSON.values(), ids=NOT_UTF8_JSON.keys())
+def test_eval_on_a_document_that_is_not_utf8_json_exits_two(tmp_path, capsys, data):
+    scenes = make_corpus(tmp_path, n=1)
+    scene = next(scenes.glob("*.json"))
+    poses_dir = tmp_path / "poses"
+    poses_dir.mkdir()
+    poses = poses_dir / scene.name
+    save_json(poses_to_doc(PoseSet(()), 256, 256), poses)
+    argv = ("eval", "--poses", poses_dir, "--scenes", scenes, "--out", tmp_path / "r.json")
+    assert run(*argv) == EXIT_OK
+    for bad in (scene, poses):
+        good = bad.read_bytes()
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert run(*argv) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: %s is not valid JSON: " % bad)
+        bad.write_bytes(good)
+
+
+@pytest.mark.parametrize("data", NOT_UTF8_JSON.values(), ids=NOT_UTF8_JSON.keys())
+def test_partition_on_candidates_that_are_not_utf8_json_exits_two(tmp_path, capsys, data):
+    scene = next(make_corpus(tmp_path, n=1).glob("*.json"))
+    reg = tmp_path / "m.reg.pmap"
+    assert run("synth", "--scene", scene, "--out-conf", tmp_path / "m.conf.pmap", "--out-reg", reg) == EXIT_OK
+    cands = tmp_path / "cands.json"
+    cands.write_bytes(data)
+    code = run("partition", "--candidates", cands, "--reg", reg, "--out", tmp_path / "parts.json")
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: %s is not valid JSON: " % cands)
+
+
+def test_the_cli_starts_from_one_default_config(tmp_path):
+    # A fresh PipelineConfig() builds and validates a new MPII layout; every
+    # CLI call without a config file or a stage flag shares one.
+    args = _parser().parse_args(["decode", "--conf", "c", "--reg", "r", "--out", "o"])
+    assert _load_cli_config(args) is _load_cli_config(args)
+    assert _load_cli_config(args) == PipelineConfig()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau": 0.2}))
+    assert load_config(cfg).joint_layout is _load_cli_config(args).joint_layout
+    assert load_config(cfg) == PipelineConfig(tau=0.2)
+
+
 def test_corpus_defaults_are_the_corpus_spec_defaults(tmp_path):
     out = tmp_path / "cli"
     assert run("corpus", "--out-dir", out, "--num-scenes", 2) == EXIT_OK
